@@ -68,6 +68,9 @@ pub struct Machine {
     now: u64,
     unit_free: u64,
     ready: [u64; NUM_VREGS],
+    /// Maximum of `ready`, kept exact on every write so [`Machine::cycles`]
+    /// costs three compares instead of a scan of the scoreboard.
+    ready_max: u64,
     /// Fractional scalar cycles not yet committed to `now`.
     scalar_frac: f64,
     /// Recent missed lines (ring), for sequential-miss overlap on
@@ -143,6 +146,7 @@ impl Machine {
             now: 0,
             unit_free: 0,
             ready: [0; NUM_VREGS],
+            ready_max: 0,
             scalar_frac: 0.0,
             recent_misses: [u64::MAX - 1; 8],
             recent_miss_pos: 0,
@@ -416,8 +420,7 @@ impl Machine {
 
     /// Current cycle count: the time at which all issued work has completed.
     pub fn cycles(&self) -> u64 {
-        let rmax = self.ready.iter().copied().max().unwrap_or(0);
-        self.now.max(self.unit_free).max(rmax)
+        self.now.max(self.unit_free).max(self.ready_max)
     }
 
     /// Reset the clock, scoreboard and statistics (cache contents survive,
@@ -431,6 +434,7 @@ impl Machine {
         self.now = 0;
         self.unit_free = 0;
         self.ready = [0; NUM_VREGS];
+        self.ready_max = 0;
         self.scalar_frac = 0.0;
         self.next_occ_mem = 0;
         self.next_occ_cont = 0;
@@ -644,11 +648,24 @@ impl Machine {
         self.attribute_stall(t0, unit_start, start, occupancy);
         self.unit_free = start + occupancy + self.eff_gap();
         if let Some(d) = dst {
-            self.ready[d] = start + result_latency.max(occupancy);
+            self.set_ready(d, start + result_latency.max(occupancy));
         }
         self.now = start;
         self.scalar_frac += self.cfg.core.issue_cycles;
         self.stats.vec_instrs += 1;
+    }
+
+    /// Write one scoreboard entry, keeping `ready_max` exact. Overwriting
+    /// the maximum with an earlier time (a WAW on the latest-ready
+    /// register) rescans.
+    #[inline]
+    fn set_ready(&mut self, r: VReg, t: u64) {
+        let old = std::mem::replace(&mut self.ready[r], t);
+        if t >= self.ready_max {
+            self.ready_max = t;
+        } else if old == self.ready_max {
+            self.ready_max = self.ready.iter().copied().max().unwrap_or(0);
+        }
     }
 
     /// Attribute the wait of one issue to stall causes. Pure bookkeeping:
@@ -2296,6 +2313,7 @@ impl Machine {
         for (r, &rel) in self.ready.iter_mut().zip(eff.ready_rel.iter()) {
             *r = (base + rel) as u64;
         }
+        self.ready_max = self.ready.iter().copied().max().unwrap_or(0);
         self.scalar_frac = f64::from_bits(eff.frac_bits);
         self.next_occ_mem = eff.next_occ_mem;
         self.next_occ_cont = eff.next_occ_cont;
@@ -2468,6 +2486,45 @@ mod tests {
             parallel * 2 < chained,
             "unrolled {parallel} should be much faster than chained {chained}"
         );
+    }
+
+    /// `ready_max` is the scoreboard maximum after every instruction,
+    /// including WAW overwrites that lower the latest-ready register.
+    #[test]
+    fn ready_max_tracks_the_scoreboard_maximum() {
+        let scan = |m: &Machine| m.ready.iter().copied().max().unwrap_or(0);
+        // Overwrites that lower the maximum take the rescan path. This
+        // stream produces none on the RVV config, some on SVE and A64FX.
+        let mut lowered = 0;
+        for cfg in [
+            MachineConfig::rvv_gem5(512, 8, 1 << 20),
+            MachineConfig::sve_gem5(512, 1 << 20),
+            MachineConfig::a64fx(),
+        ] {
+            let mut m = Machine::new(cfg);
+            let buf = m.mem.alloc(1 << 16);
+            let vl = m.setvl(16);
+            let mut rng = lva_sim::Rng::new(11);
+            for _ in 0..2000 {
+                let vd = rng.gen_index(0, NUM_VREGS);
+                let max_before = m.ready_max;
+                let was_max = m.ready[vd] == max_before;
+                match rng.gen_index(0, 3) {
+                    0 => m.vle(vd, buf.addr(rng.gen_index(0, (1 << 16) - 16)), vl),
+                    1 => m.vbroadcast(vd, 2.0, vl),
+                    _ => {
+                        let vs = (vd + rng.gen_index(1, NUM_VREGS)) % NUM_VREGS;
+                        m.vfmacc_vf(vd, 1.5, vs, vl);
+                    }
+                }
+                lowered += usize::from(was_max && m.ready[vd] < max_before);
+                assert_eq!(m.ready_max, scan(&m));
+                assert_eq!(m.cycles(), m.now.max(m.unit_free).max(scan(&m)));
+            }
+            m.reset_timing();
+            assert_eq!(m.ready_max, 0);
+        }
+        assert!(lowered > 0, "no overwrite lowered the maximum: the rescan went untested");
     }
 
     #[test]

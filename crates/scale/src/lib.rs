@@ -28,6 +28,16 @@
 //! any host parallelism (`--jobs` only distributes whole SoC runs across
 //! sweep cells via `parallel_map`).
 //!
+//! The loop schedules in batches. Each core's clock is cached and
+//! refreshed once after each of its ops. The loop picks the lowest
+//! `(clock, index)` runnable core, notes the runner-up, and keeps stepping
+//! the chosen core while its `(clock, index)` stays below the runner-up's.
+//! Stepping one core moves no other core's clock, and under batch sharding
+//! it changes no other core's runnability, so this is exactly the schedule
+//! an op-at-a-time "re-pick the minimum" loop produces. Under pipeline
+//! sharding a batch also ends when the core completes a stage instance,
+//! since that can make the next stage's core runnable.
+//!
 //! Setup (weight packing, arena layout) is replayed per core through the
 //! shared port to warm the shared L2 realistically, then excluded from
 //! measurement by a global barrier: every core's `reset_timing()` plus the
@@ -42,10 +52,10 @@
 //!   contract). With one core the arbiter never delays anyone and the run
 //!   is **bit-identical** to the single-core simulator (pinned by test).
 //! * **Merged-stream Mattson cross-check** — a [`lva_sim::PortObserver`]
-//!   feeds every shared-port transaction into the `lva-prof`
-//!   reuse-distance profiler; the predicted hit rate at the shared-L2
-//!   capacity must agree with the simulated shared-L2 hit rate (reported
-//!   as [`MattsonCheck`]).
+//!   feeds every shared-port transaction into a per-set LRU recency
+//!   window; its reuse-distance hit prediction at the shared-L2 geometry
+//!   must agree with the simulated shared-L2 hit rate (reported as
+//!   [`MattsonCheck`]).
 //! * **Multi-core Chrome timeline** — one trace-viewer *process* per core
 //!   (layers, phases, per-cause stall tracks) plus shared-port bandwidth
 //!   utilization and queue-depth counter tracks on the root process.
@@ -281,6 +291,9 @@ pub fn run_soc(exp: &Experiment, cfg: &SocConfig) -> SocResult {
 /// Per-core state driven by the global event loop.
 struct CoreState {
     m: Machine,
+    /// `m.cycles()`, kept current by [`CoreState::step`] and
+    /// [`CoreState::sync_clock`] so the scheduler never recomputes it.
+    clock: u64,
     cur: ReplayCursor,
     /// Pipeline: current frame index; batch: 0 while the single frame runs.
     frame: usize,
@@ -295,43 +308,59 @@ struct CoreState {
 }
 
 impl CoreState {
-    fn step(&mut self, trace: &ReplayTrace, capture_spans: bool) -> bool {
-        if capture_spans {
-            let peek = trace.ops.get(self.cur.pos()).copied();
-            let before = self.m.cycles();
-            let stepped = self.m.replay_step(trace, &mut self.cur);
-            match peek {
-                Some(ReplayOp::LayerBegin { index, desc }) => {
-                    let name = format!("L{index} {}", trace.descs[desc as usize]);
-                    self.open_layers.push((name, before));
-                }
-                Some(ReplayOp::LayerEnd) => {
-                    if let Some((name, t0)) = self.open_layers.pop() {
-                        self.spans.push((name, t0, self.m.cycles()));
-                    }
-                }
-                _ => {}
+    /// Replay the next op, then refresh the cached clock.
+    fn step(&mut self, trace: &ReplayTrace, capture_spans: bool) {
+        let peek = capture_spans.then(|| trace.ops.get(self.cur.pos()).copied()).flatten();
+        let before = self.clock;
+        self.m.replay_step(trace, &mut self.cur);
+        self.sync_clock();
+        match peek {
+            Some(ReplayOp::LayerBegin { index, desc }) => {
+                let name = format!("L{index} {}", trace.descs[desc as usize]);
+                self.open_layers.push((name, before));
             }
-            stepped
-        } else {
-            self.m.replay_step(trace, &mut self.cur)
+            Some(ReplayOp::LayerEnd) => {
+                if let Some((name, t0)) = self.open_layers.pop() {
+                    self.spans.push((name, t0, self.clock));
+                }
+            }
+            _ => {}
         }
+    }
+
+    /// Refresh the cached clock after the machine's clock moved outside
+    /// [`CoreState::step`].
+    fn sync_clock(&mut self) {
+        self.clock = self.m.cycles();
     }
 }
 
-/// Pick the runnable core with the lowest local clock (lowest index wins
-/// ties — round-robin whenever cores are in lockstep).
-fn next_core(cores: &[CoreState], runnable: impl Fn(usize, &CoreState) -> bool) -> Option<usize> {
+/// The runnable core with the lowest `(clock, index)`, plus the runner-up's
+/// `(clock, index)` (`None` when only one core is runnable).
+fn pick(
+    cores: &[CoreState],
+    runnable: impl Fn(usize, &CoreState) -> bool,
+) -> Option<(usize, Option<(u64, usize)>)> {
     let mut best: Option<(u64, usize)> = None;
+    let mut second: Option<(u64, usize)> = None;
     for (i, c) in cores.iter().enumerate() {
-        if runnable(i, c) {
-            let t = c.m.cycles();
-            if best.is_none_or(|(bt, _)| t < bt) {
-                best = Some((t, i));
-            }
+        if !runnable(i, c) {
+            continue;
+        }
+        let key = (c.clock, i);
+        if best.is_none_or(|b| key < b) {
+            second = best;
+            best = Some(key);
+        } else if second.is_none_or(|s| key < s) {
+            second = Some(key);
         }
     }
-    best.map(|(_, i)| i)
+    best.map(|(_, i)| (i, second))
+}
+
+/// Whether core `i`, now at `clock`, still precedes the runner-up.
+fn still_first(clock: u64, i: usize, runner_up: Option<(u64, usize)>) -> bool {
+    runner_up.is_none_or(|r| (clock, i) < r)
 }
 
 /// Replay `range` to completion on every core (setup, and batch frames).
@@ -344,12 +373,18 @@ fn run_uniform(
     for c in cores.iter_mut() {
         c.cur = ReplayCursor::new(range.0, range.1);
     }
-    while let Some(i) = next_core(cores, |_, c| !c.cur.done()) {
+    while let Some((i, runner_up)) = pick(cores, |_, c| !c.cur.done()) {
         let c = &mut cores[i];
-        c.m.sys.set_port_now(c.m.cycles());
-        c.step(trace, capture_spans);
-        if c.cur.done() {
-            c.frames_done += 1;
+        loop {
+            c.m.sys.set_port_now(c.clock);
+            c.step(trace, capture_spans);
+            if c.cur.done() {
+                c.frames_done += 1;
+                break;
+            }
+            if !still_first(c.clock, i, runner_up) {
+                break;
+            }
         }
     }
 }
@@ -374,7 +409,7 @@ fn run_pipeline(
         let runnable = |i: usize, c: &CoreState| {
             c.frame < frames && (i == 0 || done_at[i - 1].len() > c.frame)
         };
-        let Some(i) = next_core(cores, runnable) else {
+        let Some((i, runner_up)) = pick(cores, runnable) else {
             assert!(
                 cores.iter().all(|c| c.frame >= frames),
                 "pipeline deadlock: no runnable core with frames outstanding"
@@ -385,20 +420,28 @@ fn run_pipeline(
         if !c.started {
             if i > 0 {
                 let ready = done_at[i - 1][c.frame];
-                let before = c.m.cycles();
                 c.m.advance_to(ready);
-                c.idle += ready.saturating_sub(before);
+                c.idle += ready.saturating_sub(c.clock);
+                c.sync_clock();
             }
             c.cur = ReplayCursor::new(stages[i].0, stages[i].1);
             c.started = true;
         }
-        c.m.sys.set_port_now(c.m.cycles());
-        c.step(trace, capture_spans);
-        if c.cur.done() {
-            done_at[i].push(c.m.cycles());
-            c.frame += 1;
-            c.frames_done += 1;
-            c.started = false;
+        loop {
+            c.m.sys.set_port_now(c.clock);
+            c.step(trace, capture_spans);
+            if c.cur.done() {
+                // A completed stage instance can make core `i+1` runnable:
+                // end the batch and re-pick.
+                done_at[i].push(c.clock);
+                c.frame += 1;
+                c.frames_done += 1;
+                c.started = false;
+                break;
+            }
+            if !still_first(c.clock, i, runner_up) {
+                break;
+            }
         }
     }
 }
@@ -473,6 +516,24 @@ fn partition_layers(layer_cycles: &[u64], n: usize) -> Vec<(usize, usize)> {
 /// Panics if `cfg.n_cores == 0`, or under [`Sharding::Pipeline`] if the
 /// capture has fewer layers than cores.
 pub fn run_soc_captured(exp: &Experiment, cap: &CapturedRun, cfg: &SocConfig) -> SocResult {
+    run_soc_with(exp, cap, cfg, &BATCHED)
+}
+
+/// Signature of [`run_uniform`].
+type UniformLoop = fn(&mut [CoreState], &ReplayTrace, (usize, usize), bool);
+/// Signature of [`run_pipeline`].
+type PipelineLoop = fn(&mut [CoreState], &ReplayTrace, &[(usize, usize)], usize, bool);
+
+/// The event loops one SoC run drives: setup and batch frames, and the
+/// layer pipeline. Tests substitute a reference scheduler here.
+struct Loops {
+    uniform: UniformLoop,
+    pipeline: PipelineLoop,
+}
+
+const BATCHED: Loops = Loops { uniform: run_uniform, pipeline: run_pipeline };
+
+fn run_soc_with(exp: &Experiment, cap: &CapturedRun, cfg: &SocConfig, loops: &Loops) -> SocResult {
     assert!(cfg.n_cores >= 1, "SoC needs at least one core");
     let trace = &cap.trace;
     let rt = setup_boundary(trace);
@@ -495,6 +556,7 @@ pub fn run_soc_captured(exp: &Experiment, cap: &CapturedRun, cfg: &SocConfig) ->
             m.sys.attach_shared_port(Rc::clone(&port), c);
             CoreState {
                 m,
+                clock: 0,
                 cur: ReplayCursor::new(0, 0),
                 frame: 0,
                 started: false,
@@ -508,7 +570,7 @@ pub fn run_soc_captured(exp: &Experiment, cap: &CapturedRun, cfg: &SocConfig) ->
 
     // Phase A: every core replays setup through the shared port (warms the
     // shared L2 exactly as N cores loading weights would).
-    run_uniform(&mut cores, trace, (0, rt), false);
+    (loops.uniform)(&mut cores, trace, (0, rt), false);
 
     // Global barrier: drop setup timing everywhere, keep cache contents.
     for c in &mut cores {
@@ -516,6 +578,7 @@ pub fn run_soc_captured(exp: &Experiment, cap: &CapturedRun, cfg: &SocConfig) ->
         // measured phase's first instruction.
         let _ = c.m.sys.take_contention();
         c.m.reset_timing();
+        c.sync_clock();
         c.frames_done = 0;
         if cfg.record_timeline {
             c.m.record_pipe_events();
@@ -527,7 +590,7 @@ pub fn run_soc_captured(exp: &Experiment, cap: &CapturedRun, cfg: &SocConfig) ->
     // Phase B: measured frames.
     let (frames, stages) = match cfg.sharding {
         Sharding::Batch => {
-            run_uniform(&mut cores, trace, frame, cfg.record_timeline);
+            (loops.uniform)(&mut cores, trace, frame, cfg.record_timeline);
             (cfg.n_cores, None)
         }
         Sharding::Pipeline => {
@@ -552,7 +615,7 @@ pub fn run_soc_captured(exp: &Experiment, cap: &CapturedRun, cfg: &SocConfig) ->
                 })
                 .collect();
             let frames = 2 * cfg.n_cores;
-            run_pipeline(&mut cores, trace, &op_ranges, frames, cfg.record_timeline);
+            (loops.pipeline)(&mut cores, trace, &op_ranges, frames, cfg.record_timeline);
             (frames, Some(stages))
         }
     };

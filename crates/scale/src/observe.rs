@@ -4,24 +4,23 @@
 //! Two instruments share one pass over the merged cross-core transaction
 //! stream:
 //!
-//! * a Mattson reuse-distance profile of the merged demand stream, used to
-//!   cross-check the simulated shared-L2 hit rate. The headline predictor
-//!   is *set-aware*: one [`lva_prof::StackDistance`] per cache set, with a
-//!   reference predicted to hit iff its within-set distance is below the
+//! * a set-aware Mattson hit predictor for the merged demand stream, used
+//!   to cross-check the simulated shared-L2 hit rate. A reference is
+//!   predicted to hit iff its within-set stack distance is below the
 //!   associativity — the classical Mattson result specialized to a
 //!   set-associative true-LRU cache, where it is **exact** (the simulated
 //!   L2 is exactly that model, so any disagreement is a bug, and the
-//!   cross-check is gated at 1% absolute). A fully-associative
-//!   [`lva_prof::DistanceHistogram`] of the same stream rides along for
-//!   the capacity curve — its gap to the set-aware prediction *is* the
-//!   conflict-miss cost of the shared L2's geometry;
+//!   cross-check is gated at 1% absolute). "Distance < assoc" means
+//!   exactly "the line is among the set's `assoc` most recently used
+//!   distinct lines", so each set keeps only that window, most recent
+//!   first: O(assoc) per transaction and `sets × assoc` words of state;
 //! * time-bucketed bandwidth-utilization and queue-depth samples
 //!   ([`BwSample`]) for the Chrome timeline's shared-port counter tracks.
 //!
-//! The stack-distance state is fed from the very first setup transaction
-//! (so the measured phase's predictions see the warm shared L2, mirroring
-//! how the cache itself keeps its contents across the barrier), while the
-//! histogram and the bandwidth buckets restart at the barrier
+//! The recency windows are fed from the very first setup transaction (so
+//! the measured phase's predictions see the warm shared L2, mirroring how
+//! the cache itself keeps its contents across the barrier), while the hit
+//! count and the bandwidth buckets restart at the barrier
 //! ([`ProfileHandle::start_measure`]) — the same contents-stay/stats-reset
 //! split [`lva_sim::SharedPort::reset_stats`] applies.
 //!
@@ -32,7 +31,6 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use lva_prof::{DistanceHistogram, StackDistance};
 use lva_sim::{PortEvent, PortObserver};
 
 /// Number of time buckets the bandwidth/queue-depth series is kept at.
@@ -107,9 +105,6 @@ impl TimeBuckets {
 /// The measured-phase output of a [`ProfileHandle`].
 #[derive(Debug)]
 pub struct MeasuredProfile {
-    /// Fully-associative reuse-distance histogram of the merged stream
-    /// (the capacity curve; ignores set conflicts by construction).
-    pub hist: DistanceHistogram,
     /// Bucketed shared-port bandwidth/queue samples.
     pub bw: Vec<BwSample>,
     /// Transactions observed in the measured phase.
@@ -119,18 +114,21 @@ pub struct MeasuredProfile {
     pub predicted_hits: u64,
 }
 
+/// Marks a window slot no line has filled yet (a line index is an address
+/// divided by the line size, so it never reaches `u64::MAX`).
+const EMPTY: u64 = u64::MAX;
+
 /// The observer state proper (behind a [`ProfileHandle`]).
 #[derive(Debug)]
 pub struct PortProfile {
-    sd: StackDistance,
-    hist: DistanceHistogram,
     /// `sets - 1` (sets is a power of two), mirroring the L2's index
     /// function: `set = line & set_mask`.
     set_mask: usize,
     /// L2 ways per set; a within-set distance `< assoc` is a hit.
-    assoc: u64,
-    /// One recency stack per cache set.
-    set_sd: Vec<StackDistance>,
+    assoc: usize,
+    /// `sets × assoc` lines: set `s`'s `assoc` most recently used distinct
+    /// lines, most recent first, at `windows[s * assoc..(s + 1) * assoc]`.
+    windows: Vec<u64>,
     set_hits: u64,
     buckets: TimeBuckets,
     transactions: u64,
@@ -139,12 +137,11 @@ pub struct PortProfile {
 impl PortProfile {
     fn new(sets: usize, assoc: usize) -> Self {
         assert!(sets.is_power_of_two(), "L2 set count must be a power of two, got {sets}");
+        assert!(assoc >= 1, "L2 needs at least one way");
         PortProfile {
-            sd: StackDistance::new(),
-            hist: DistanceHistogram::default(),
             set_mask: sets - 1,
-            assoc: assoc as u64,
-            set_sd: (0..sets).map(|_| StackDistance::new()).collect(),
+            assoc,
+            windows: vec![EMPTY; sets * assoc],
             set_hits: 0,
             buckets: TimeBuckets::new(),
             transactions: 0,
@@ -152,22 +149,26 @@ impl PortProfile {
     }
 
     fn record(&mut self, ev: &PortEvent) {
-        let dist = self.sd.access(ev.line);
-        self.hist.record(dist);
         let set = (ev.line as usize) & self.set_mask;
-        if let Some(d) = self.set_sd[set].access(ev.line) {
-            if d < self.assoc {
+        let window = &mut self.windows[set * self.assoc..(set + 1) * self.assoc];
+        // In the window ⟺ within-set stack distance < assoc: a hit. Either
+        // way the line moves to the front; a miss evicts the window's LRU.
+        let pos = match window.iter().position(|&l| l == ev.line) {
+            Some(p) => {
                 self.set_hits += 1;
+                p
             }
-        }
+            None => self.assoc - 1,
+        };
+        window[..=pos].rotate_right(1);
+        window[0] = ev.line;
         self.buckets.record(ev.at + ev.wait, ev.service, ev.queue_depth);
         self.transactions += 1;
     }
 
-    /// Drop accumulated statistics but keep the stack-distance state warm
-    /// (the shared L2 keeps its contents across the barrier too).
+    /// Drop accumulated statistics but keep the recency windows warm (the
+    /// shared L2 keeps its contents across the barrier too).
     fn start_measure(&mut self) {
-        self.hist = DistanceHistogram::default();
         self.set_hits = 0;
         self.buckets = TimeBuckets::new();
         self.transactions = 0;
@@ -195,7 +196,6 @@ impl ProfileHandle {
     pub fn finish(&self) -> MeasuredProfile {
         let p = self.0.borrow();
         MeasuredProfile {
-            hist: p.hist.clone(),
             bw: p.buckets.samples(),
             transactions: p.transactions,
             predicted_hits: p.set_hits,
