@@ -321,7 +321,8 @@ impl Machine {
     /// Stop capturing and return the semantic trace plus the probe tape
     /// (with the final segment closed). `None` if no capture was active.
     pub fn finish_capture(&mut self) -> Option<(ReplayTrace, ProbeTape)> {
-        let trace = self.rlog.take()?;
+        let mut trace = self.rlog.take()?;
+        trace.shrink_to_fit();
         let tape = self.take_probe_tape().expect("capture always records a tape");
         Some((trace, tape))
     }
@@ -339,6 +340,7 @@ impl Machine {
     pub fn take_probe_tape(&mut self) -> Option<ProbeTape> {
         let mut rec = self.tape_rec.take()?;
         rec.end_segment(self.sys.stats());
+        rec.tape.shrink_to_fit();
         Some(rec.tape)
     }
 
@@ -489,8 +491,7 @@ impl Machine {
     /// tap and the replay log.
     pub fn layer_begin(&mut self, index: usize, desc: &str) {
         if let Some(log) = self.rlog.as_mut() {
-            let d = log.push_desc(desc);
-            log.ops.push(ReplayOp::LayerBegin { index: index as u32, desc: d });
+            log.push_layer_begin(index, desc);
         }
         self.sys.tap_scope(TapScope::LayerBegin { index, desc });
     }
@@ -880,19 +881,18 @@ impl Machine {
     /// SVE `whilelt`: predicate for lanes `i..n`.
     #[inline]
     pub fn whilelt(&mut self, i: usize, n: usize) -> Pred {
-        self.rlog(|| ReplayOp::Whilelt {
-            i: r32(i as u64, "whilelt i"),
-            n: r32(n as u64, "whilelt n"),
-        });
-        self.tl_whilelt(i, n)
+        let rem = n.saturating_sub(i);
+        self.rlog(|| ReplayOp::Whilelt { rem: r32(rem as u64, "whilelt n - i") });
+        self.tl_whilelt(rem)
     }
 
-    /// Timing half of [`Self::whilelt`] (shared with the replay executor).
+    /// Timing half of [`Self::whilelt`] (shared with the replay executor),
+    /// for `rem = n - i` lanes still to go.
     #[inline]
-    fn tl_whilelt(&mut self, i: usize, n: usize) -> Pred {
+    fn tl_whilelt(&mut self, rem: usize) -> Pred {
         self.scalar_ops_tl(1);
-        let p = Pred::whilelt(i, n, self.vlen_elems);
-        self.rec(|| VecEvent::grant("whilelt", n.saturating_sub(i), p.active));
+        let p = Pred::whilelt(0, rem, self.vlen_elems);
+        self.rec(|| VecEvent::grant("whilelt", rem, p.active));
         p
     }
 
@@ -995,12 +995,10 @@ impl Machine {
         }
         let hi = addr + (vl as u64 - 1) * stride_bytes + 4;
         self.check_vec("vlse", addr, hi, vl);
-        self.rlog(|| ReplayOp::VLoadStrided {
-            vd: vd as u8,
-            vl: vl as u16,
-            addr: r32(addr, "vlse addr"),
-            stride: r32(stride_bytes, "vlse stride"),
-        });
+        if let Some(log) = self.rlog.as_mut() {
+            let (addr, stride) = (r32(addr, "vlse addr"), r32(stride_bytes, "vlse stride"));
+            log.push_strided(false, vd as u8, vl as u16, addr, stride);
+        }
         let n = self.vlen_elems;
         if self.ref_model || !stride_bytes.is_multiple_of(4) {
             for i in 0..vl {
@@ -1041,12 +1039,10 @@ impl Machine {
         }
         let hi = addr + (vl as u64 - 1) * stride_bytes + 4;
         self.check_vec("vsse", addr, hi, vl);
-        self.rlog(|| ReplayOp::VStoreStrided {
-            vs: vs as u8,
-            vl: vl as u16,
-            addr: r32(addr, "vsse addr"),
-            stride: r32(stride_bytes, "vsse stride"),
-        });
+        if let Some(log) = self.rlog.as_mut() {
+            let (addr, stride) = (r32(addr, "vsse addr"), r32(stride_bytes, "vsse stride"));
+            log.push_strided(true, vs as u8, vl as u16, addr, stride);
+        }
         let n = self.vlen_elems;
         if self.ref_model || !stride_bytes.is_multiple_of(4) || stride_bytes == 0 {
             // Per-element reference path; also the stride-0 case, where
@@ -1396,13 +1392,7 @@ impl Machine {
     /// trace's shared pool (no-op unless capturing).
     fn rlog_indexed(&mut self, op: IndexedOp, reg: VReg, base: u64, idx: &[u32]) {
         if let Some(log) = self.rlog.as_mut() {
-            let range = log.push_idx(idx);
-            log.ops.push(ReplayOp::VIndexed {
-                op,
-                reg: reg as u8,
-                base: r32(base, "indexed base"),
-                idx: range,
-            });
+            log.push_indexed(op, reg as u8, r32(base, "indexed base"), idx);
         }
     }
 
@@ -1857,11 +1847,14 @@ impl Machine {
         if words == 0 {
             return;
         }
-        self.rlog(|| ReplayOp::ScalarStream {
-            addr: r32(addr, "scalar_stream addr"),
-            words: r32(words as u64, "scalar_stream words"),
-            write: matches!(kind, AccessKind::Write),
-        });
+        if let Some(log) = self.rlog.as_mut() {
+            let write = matches!(kind, AccessKind::Write);
+            log.push_stream(
+                write,
+                r32(addr, "scalar_stream addr"),
+                r32(words as u64, "scalar_stream words"),
+            );
+        }
         self.tl_scalar_stream(addr, words, kind);
     }
 
@@ -1979,24 +1972,53 @@ impl Machine {
             return false;
         };
         cur.i += 1;
+        if self.replay_op(trace, op) {
+            return true;
+        }
+        match op {
+            ReplayOp::PhaseBegin { phase } => self.replay_phase_begin(phase, &mut cur.phase_stack),
+            ReplayOp::PhaseEnd { phase } => self.replay_phase_end(phase, &mut cur.phase_stack),
+            ReplayOp::LayerBegin { index, desc } => {
+                self.sys.tap_scope(TapScope::LayerBegin {
+                    index: index as usize,
+                    desc: &trace.descs[desc as usize],
+                });
+            }
+            ReplayOp::LayerEnd => self.sys.tap_scope(TapScope::LayerEnd),
+            _ => panic!("replay_step: ResetTiming inside a cursor range — slice at boundaries"),
+        }
+        true
+    }
+
+    /// Execute one recorded timing op, the single dispatcher behind both
+    /// [`Self::replay_step`] and the batch executor: it decodes pool-backed
+    /// operands through the trace's accessors and runs the same `tl_*`
+    /// functions the live ops do. Returns `false`, having done nothing, for
+    /// a boundary op (phases, layers, `ResetTiming`), whose bookkeeping
+    /// belongs to the caller — checked after the hot timing ops, so those
+    /// take one dispatch.
+    #[inline]
+    fn replay_op(&mut self, trace: &ReplayTrace, op: ReplayOp) -> bool {
         match op {
             ReplayOp::Setvl { rvl } => {
                 self.tl_setvl(rvl as usize);
             }
-            ReplayOp::Whilelt { i, n } => {
-                self.tl_whilelt(i as usize, n as usize);
+            ReplayOp::Whilelt { rem } => {
+                self.tl_whilelt(rem as usize);
             }
             ReplayOp::VLoad { vd, vl, addr } => self.tl_vle(vd as VReg, addr as u64, vl as usize),
             ReplayOp::VStore { vs, vl, addr } => self.tl_vse(vs as VReg, addr as u64, vl as usize),
-            ReplayOp::VLoadStrided { vd, vl, addr, stride } => {
-                self.tl_vlse(vd as VReg, addr as u64, stride as u64, vl as usize);
+            ReplayOp::VLoadStrided { vd, vl, at } => {
+                let (addr, stride) = trace.strided(at);
+                self.tl_vlse(vd as VReg, addr, stride, vl as usize);
             }
-            ReplayOp::VStoreStrided { vs, vl, addr, stride } => {
-                self.tl_vsse(vs as VReg, addr as u64, stride as u64, vl as usize);
+            ReplayOp::VStoreStrided { vs, vl, at } => {
+                let (addr, stride) = trace.strided(at);
+                self.tl_vsse(vs as VReg, addr, stride, vl as usize);
             }
-            ReplayOp::VIndexed { op, reg, base, idx } => {
-                let lanes = &trace.idx_pool[idx.off as usize..(idx.off + idx.len) as usize];
-                self.tl_indexed(op, reg as VReg, base as u64, lanes);
+            ReplayOp::VIndexed { op, reg, at } => {
+                let (base, lanes) = trace.indexed(at);
+                self.tl_indexed(op, reg as VReg, base, lanes);
             }
             ReplayOp::VArith { op, vd, a, b, vl } => {
                 self.tl_varith(op, vd as VReg, a as VReg, b as VReg, vl as usize);
@@ -2007,34 +2029,38 @@ impl Machine {
             ReplayOp::ScalarFlops { n } => self.scalar_flops_tl(n as u64),
             ReplayOp::ScalarRead { addr } => self.tl_scalar_mem(addr as u64, AccessKind::Read),
             ReplayOp::ScalarWrite { addr } => self.tl_scalar_mem(addr as u64, AccessKind::Write),
-            ReplayOp::ScalarStream { addr, words, write } => {
+            ReplayOp::ScalarStream { write, words, arg } => {
+                let (addr, words) = trace.stream(words, arg);
                 let kind = if write { AccessKind::Write } else { AccessKind::Read };
-                self.tl_scalar_stream(addr as u64, words as usize, kind);
+                self.tl_scalar_stream(addr, words, kind);
             }
-            ReplayOp::PhaseBegin { phase } => {
-                let t0 = self.cycles();
-                self.tl_phase_begin(phase);
-                cur.phase_stack.push((phase, t0));
-            }
-            ReplayOp::PhaseEnd { phase } => {
-                let t1 = self.tl_phase_end(phase);
-                let (p, t0) = cur.phase_stack.pop().expect("replay_step: PhaseEnd without open");
-                debug_assert_eq!(p, phase, "replay_step: mismatched phase nesting");
-                self.phases.add(phase, t1 - t0);
-            }
-            ReplayOp::LayerBegin { index, desc } => {
-                self.sys.tap_scope(TapScope::LayerBegin {
-                    index: index as usize,
-                    desc: &trace.descs[desc as usize],
-                });
-            }
-            ReplayOp::LayerEnd => self.sys.tap_scope(TapScope::LayerEnd),
             ReplayOp::Spill => self.stats.spills += 1,
-            ReplayOp::ResetTiming => {
-                panic!("replay_step: ResetTiming inside a cursor range — slice at boundaries")
-            }
+            ReplayOp::PhaseBegin { .. }
+            | ReplayOp::PhaseEnd { .. }
+            | ReplayOp::LayerBegin { .. }
+            | ReplayOp::LayerEnd
+            | ReplayOp::ResetTiming => return false,
         }
         true
+    }
+
+    /// Replay a `PhaseBegin`: the observer half plus an open-phase entry
+    /// (phase, cycles at open) on `stack`, which mirrors `phase()` calls.
+    #[inline]
+    fn replay_phase_begin(&mut self, phase: KernelPhase, stack: &mut Vec<(KernelPhase, u64)>) {
+        let t0 = self.cycles();
+        self.tl_phase_begin(phase);
+        stack.push((phase, t0));
+    }
+
+    /// Replay a `PhaseEnd`: close the innermost open phase and charge its
+    /// cycles to the phase timer.
+    #[inline]
+    fn replay_phase_end(&mut self, phase: KernelPhase, stack: &mut Vec<(KernelPhase, u64)>) {
+        let t1 = self.tl_phase_end(phase);
+        let (p, t0) = stack.pop().expect("replay: PhaseEnd without open phase");
+        debug_assert_eq!(p, phase, "replay: mismatched phase nesting");
+        self.phases.add(phase, t1 - t0);
     }
 
     /// Advance the front-end clock to at least `t` without doing work: an
@@ -2081,65 +2107,14 @@ impl Machine {
         let ops = &trace.ops;
         let mut i = start;
         while i < ops.len() {
-            match ops[i] {
-                ReplayOp::Setvl { rvl } => {
-                    self.tl_setvl(rvl as usize);
-                }
-                ReplayOp::Whilelt { i, n } => {
-                    self.tl_whilelt(i as usize, n as usize);
-                }
-                ReplayOp::VLoad { vd, vl, addr } => {
-                    self.tl_vle(vd as VReg, addr as u64, vl as usize);
-                }
-                ReplayOp::VStore { vs, vl, addr } => {
-                    self.tl_vse(vs as VReg, addr as u64, vl as usize);
-                }
-                ReplayOp::VLoadStrided { vd, vl, addr, stride } => {
-                    self.tl_vlse(vd as VReg, addr as u64, stride as u64, vl as usize);
-                }
-                ReplayOp::VStoreStrided { vs, vl, addr, stride } => {
-                    self.tl_vsse(vs as VReg, addr as u64, stride as u64, vl as usize);
-                }
-                ReplayOp::VIndexed { op, reg, base, idx } => {
-                    let lanes = &trace.idx_pool[idx.off as usize..(idx.off + idx.len) as usize];
-                    self.tl_indexed(op, reg as VReg, base as u64, lanes);
-                }
-                ReplayOp::VArith { op, vd, a, b, vl } => {
-                    self.tl_varith(op, vd as VReg, a as VReg, b as VReg, vl as usize);
-                }
-                ReplayOp::Reduce { op, vs, vl } => {
-                    self.tl_reduce(op, vs as VReg, vl as usize);
-                }
-                ReplayOp::Prefetch { addr, target } => {
-                    self.tl_prefetch(addr as u64, target);
-                }
-                ReplayOp::ScalarOps { n } => {
-                    self.scalar_ops_tl(n as u64);
-                }
-                ReplayOp::ScalarFlops { n } => {
-                    self.scalar_flops_tl(n as u64);
-                }
-                ReplayOp::ScalarRead { addr } => {
-                    self.tl_scalar_mem(addr as u64, AccessKind::Read);
-                }
-                ReplayOp::ScalarWrite { addr } => {
-                    self.tl_scalar_mem(addr as u64, AccessKind::Write);
-                }
-                ReplayOp::ScalarStream { addr, words, write } => {
-                    let kind = if write { AccessKind::Write } else { AccessKind::Read };
-                    self.tl_scalar_stream(addr as u64, words as usize, kind);
-                }
-                ReplayOp::PhaseBegin { phase } => {
-                    let t0 = self.cycles();
-                    self.tl_phase_begin(phase);
-                    phase_stack.push((phase, t0));
-                }
-                ReplayOp::PhaseEnd { phase } => {
-                    let t1 = self.tl_phase_end(phase);
-                    let (p, t0) = phase_stack.pop().expect("replay: PhaseEnd without open phase");
-                    debug_assert_eq!(p, phase, "replay: mismatched phase nesting");
-                    self.phases.add(phase, t1 - t0);
-                }
+            let op = ops[i];
+            if self.replay_op(trace, op) {
+                i += 1;
+                continue;
+            }
+            match op {
+                ReplayOp::PhaseBegin { phase } => self.replay_phase_begin(phase, &mut phase_stack),
+                ReplayOp::PhaseEnd { phase } => self.replay_phase_end(phase, &mut phase_stack),
                 ReplayOp::LayerBegin { index, desc } => {
                     self.sys.tap_scope(TapScope::LayerBegin {
                         index: index as usize,
@@ -2227,9 +2202,6 @@ impl Machine {
                         d_elems: self.stats.active_elems - elems0,
                     });
                 }
-                ReplayOp::Spill => {
-                    self.stats.spills += 1;
-                }
                 ReplayOp::ResetTiming => {
                     segments.push(self.segment_snapshot(std::mem::take(&mut layers)));
                     if let Some(tp) = self.tape_play.as_mut() {
@@ -2240,6 +2212,7 @@ impl Machine {
                         return (segments, i + 1);
                     }
                 }
+                _ => unreachable!("replay: timing op {op:?} reached the boundary arms"),
             }
             i += 1;
         }

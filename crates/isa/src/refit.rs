@@ -133,15 +133,14 @@ pub struct RefitPlan {
 
 /// Probe count of one op at the given geometry — must match exactly what the
 /// machine's timing functions consume during a (non-reference-model) replay.
-fn op_probes(op: &ReplayOp, pool: &[u32], lb: u64) -> u64 {
+fn op_probes(op: &ReplayOp, trace: &ReplayTrace, lb: u64) -> u64 {
     match *op {
         ReplayOp::VLoad { vl, addr, .. } | ReplayOp::VStore { vl, addr, .. } => {
             let (addr, vl) = (addr as u64, vl as u64);
             (addr + 4 * vl - 1) / lb - addr / lb + 1
         }
-        ReplayOp::VLoadStrided { vl, addr, stride, .. }
-        | ReplayOp::VStoreStrided { vl, addr, stride, .. } => {
-            let (addr, vl, stride) = (addr as u64, vl as u64, stride as u64);
+        ReplayOp::VLoadStrided { vl, at, .. } | ReplayOp::VStoreStrided { vl, at, .. } => {
+            let ((addr, stride), vl) = (trace.strided(at), vl as u64);
             if stride == 0 {
                 1
             } else if stride < lb {
@@ -152,17 +151,17 @@ fn op_probes(op: &ReplayOp, pool: &[u32], lb: u64) -> u64 {
                 vl
             }
         }
-        ReplayOp::VIndexed { base, idx, .. } => {
+        ReplayOp::VIndexed { at, .. } => {
             // Consecutive-duplicate line dedup over active lanes (identical
             // for the element-wise and grouped cost paths).
-            let lanes = &pool[idx.off as usize..(idx.off + idx.len) as usize];
+            let (base, lanes) = trace.indexed(at);
             let mut last_line = u64::MAX;
             let mut probes = 0;
             for &ix in lanes {
                 if ix == u32::MAX {
                     continue;
                 }
-                let line = (base as u64 + 4 * ix as u64) / lb;
+                let line = (base + 4 * ix as u64) / lb;
                 if line != last_line {
                     probes += 1;
                     last_line = line;
@@ -171,9 +170,9 @@ fn op_probes(op: &ReplayOp, pool: &[u32], lb: u64) -> u64 {
             probes
         }
         ReplayOp::ScalarRead { .. } | ReplayOp::ScalarWrite { .. } => 1,
-        ReplayOp::ScalarStream { addr, words, .. } => {
-            let (addr, words) = (addr as u64, words as u64);
-            (addr + 4 * words - 1) / lb - addr / lb + 1
+        ReplayOp::ScalarStream { words, arg, .. } => {
+            let (addr, words) = trace.stream(words, arg);
+            (addr + 4 * words as u64 - 1) / lb - addr / lb + 1
         }
         // Under tape playback `tl_prefetch` skips the prefetch request, so
         // it consumes no probe.
@@ -187,7 +186,7 @@ fn op_probes(op: &ReplayOp, pool: &[u32], lb: u64) -> u64 {
 /// and vector access addresses on non-prefetching geometries (only the line
 /// count matters). That address-blindness is what lets structurally
 /// identical layers working on different buffers share one memo entry.
-fn fold_op(f: &mut Fold128, op: &ReplayOp, pool: &[u32], g: RefitGeometry) {
+fn fold_op(f: &mut Fold128, op: &ReplayOp, trace: &ReplayTrace, g: RefitGeometry) {
     let lb = g.line_bytes;
     match *op {
         // Timing charge is one scalar-op unit; arguments only affect the
@@ -196,7 +195,7 @@ fn fold_op(f: &mut Fold128, op: &ReplayOp, pool: &[u32], g: RefitGeometry) {
         ReplayOp::Whilelt { .. } => f.push(2),
         ReplayOp::VLoad { vd, vl, addr } => {
             f.push(3 | (vd as u64) << 8 | (vl as u64) << 16);
-            f.push(op_probes(op, pool, lb));
+            f.push(op_probes(op, trace, lb));
             if g.hw_prefetch {
                 // Miss adjacency reads absolute line numbers.
                 f.push(addr as u64 / lb);
@@ -204,7 +203,7 @@ fn fold_op(f: &mut Fold128, op: &ReplayOp, pool: &[u32], g: RefitGeometry) {
         }
         ReplayOp::VStore { vs, vl, addr } => {
             f.push(4 | (vs as u64) << 8 | (vl as u64) << 16);
-            f.push(op_probes(op, pool, lb));
+            f.push(op_probes(op, trace, lb));
             if g.hw_prefetch {
                 f.push(addr as u64 / lb);
             }
@@ -213,28 +212,28 @@ fn fold_op(f: &mut Fold128, op: &ReplayOp, pool: &[u32], g: RefitGeometry) {
         // probe count and occupancy inputs are all that matters.
         ReplayOp::VLoadStrided { vd, vl, .. } => {
             f.push(5 | (vd as u64) << 8 | (vl as u64) << 16);
-            f.push(op_probes(op, pool, lb));
+            f.push(op_probes(op, trace, lb));
         }
         ReplayOp::VStoreStrided { vs, vl, .. } => {
             f.push(6 | (vs as u64) << 8 | (vl as u64) << 16);
-            f.push(op_probes(op, pool, lb));
+            f.push(op_probes(op, trace, lb));
         }
-        ReplayOp::VIndexed { op: iop, reg, base, idx } => {
+        ReplayOp::VIndexed { op: iop, reg, at } => {
             let grouped = matches!(iop, IndexedOp::Gather4 | IndexedOp::Scatter4);
-            f.push(7 | (iop as u64) << 4 | (reg as u64) << 8 | (idx.len as u64) << 16);
-            let lanes = &pool[idx.off as usize..(idx.off + idx.len) as usize];
+            let (base, lanes) = trace.indexed(at);
+            f.push(7 | (iop as u64) << 4 | (reg as u64) << 8 | (lanes.len() as u64) << 16);
             let mut active = 0u64;
             for &ix in lanes {
                 if ix != u32::MAX {
                     active += 1;
                     if grouped && g.hw_prefetch {
                         // Grouped accesses feed the miss ring per line.
-                        f.push((base as u64 + 4 * ix as u64) / lb);
+                        f.push((base + 4 * ix as u64) / lb);
                     }
                 }
             }
             f.push(active);
-            f.push(op_probes(op, pool, lb));
+            f.push(op_probes(op, trace, lb));
         }
         ReplayOp::VArith { op, vd, a, b, vl } => {
             f.push(
@@ -258,7 +257,7 @@ fn fold_op(f: &mut Fold128, op: &ReplayOp, pool: &[u32], g: RefitGeometry) {
         ReplayOp::ScalarWrite { .. } => f.push(14),
         ReplayOp::ScalarStream { write, .. } => {
             f.push(15 | (write as u64) << 8);
-            f.push(op_probes(op, pool, lb));
+            f.push(op_probes(op, trace, lb));
         }
         ReplayOp::PhaseBegin { phase } => f.push(16 | (phase as u64) << 8),
         ReplayOp::PhaseEnd { phase } => f.push(17 | (phase as u64) << 8),
@@ -322,8 +321,8 @@ impl RefitPlan {
                             }
                             _ => {}
                         }
-                        o.probes += op_probes(op, &trace.idx_pool, geometry.line_bytes);
-                        fold_op(&mut o.f, op, &trace.idx_pool, geometry);
+                        o.probes += op_probes(op, trace, geometry.line_bytes);
+                        fold_op(&mut o.f, op, trace, geometry);
                     }
                 }
             }
@@ -476,58 +475,104 @@ mod tests {
         assert_eq!(fold_levels(&[2, 0, 1]), fold_levels(&[2, 0, 1]));
     }
 
+    /// The signature of the single op `t.ops[0]` at geometry `g`.
+    fn sig(t: &ReplayTrace, g: RefitGeometry) -> Fold128 {
+        let mut f = Fold128::new(0);
+        fold_op(&mut f, &t.ops[0], t, g);
+        f.finish()
+    }
+
+    fn strided(addr: u32, stride: u32) -> ReplayTrace {
+        let mut t = ReplayTrace::default();
+        t.push_strided(false, 0, 8, addr, stride);
+        t
+    }
+
     #[test]
     fn vle_probe_count_matches_line_walk() {
         // 256-byte lines: a 16-element (64-byte) load crossing a boundary.
+        let t = ReplayTrace::default();
         let op = ReplayOp::VLoad { vd: 0, vl: 16, addr: 240 };
-        assert_eq!(op_probes(&op, &[], 256), 2);
+        assert_eq!(op_probes(&op, &t, 256), 2);
         let aligned = ReplayOp::VLoad { vd: 0, vl: 16, addr: 256 };
-        assert_eq!(op_probes(&aligned, &[], 256), 1);
+        assert_eq!(op_probes(&aligned, &t, 256), 1);
     }
 
     #[test]
     fn strided_probe_count_cases() {
+        let probes = |t: ReplayTrace| op_probes(&t.ops[0], &t, 64);
         // stride 0: one probe.
-        assert_eq!(
-            op_probes(&ReplayOp::VLoadStrided { vd: 0, vl: 8, addr: 0, stride: 0 }, &[], 64),
-            1
-        );
+        assert_eq!(probes(strided(0, 0)), 1);
         // sub-line stride: every line between first and last.
-        assert_eq!(
-            op_probes(&ReplayOp::VLoadStrided { vd: 0, vl: 8, addr: 0, stride: 16 }, &[], 64),
-            2
-        );
+        assert_eq!(probes(strided(0, 16)), 2);
+        assert_eq!(probes(strided(48, 16)), 3);
         // line-or-larger stride: one probe per element.
-        assert_eq!(
-            op_probes(&ReplayOp::VLoadStrided { vd: 0, vl: 8, addr: 0, stride: 64 }, &[], 64),
-            8
-        );
+        assert_eq!(probes(strided(0, 64)), 8);
+    }
+
+    #[test]
+    fn long_stream_probe_count_reads_the_pool() {
+        let mut t = ReplayTrace::default();
+        t.push_stream(false, 32, 70_000);
+        assert_eq!(t.ops[0], ReplayOp::ScalarStream { write: false, words: 0, arg: 0 });
+        // 280,000 bytes from byte 32: lines 0 ..= 280,031 / 64.
+        assert_eq!(op_probes(&t.ops[0], &t, 64), 280_031 / 64 + 1);
     }
 
     #[test]
     fn scalar_addresses_are_not_in_the_signature() {
-        let g = RefitGeometry { line_bytes: 256, hw_prefetch: false };
-        let mut a = Fold128::new(0);
-        fold_op(&mut a, &ReplayOp::ScalarRead { addr: 100 }, &[], g);
-        let mut b = Fold128::new(0);
-        fold_op(&mut b, &ReplayOp::ScalarRead { addr: 2000 }, &[], g);
-        assert_eq!(a.finish(), b.finish());
+        let g = RefitGeometry { line_bytes: 256, hw_prefetch: true };
+        let mut a = ReplayTrace::default();
+        a.ops.push(ReplayOp::ScalarRead { addr: 100 });
+        let mut b = ReplayTrace::default();
+        b.ops.push(ReplayOp::ScalarRead { addr: 2000 });
+        assert_eq!(sig(&a, g), sig(&b, g));
+        // Long (pool-backed) streams: same line count, different lines.
+        let mut a = ReplayTrace::default();
+        a.push_stream(true, 0, 1 << 17);
+        let mut b = ReplayTrace::default();
+        b.push_stream(true, 1 << 20, 1 << 17);
+        assert_eq!(sig(&a, g), sig(&b, g));
+        // Direction and line count do enter it.
+        let mut c = ReplayTrace::default();
+        c.push_stream(false, 0, 1 << 17);
+        assert_ne!(sig(&a, g), sig(&c, g));
+        let mut d = ReplayTrace::default();
+        d.push_stream(true, 0, (1 << 17) + 64);
+        assert_ne!(sig(&a, g), sig(&d, g));
+    }
+
+    #[test]
+    fn strided_addresses_are_not_in_the_signature() {
+        let g = RefitGeometry { line_bytes: 64, hw_prefetch: true };
+        assert_eq!(sig(&strided(0, 16), g), sig(&strided(1 << 20, 16), g));
+        // A stride that changes the probe count changes the signature.
+        assert_ne!(sig(&strided(0, 16), g), sig(&strided(0, 64), g));
     }
 
     #[test]
     fn vector_lines_enter_signature_only_under_hw_prefetch() {
         let no_pf = RefitGeometry { line_bytes: 256, hw_prefetch: false };
         let pf = RefitGeometry { line_bytes: 256, hw_prefetch: true };
-        let x = ReplayOp::VLoad { vd: 1, vl: 16, addr: 0 };
-        let y = ReplayOp::VLoad { vd: 1, vl: 16, addr: 1 << 20 };
-        let sig = |op: &ReplayOp, g| {
-            let mut f = Fold128::new(0);
-            fold_op(&mut f, op, &[], g);
-            f.finish()
+        let load = |addr| {
+            let mut t = ReplayTrace::default();
+            t.ops.push(ReplayOp::VLoad { vd: 1, vl: 16, addr });
+            t
         };
+        let (x, y) = (load(0), load(1 << 20));
         // Same line count, different lines: equal without a prefetcher,
         // distinct with one (the miss ring reads absolute lines).
         assert_eq!(sig(&x, no_pf), sig(&y, no_pf));
         assert_ne!(sig(&x, pf), sig(&y, pf));
+        // Grouped gathers feed the miss ring per line from the pool's base.
+        let gather4 = |base| {
+            let mut t = ReplayTrace::default();
+            t.push_indexed(IndexedOp::Gather4, 1, base, &[0, 1, 2, 3, u32::MAX, 64, 65, 66]);
+            t
+        };
+        let (x, y) = (gather4(0), gather4(1 << 20));
+        assert_eq!(sig(&x, no_pf), sig(&y, no_pf));
+        assert_ne!(sig(&x, pf), sig(&y, pf));
+        assert_eq!(op_probes(&x.ops[0], &x, 256), 2);
     }
 }

@@ -29,6 +29,20 @@
 //!   ([`lva_sim::MemSystemConfig::state_fingerprint`]) equals the tape's;
 //!   latency constants, idealization knobs, lane counts and core CPIs may
 //!   all differ.
+//!
+//! **Layout.** A recording is resident for as long as its stream is being
+//! re-timed, so its footprint bounds how many streams a sweep can hold.
+//! Each [`ReplayOp`] is 8 bytes: a one-byte tag plus up to seven bytes of
+//! inline operands, enough for every frequent op (vector loads, stores and
+//! arithmetic, scalar reads, scalar charges). The rare ops whose operands
+//! do not fit — strided accesses, indexed accesses with their lane
+//! indices, scalar streams longer than `u16::MAX` words — keep an offset
+//! into the trace's `u32` side pool ([`ReplayTrace::pool`]) instead. The
+//! pool layout stays inside this module: those ops are recorded through
+//! the `ReplayTrace::push_*` methods and decoded through its accessors,
+//! which return exactly the arguments of the original call. Fixed-size ops keep
+//! every trace position a plain index, so cursors, segment boundaries and
+//! refit regions need no decoding.
 
 use crate::stats::{KernelPhase, PhaseTimer, StallBreakdown, VpuStats};
 use lva_sim::{MemSystemStats, PrefetchTarget};
@@ -170,35 +184,34 @@ pub enum IndexedOp {
     Scatter4,
 }
 
-/// A slice of the trace's shared `u32` index pool (`off..off + len`),
-/// holding an indexed op's lane indices verbatim — including `u32::MAX`
-/// inactive-lane sentinels, in original lane order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolRange {
-    /// Start offset into [`ReplayTrace::idx_pool`].
-    pub off: u32,
-    /// Number of lanes (the op's `vl`).
-    pub len: u32,
-}
-
-/// One recorded semantic operation. 16 bytes; addresses are stored as `u32`
-/// (the simulated arena is far below 4 GiB — recording asserts it).
+/// One recorded semantic operation: 8 bytes, a one-byte tag plus seven
+/// bytes of operands (asserted at compile time below). Addresses are stored
+/// as `u32` (the simulated arena is far below 4 GiB — recording asserts it).
+///
+/// Operands that do not fit beside the tag live in [`ReplayTrace::pool`]
+/// and the op keeps their offset `at`; decode them with the trace's
+/// accessors ([`ReplayTrace::strided`], [`ReplayTrace::indexed`],
+/// [`ReplayTrace::stream`]) and record them with its `push_*` methods.
+/// Ops stay fixed-size, so a trace position is a plain op index.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ReplayOp {
     /// `setvl(rvl)`.
     Setvl { rvl: u32 },
-    /// `whilelt(i, n)`.
-    Whilelt { i: u32, n: u32 },
+    /// `whilelt(i, n)`, stored as the remaining count `n - i` (0 when
+    /// `i >= n`) — the only quantity its grant and timing read.
+    Whilelt { rem: u32 },
     /// `vle(vd, addr, vl)`.
     VLoad { vd: u8, vl: u16, addr: u32 },
     /// `vse(vs, addr, vl)`.
     VStore { vs: u8, vl: u16, addr: u32 },
-    /// `vlse(vd, addr, stride, vl)`.
-    VLoadStrided { vd: u8, vl: u16, addr: u32, stride: u32 },
-    /// `vsse(vs, addr, stride, vl)`.
-    VStoreStrided { vs: u8, vl: u16, addr: u32, stride: u32 },
-    /// `vgather`/`vscatter`/`vgather4`/`vscatter4` with indices in the pool.
-    VIndexed { op: IndexedOp, reg: u8, base: u32, idx: PoolRange },
+    /// `vlse(vd, addr, stride, vl)`; `[addr, stride]` at pool offset `at`.
+    VLoadStrided { vd: u8, vl: u16, at: u32 },
+    /// `vsse(vs, addr, stride, vl)`; `[addr, stride]` at pool offset `at`.
+    VStoreStrided { vs: u8, vl: u16, at: u32 },
+    /// `vgather`/`vscatter`/`vgather4`/`vscatter4`; `[base, vl, idx..]` at
+    /// pool offset `at`, the lane indices verbatim (including `u32::MAX`
+    /// inactive-lane sentinels, in lane order).
+    VIndexed { op: IndexedOp, reg: u8, at: u32 },
     /// Any vector arithmetic op (see [`VArithOp`]).
     VArith { op: VArithOp, vd: u8, a: u8, b: u8, vl: u16 },
     /// `vfredsum`/`vfredmax`.
@@ -213,14 +226,16 @@ pub enum ReplayOp {
     ScalarRead { addr: u32 },
     /// `scalar_write(addr, _)`.
     ScalarWrite { addr: u32 },
-    /// `scalar_stream(addr, words, kind)`.
-    ScalarStream { addr: u32, words: u32, write: bool },
+    /// `scalar_stream(addr, words, kind)`. A stream of at most `u16::MAX`
+    /// words is inline (`arg` is the address); a longer one stores
+    /// `words: 0` and `[addr, words]` at pool offset `arg`.
+    ScalarStream { write: bool, words: u16, arg: u32 },
     /// `phase(p, ..)` opened.
     PhaseBegin { phase: KernelPhase },
     /// `phase(p, ..)` closed.
     PhaseEnd { phase: KernelPhase },
     /// A network layer opened (`desc` indexes [`ReplayTrace::descs`]).
-    LayerBegin { index: u32, desc: u32 },
+    LayerBegin { index: u16, desc: u32 },
     /// The innermost open layer closed.
     LayerEnd,
     /// `note_spill()`.
@@ -229,6 +244,8 @@ pub enum ReplayOp {
     ResetTiming,
 }
 
+const _: () = assert!(std::mem::size_of::<ReplayOp>() == 8);
+
 /// A captured semantic trace: the op stream plus the side pools ops
 /// reference. One trace plus the capture-time functional run's static
 /// metadata is sufficient to re-time the run at any certified design point.
@@ -236,33 +253,100 @@ pub enum ReplayOp {
 pub struct ReplayTrace {
     /// The semantic op stream, in program order.
     pub ops: Vec<ReplayOp>,
-    /// Shared pool of indexed-access lane indices (see [`PoolRange`]).
-    pub idx_pool: Vec<u32>,
+    /// Side pool of the operands that do not fit in an 8-byte op: strided
+    /// `[addr, stride]`, indexed `[base, vl, idx..]` and long-stream
+    /// `[addr, words]` records, each addressed by its op's offset.
+    pub pool: Vec<u32>,
     /// Layer description strings referenced by [`ReplayOp::LayerBegin`].
     pub descs: Vec<String>,
 }
 
 impl ReplayTrace {
-    /// Approximate heap footprint in bytes (capacity-based), for memory
-    /// accounting in trace stores.
+    /// Heap footprint in bytes (capacity-based), for memory accounting in
+    /// trace stores. Exact for a finished capture, whose vectors are
+    /// shrunk to their lengths.
     pub fn approx_bytes(&self) -> usize {
         self.ops.capacity() * std::mem::size_of::<ReplayOp>()
-            + self.idx_pool.capacity() * 4
-            + self.descs.iter().map(|d| d.len() + 24).sum::<usize>()
+            + self.pool.capacity() * 4
+            + self.descs.iter().map(|d| d.capacity() + 24).sum::<usize>()
     }
 
-    /// Copy `idx` into the pool and return its range. Panics if the pool
-    /// would exceed `u32` addressing (≈ 16 GiB of indices — unreachable).
-    pub fn push_idx(&mut self, idx: &[u32]) -> PoolRange {
-        let off = u32::try_from(self.idx_pool.len()).expect("replay idx pool exceeds u32 range");
-        self.idx_pool.extend_from_slice(idx);
-        PoolRange { off, len: idx.len() as u32 }
+    /// Drop spare capacity (a finished recording never grows again).
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.ops.shrink_to_fit();
+        self.pool.shrink_to_fit();
+        self.descs.shrink_to_fit();
     }
 
-    /// Intern a layer description string, returning its pool index.
-    pub fn push_desc(&mut self, desc: &str) -> u32 {
+    /// Append `words` to the pool and return their offset. Panics if the
+    /// pool would exceed `u32` addressing (16 GiB of operands — unreachable).
+    fn push_pool(&mut self, words: &[u32]) -> u32 {
+        let at = u32::try_from(self.pool.len()).expect("replay pool exceeds u32 range");
+        self.pool.extend_from_slice(words);
+        at
+    }
+
+    /// Record a strided load (`store == false`) or store of register `reg`.
+    pub(crate) fn push_strided(&mut self, store: bool, reg: u8, vl: u16, addr: u32, stride: u32) {
+        let at = self.push_pool(&[addr, stride]);
+        self.ops.push(if store {
+            ReplayOp::VStoreStrided { vs: reg, vl, at }
+        } else {
+            ReplayOp::VLoadStrided { vd: reg, vl, at }
+        });
+    }
+
+    /// Record an indexed access, copying its lane indices into the pool.
+    pub(crate) fn push_indexed(&mut self, op: IndexedOp, reg: u8, base: u32, idx: &[u32]) {
+        let at = self.push_pool(&[base, r32(idx.len() as u64, "indexed vl")]);
+        self.pool.extend_from_slice(idx);
+        self.ops.push(ReplayOp::VIndexed { op, reg, at });
+    }
+
+    /// Record a `words`-long (nonzero) scalar stream at `addr`.
+    pub(crate) fn push_stream(&mut self, write: bool, addr: u32, words: u32) {
+        let op = match u16::try_from(words) {
+            Ok(words) => ReplayOp::ScalarStream { write, words, arg: addr },
+            Err(_) => {
+                ReplayOp::ScalarStream { write, words: 0, arg: self.push_pool(&[addr, words]) }
+            }
+        };
+        self.ops.push(op);
+    }
+
+    /// Record a layer opening, interning its description string. Panics if
+    /// `index` exceeds `u16::MAX` rather than truncating it.
+    pub(crate) fn push_layer_begin(&mut self, index: usize, desc: &str) {
+        let index = u16::try_from(index)
+            .unwrap_or_else(|_| panic!("replay log: layer index {index} exceeds u16"));
         self.descs.push(desc.to_string());
-        (self.descs.len() - 1) as u32
+        self.ops.push(ReplayOp::LayerBegin { index, desc: (self.descs.len() - 1) as u32 });
+    }
+
+    /// `(addr, stride)` of a strided op whose pool offset is `at`.
+    #[inline]
+    pub fn strided(&self, at: u32) -> (u64, u64) {
+        let at = at as usize;
+        (self.pool[at] as u64, self.pool[at + 1] as u64)
+    }
+
+    /// `(base, lane indices)` of an indexed op whose pool offset is `at`.
+    #[inline]
+    pub fn indexed(&self, at: u32) -> (u64, &[u32]) {
+        let at = at as usize;
+        let len = self.pool[at + 1] as usize;
+        (self.pool[at] as u64, &self.pool[at + 2..at + 2 + len])
+    }
+
+    /// `(addr, words)` of a [`ReplayOp::ScalarStream`] with operands
+    /// `words` and `arg`.
+    #[inline]
+    pub fn stream(&self, words: u16, arg: u32) -> (u64, usize) {
+        if words != 0 {
+            return (arg as u64, words as usize);
+        }
+        let at = arg as usize;
+        (self.pool[at] as u64, self.pool[at + 1] as usize)
     }
 }
 
@@ -295,9 +379,15 @@ pub struct ProbeTape {
 }
 
 impl ProbeTape {
-    /// Approximate heap footprint in bytes (capacity-based).
+    /// Heap footprint in bytes (capacity-based; exact for a finished tape).
     pub fn approx_bytes(&self) -> usize {
         self.levels.capacity() + self.segments.capacity() * std::mem::size_of::<TapeSegment>()
+    }
+
+    /// Drop spare capacity (a finished tape never grows again).
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.levels.shrink_to_fit();
+        self.segments.shrink_to_fit();
     }
 }
 
@@ -409,4 +499,38 @@ impl TapePlayer {
 #[inline]
 pub(crate) fn r32(v: u64, what: &'static str) -> u32 {
     u32::try_from(v).unwrap_or_else(|_| panic!("replay log: {what} {v} exceeds u32"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn pool_backed_ops_decode_to_their_recorded_operands() {
+        let mut t = ReplayTrace::default();
+        t.push_strided(true, 3, 12, 4096, 68);
+        t.push_indexed(IndexedOp::Scatter, 5, 1024, &[7, u32::MAX, 0]);
+        t.push_stream(false, 640, u16::MAX as u32);
+        t.push_stream(true, 8, u16::MAX as u32 + 1);
+        assert_eq!(t.ops[0], ReplayOp::VStoreStrided { vs: 3, vl: 12, at: 0 });
+        assert_eq!(t.strided(0), (4096, 68));
+        let ReplayOp::VIndexed { op: IndexedOp::Scatter, reg: 5, at } = t.ops[1] else {
+            panic!("not an indexed op: {:?}", t.ops[1]);
+        };
+        assert_eq!(t.indexed(at), (1024, &[7, u32::MAX, 0][..]));
+        // At the inline limit the stream stays inline; one word more spills.
+        assert_eq!(t.ops[2], ReplayOp::ScalarStream { write: false, words: u16::MAX, arg: 640 });
+        assert_eq!(t.stream(u16::MAX, 640), (640, u16::MAX as usize));
+        let ReplayOp::ScalarStream { write: true, words: 0, arg } = t.ops[3] else {
+            panic!("long stream not pool-backed: {:?}", t.ops[3]);
+        };
+        assert_eq!(t.stream(0, arg), (8, u16::MAX as usize + 1));
+        assert_eq!(t.pool.len(), 2 + (2 + 3) + 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "layer index 65536 exceeds u16")]
+    fn layer_index_past_u16_panics_by_name() {
+        ReplayTrace::default().push_layer_begin(1 << 16, "L");
+    }
 }

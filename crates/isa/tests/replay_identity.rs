@@ -16,13 +16,20 @@
 //! surface including phases, layer markers, predication, reductions, scalar
 //! charges and `reset_timing` segment boundaries.
 
-use lva_isa::replay::{ProbeTape, ReplayTrace, SegmentReplay};
-use lva_isa::{Buf, IdealKnob, KernelPhase, Machine, MachineConfig, PrefetchTarget};
+use lva_isa::replay::{ProbeTape, ReplayTrace, SegmentReplay, TapeSegment};
+use lva_isa::{
+    Buf, IdealKnob, KernelPhase, LayerMemo, Machine, MachineConfig, PrefetchTarget, RefitGeometry,
+    RefitPlan, ReplayOp,
+};
 use lva_sim::{AccessKind, Rng};
 
 /// Working-set size in `f32` words: larger than the L1 so the stream
-/// exercises misses, fills, writebacks and the prefetchers.
-const ARENA_WORDS: usize = 1 << 15;
+/// exercises misses, fills, writebacks and the prefetchers, and long enough
+/// for scalar streams past the inline `u16` word count of a replay op.
+const ARENA_WORDS: usize = 1 << 17;
+
+/// Scalar streams of more words than this are recorded in the trace's pool.
+const INLINE_STREAM_WORDS: usize = u16::MAX as usize;
 
 /// Vector registers the generated streams read and write.
 const USED_REGS: usize = 8;
@@ -115,6 +122,11 @@ fn random_stream(rng: &mut Rng, max_vl: usize, ops: usize) -> Vec<Op> {
             }
             12 => match rng.gen_index(0, 3) {
                 0 => Op::Setvl { rvl: rng.gen_index(1, 4 * max_vl) },
+                1 if rng.gen_bool(0.25) => {
+                    // Past the end: an empty predicate (`n - i` saturates).
+                    let n = rng.gen_index(0, 256);
+                    Op::Whilelt { i: n + rng.gen_index(0, 64), n }
+                }
                 1 => Op::Whilelt { i: rng.gen_index(0, 64), n: rng.gen_index(64, 256) },
                 _ => Op::Spill,
             },
@@ -126,7 +138,11 @@ fn random_stream(rng: &mut Rng, max_vl: usize, ops: usize) -> Vec<Op> {
                 }
             }
             14 => {
-                let words = rng.gen_index(1, 512);
+                let words = if rng.gen_bool(0.25) {
+                    rng.gen_index(INLINE_STREAM_WORDS + 1, ARENA_WORDS)
+                } else {
+                    rng.gen_index(1, 512)
+                };
                 Op::ScalarStream {
                     off: rng.gen_index(0, ARENA_WORDS - words),
                     words,
@@ -309,6 +325,61 @@ fn tape_refit_matches_capture_bit_for_bit() {
         let segs = m.replay(&trace);
         assert_eq!(observe_segment(&segs[1]), obs, "{name}: tape refit");
     }
+}
+
+/// Every generated workload records both sides of each inline/pool choice:
+/// a `whilelt` past its end next to ordinary ones, and scalar streams on
+/// both sides of the inline word limit.
+#[test]
+fn workloads_cover_both_sides_of_the_inline_encodings() {
+    let cfg = MachineConfig::rvv_gem5(2048, 8, 1 << 20);
+    for seed in [3u64, 0xC0FFEE, 7, 11, 13] {
+        let (_, trace, _) = capture_run(&cfg, seed);
+        let count = |f: &dyn Fn(&ReplayOp) -> bool| trace.ops.iter().filter(|op| f(op)).count();
+        let empty = count(&|op| matches!(op, ReplayOp::Whilelt { rem: 0 }));
+        let whilelt = count(&|op| matches!(op, ReplayOp::Whilelt { .. }));
+        let long = count(&|op| matches!(op, ReplayOp::ScalarStream { words: 0, .. }));
+        let streams = count(&|op| matches!(op, ReplayOp::ScalarStream { .. }));
+        assert!(0 < empty && empty < whilelt, "seed {seed:#x}: {empty} of {whilelt} whilelt empty");
+        assert!(0 < long && long < streams, "seed {seed:#x}: {long} of {streams} streams long");
+    }
+}
+
+/// A memoized tape refit checks the refit plan's per-layer probe counts —
+/// computed from the pool-backed operands — against what the timing
+/// functions consume, and a second pass applies stored layers.
+#[test]
+fn memoized_tape_refit_matches_capture_bit_for_bit() {
+    for (name, cfg) in design_points() {
+        let (obs, trace, tape) = capture_run(&cfg, 5);
+        let geometry = RefitGeometry {
+            line_bytes: cfg.mem.l1.line_bytes as u64,
+            hw_prefetch: cfg.mem.hw_prefetch.is_some(),
+        };
+        let plan = RefitPlan::build(&trace, geometry);
+        let tape = std::sync::Arc::new(tape);
+        let mut memo = LayerMemo::new();
+        for pass in 0..2 {
+            let mut m = Machine::new(cfg.clone());
+            m.play_probe_tape(tape.clone()).expect("same geometry");
+            let segs = m.replay_with(&trace, Some((&plan, &mut memo)));
+            assert_eq!(observe_segment(&segs[1]), obs, "{name} pass {pass}: memoized refit");
+        }
+        assert!(memo.misses > 0, "{name}: no layer was interpreted");
+    }
+}
+
+/// A finished capture holds no spare capacity: its accounted footprint is
+/// exactly its lengths times the element sizes.
+#[test]
+fn finished_capture_accounts_exactly_what_it_holds() {
+    let (_, trace, tape) = capture_run(&MachineConfig::sve_gem5(512, 1 << 20), 19);
+    let descs: usize = trace.descs.iter().map(|d| d.len() + 24).sum();
+    assert_eq!(trace.approx_bytes(), trace.ops.len() * 8 + trace.pool.len() * 4 + descs);
+    assert_eq!(
+        tape.approx_bytes(),
+        tape.levels.len() + tape.segments.len() * std::mem::size_of::<TapeSegment>()
+    );
 }
 
 /// Live replay retargets *state-changing* axes: a capture at L2 = 1 MB
