@@ -1,78 +1,47 @@
-//! Compare two benchmark reports under the tolerance policy in
-//! `lva_bench::diff` and exit nonzero on regression.
+//! Compare two observatory records under their kind's drift rules and exit
+//! nonzero on regression.
 //!
 //! ```text
-//! bench-diff BASELINE.json CURRENT.json [--tol-total PCT] [--tol-layer PCT]
-//!            [--tol-hit-rate ABS] [--tol-stall PCT] [--tol-energy PCT]
-//!            [--tol-edp PCT] [--inject-cycles PCT]
+//! bench-diff BASELINE.json CURRENT.json [--inject PCT]
 //! ```
 //!
-//! The report kind is autodetected from the top-level `"bench"` tag:
-//! `BENCH_headline.json`-shaped reports go through the run/layer/cache
-//! comparison, `BENCH_energy.json`-shaped reports through the per-point
-//! energy/EDP comparison (including the moved-optimum structural gate),
-//! `BENCH_serving.json`-shaped reports through the per-cell latency
-//! comparison (p50/p99 tolerances, exact deadline-miss counts, and the
-//! moved-recommendation structural gate), and `BENCH_scaling.json`-shaped
-//! reports through the per-cell SoC comparison (throughput and stall-share
-//! tolerances, moved-knee/lever structural gates). Both inputs must be the
-//! same kind.
+//! The report kind comes from the records' `bench` tag and selects the
+//! rule table in `lva_bench::observatory::KINDS` (DESIGN.md §11 lists it).
+//! Both inputs must be the same kind, and the kind must have drift rules.
 //!
-//! `--inject-cycles PCT` scales the *current* headline report's total and
-//! per-layer cycle counts by `1 + PCT/100` before comparing. CI uses it to
-//! prove the gate trips: after a passing real comparison, a 6% injected
-//! slowdown must make this binary exit 1. (Headline reports only.)
+//! `--inject PCT` moves every relative metric of the *current* record PCT%
+//! in its worse direction before comparing. CI uses it to prove each gate
+//! trips: after a passing real comparison, a 6% injected regression must
+//! make this binary exit 1.
 //!
 //! Exit codes: 0 = within tolerance, 1 = regression or structural mismatch,
-//! 2 = usage / unreadable / unparseable / mismatched-kind input.
+//! 2 = usage / unreadable / unparseable / unknown or mismatched-kind input.
 
-use lva_bench::diff::{
-    compare, compare_energy, compare_scaling, compare_serving, inject_cycles, report_kind,
-    Severity, Tolerance,
-};
-use lva_trace::Json;
+use lva_bench::diff::{inject, walk, Severity};
+use lva_bench::observatory::{kind_of, load};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: bench-diff BASELINE.json CURRENT.json\n  --tol-total PCT     total/per-point cycles tolerance, percent (default 2)\n  --tol-layer PCT     per-layer cycles tolerance, percent (default 5)\n  --tol-hit-rate ABS  hit-rate tolerance, absolute (default 0.01)\n  --tol-stall PCT     stall-cycles tolerance, percent (default 10)\n  --tol-energy PCT    per-point energy tolerance, percent (default 2)\n  --tol-edp PCT       per-point EDP tolerance, percent (default 4)\n  --tol-p50 PCT       per-cell serving p50 tolerance, percent (default 2)\n  --tol-p99 PCT       per-cell serving p99 tolerance, percent (default 5)\n  --tol-throughput PCT per-cell scaling throughput tolerance, percent (default 2)\n  --inject-cycles PCT scale CURRENT cycles up by PCT%% first (gate\n                      self-test; headline reports only)"
+        "usage: bench-diff BASELINE.json CURRENT.json [--inject PCT]\n  --inject PCT  move CURRENT's relative metrics PCT% in their worse\n                direction first (gate self-test)"
     );
     std::process::exit(2);
 }
 
-fn load(path: &str) -> Json {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("bench-diff: cannot read {path}: {e}");
-        std::process::exit(2);
-    });
-    Json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("bench-diff: {path} is not valid JSON: {e}");
-        std::process::exit(2);
-    })
+fn fail(msg: &str) -> ! {
+    eprintln!("bench-diff: {msg}");
+    std::process::exit(2);
 }
 
 fn main() {
-    let mut tol = Tolerance::default();
-    let mut inject: Option<f64> = None;
+    let mut pct: Option<f64> = None;
     let mut paths: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
-    let num = |args: &mut dyn Iterator<Item = String>, what: &str| -> f64 {
-        args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-            eprintln!("bench-diff: {what} needs a number");
-            std::process::exit(2);
-        })
-    };
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--tol-total" => tol.total_cycles_pct = num(&mut args, "--tol-total"),
-            "--tol-layer" => tol.layer_cycles_pct = num(&mut args, "--tol-layer"),
-            "--tol-hit-rate" => tol.hit_rate_abs = num(&mut args, "--tol-hit-rate"),
-            "--tol-stall" => tol.stall_pct = num(&mut args, "--tol-stall"),
-            "--tol-energy" => tol.energy_pct = num(&mut args, "--tol-energy"),
-            "--tol-edp" => tol.edp_pct = num(&mut args, "--tol-edp"),
-            "--tol-p50" => tol.p50_pct = num(&mut args, "--tol-p50"),
-            "--tol-p99" => tol.p99_pct = num(&mut args, "--tol-p99"),
-            "--tol-throughput" => tol.throughput_pct = num(&mut args, "--tol-throughput"),
-            "--inject-cycles" => inject = Some(num(&mut args, "--inject-cycles")),
+            "--inject" => {
+                let v = args.next().and_then(|v| v.parse().ok());
+                pct = Some(v.unwrap_or_else(|| fail("--inject needs a number")));
+            }
             "--help" | "-h" => usage(),
             other if other.starts_with('-') => {
                 eprintln!("bench-diff: unknown option {other}");
@@ -83,31 +52,28 @@ fn main() {
     }
     let [base_path, cur_path] = paths.as_slice() else { usage() };
 
-    let base = load(base_path);
-    let mut cur = load(cur_path);
-    let kind = report_kind(&base);
-    if kind != report_kind(&cur) {
-        eprintln!(
-            "bench-diff: report kinds differ: {base_path} is \"{kind}\", {cur_path} is \"{}\"",
-            report_kind(&cur)
-        );
-        std::process::exit(2);
+    let base = load(base_path).unwrap_or_else(|e| fail(&e));
+    let mut cur = load(cur_path).unwrap_or_else(|e| fail(&e));
+    let kind = kind_of(&base).unwrap_or_else(|e| fail(&format!("{base_path}: {e}")));
+    let cur_kind = kind_of(&cur).unwrap_or_else(|e| fail(&format!("{cur_path}: {e}")));
+    if kind.tag != cur_kind.tag {
+        fail(&format!(
+            "report kinds differ: {base_path} is \"{}\", {cur_path} is \"{}\"",
+            kind.tag, cur_kind.tag
+        ));
     }
-    if let Some(pct) = inject {
-        if kind != "headline" {
-            eprintln!("bench-diff: --inject-cycles only applies to headline reports");
-            std::process::exit(2);
-        }
-        eprintln!("[injecting +{pct}% cycles into {cur_path} for gate self-test]");
-        inject_cycles(&mut cur, pct);
+    if kind.rules.is_empty() {
+        fail(&format!(
+            "\"{}\" records have no drift rules; CI gates them by determinism",
+            kind.tag
+        ));
+    }
+    if let Some(pct) = pct {
+        eprintln!("[injecting a {pct}% regression into {cur_path} for gate self-test]");
+        inject(kind.rules, &mut cur, pct);
     }
 
-    let report = match kind {
-        "energy" => compare_energy(&base, &cur, &tol),
-        "serving" => compare_serving(&base, &cur, &tol),
-        "scaling" => compare_scaling(&base, &cur, &tol),
-        _ => compare(&base, &cur, &tol),
-    };
+    let report = walk(kind.rules, &base, &cur);
     for f in &report.findings {
         let tag = match f.severity {
             Severity::Regression => "REGRESSION",

@@ -26,7 +26,7 @@ fn main() {
     // --retime: per network and VL, one functional capture serves the
     // whole L2 axis; output is bit-identical to the full-simulation grid.
     let mut engine = retime_engine(&opts);
-    let j = energy_grid_json_with(opts.div, opts.layers, opts.jobs, engine.as_mut());
+    let j = energy_grid_json(opts.div, opts.layers, opts.jobs, engine.as_mut());
     log_retime(engine.as_ref());
 
     let mut table = Table::new(
@@ -44,45 +44,31 @@ fn main() {
             "pareto",
         ],
     );
-    let f = |p: &Json, k: &str| p.get(k).and_then(Json::as_f64).unwrap_or(0.0);
-    for net in j.get("networks").and_then(Json::as_arr).unwrap_or(&[]) {
-        let key = net.get("name").and_then(Json::as_str).unwrap_or("?");
-        for p in net.get("points").and_then(Json::as_arr).unwrap_or(&[]) {
+    for net in j.arr_at("networks") {
+        let key = net.str_at("name");
+        for p in net.arr_at("points") {
             table.row(vec![
                 key.to_string(),
-                p.get("vlen_bits").and_then(Json::as_u64).unwrap_or(0).to_string(),
-                p.get("l2").and_then(Json::as_str).unwrap_or("?").to_string(),
-                fmt_cycles(p.get("cycles").and_then(Json::as_u64).unwrap_or(0)),
-                format!("{:.2}", f(p, "total_j") * 1e3),
-                format!("{:.2}", f(p, "compute_j") * 1e3),
-                format!("{:.2}", f(p, "memory_j") * 1e3),
-                format!("{:.2}", f(p, "static_j") * 1e3),
-                format!("{:.1}", f(p, "edp_js") * 1e6),
+                p.u64_at("vlen_bits").to_string(),
+                p.str_at("l2").to_string(),
+                fmt_cycles(p.u64_at("cycles")),
+                format!("{:.2}", p.f64_at("total_j") * 1e3),
+                format!("{:.2}", p.f64_at("compute_j") * 1e3),
+                format!("{:.2}", p.f64_at("memory_j") * 1e3),
+                format!("{:.2}", p.f64_at("static_j") * 1e3),
+                format!("{:.1}", p.f64_at("edp_js") * 1e6),
                 if matches!(p.get("pareto"), Some(Json::Bool(true))) { "*" } else { "" }
                     .to_string(),
             ]);
         }
         println!(
             "{key}: cycles-optimal {} | EDP-optimal {}",
-            net.get("cycles_optimal").and_then(Json::as_str).unwrap_or("?"),
-            net.get("edp_optimal").and_then(Json::as_str).unwrap_or("?"),
+            net.str_at("cycles_optimal"),
+            net.str_at("edp_optimal"),
         );
     }
 
-    let mut body = j.to_string_pretty();
-    body.push('\n');
-    match std::fs::write("BENCH_energy.json", body) {
-        Ok(()) => println!("[saved BENCH_energy.json]"),
-        Err(e) => eprintln!("could not save BENCH_energy.json: {e}"),
-    }
-
-    let md = pareto_markdown(&j);
-    let path = std::path::Path::new("results").join("PARETO.md");
-    let write = std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, md));
-    match write {
-        Ok(()) => println!("[saved {}]", path.display()),
-        Err(e) => eprintln!("could not save {}: {e}", path.display()),
-    }
+    observatory::publish(&j);
 
     emit(&table, "energy_grid", &opts);
 }

@@ -296,12 +296,7 @@ fn main() {
         if !profiles.is_empty() {
             j = j.field("profiles", Json::Obj(profiles));
         }
-        let mut body = j.to_string_pretty();
-        body.push('\n');
-        match std::fs::write("BENCH_headline.json", body) {
-            Ok(()) => println!("[saved BENCH_headline.json]"),
-            Err(e) => eprintln!("could not save BENCH_headline.json: {e}"),
-        }
+        observatory::publish(&j);
     }
 
     log_retime(engine.as_ref());

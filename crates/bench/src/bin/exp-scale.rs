@@ -33,39 +33,36 @@ fn main() {
     // single-core timing proofs) and the sweep falls back to full SoC
     // simulation; output is bit-identical either way.
     let mut engine = retime_engine(&opts);
-    let j = scaling_grid_json_with(opts.div, opts.layers, opts.jobs, engine.as_mut());
+    let j = scaling_grid_json(opts.div, opts.layers, opts.jobs, engine.as_mut());
     log_retime(engine.as_ref());
 
     let mut table = Table::new(
         "SoC scale-out: throughput, contention share, and Mattson cross-check".to_string(),
         &["network", "point", "sharding", "cores", "fr/kcycle", "cont_%", "ideal", "mattson_err"],
     );
-    let f = |p: &Json, k: &str| p.get(k).and_then(Json::as_f64).unwrap_or(0.0);
-    let u = |p: &Json, k: &str| p.get(k).and_then(Json::as_u64).unwrap_or(0);
-    let s = |p: &Json, k: &str| p.get(k).and_then(Json::as_str).unwrap_or("?").to_string();
-    for net in j.get("networks").and_then(Json::as_arr).unwrap_or(&[]) {
-        for p in net.get("points").and_then(Json::as_arr).unwrap_or(&[]) {
-            for c in p.get("curves").and_then(Json::as_arr).unwrap_or(&[]) {
-                for cell in c.get("cells").and_then(Json::as_arr).unwrap_or(&[]) {
+    for net in j.arr_at("networks") {
+        for p in net.arr_at("points") {
+            for c in p.arr_at("curves") {
+                for cell in c.arr_at("cells") {
                     let mat = cell.get("mattson").unwrap_or(&Json::Null);
                     table.row(vec![
-                        s(net, "name"),
-                        s(p, "name"),
-                        s(c, "sharding"),
-                        u(cell, "cores").to_string(),
-                        format!("{:.6}", f(cell, "throughput_fpkc")),
-                        format!("{:.1}", 100.0 * f(cell, "contention_share")),
-                        format!("{:.6}", f(cell, "ideal_throughput_fpkc")),
-                        format!("{:.4}", f(mat, "abs_error")),
+                        net.str_at("name").to_string(),
+                        p.str_at("name").to_string(),
+                        c.str_at("sharding").to_string(),
+                        cell.u64_at("cores").to_string(),
+                        format!("{:.6}", cell.f64_at("throughput_fpkc")),
+                        format!("{:.1}", 100.0 * cell.f64_at("contention_share")),
+                        format!("{:.6}", cell.f64_at("ideal_throughput_fpkc")),
+                        format!("{:.4}", mat.f64_at("abs_error")),
                     ]);
                 }
                 let adv = c.get("advice").unwrap_or(&Json::Null);
                 if let Some(knee) = adv.get("knee_cores").and_then(Json::as_u64) {
                     println!(
                         "{} | {} | {}: knee at {knee} cores — {}",
-                        s(net, "name"),
-                        s(p, "name"),
-                        s(c, "sharding"),
+                        net.str_at("name"),
+                        p.str_at("name"),
+                        c.str_at("sharding"),
                         adv.get("advice").and_then(Json::as_str).unwrap_or(""),
                     );
                 }
@@ -73,20 +70,7 @@ fn main() {
         }
     }
 
-    let mut body = j.to_string_pretty();
-    body.push('\n');
-    match std::fs::write("BENCH_scaling.json", body) {
-        Ok(()) => println!("[saved BENCH_scaling.json]"),
-        Err(e) => eprintln!("could not save BENCH_scaling.json: {e}"),
-    }
-
-    let md = scaling_markdown(&j);
-    let path = std::path::Path::new("results").join("SCALING.md");
-    let write = std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, md));
-    match write {
-        Ok(()) => println!("[saved {}]", path.display()),
-        Err(e) => eprintln!("could not save {}: {e}", path.display()),
-    }
+    observatory::publish(&j);
 
     // --chrome: re-run the most contended cell (max cores, batch sharding,
     // smallest shared L2) with the multi-process timeline recorded.

@@ -32,30 +32,28 @@ fn main() {
     // --retime: ladder calibration through the retime engine (one capture
     // per tenant stream, re-timed per rung); output is bit-identical.
     let mut engine = retime_engine(&opts);
-    let j = serving_grid_json_with(opts.div, opts.layers, opts.jobs, engine.as_mut());
+    let j = serving_grid_json(opts.div, opts.layers, opts.jobs, engine.as_mut());
     log_retime(engine.as_ref());
 
     let mut table = Table::new(
         "Serving tier under load: latency percentiles and queue telemetry".to_string(),
         &["point", "load", "p50_ms", "p99_ms", "p99.9_ms", "miss_%", "shed", "util", "avg_batch"],
     );
-    let f = |p: &Json, k: &str| p.get(k).and_then(Json::as_f64).unwrap_or(0.0);
-    let u = |p: &Json, k: &str| p.get(k).and_then(Json::as_u64).unwrap_or(0);
-    for p in j.get("points").and_then(Json::as_arr).unwrap_or(&[]) {
-        let name = p.get("name").and_then(Json::as_str).unwrap_or("?");
-        for l in p.get("loads").and_then(Json::as_arr).unwrap_or(&[]) {
+    for p in j.arr_at("points") {
+        let name = p.str_at("name");
+        for l in p.arr_at("loads") {
             let (o, q) = (l.get("overall"), l.get("queue"));
             let (o, q) = (o.unwrap_or(&Json::Null), q.unwrap_or(&Json::Null));
             table.row(vec![
                 name.to_string(),
-                format!("{:.2}x", f(l, "intensity")),
-                format!("{:.3}", f(o, "p50_ms")),
-                format!("{:.3}", f(o, "p99_ms")),
-                format!("{:.3}", f(o, "p999_ms")),
-                format!("{:.2}", 100.0 * f(o, "miss_frac")),
-                u(o, "shed").to_string(),
-                format!("{:.2}", f(q, "utilization")),
-                format!("{:.2}", f(q, "avg_batch")),
+                format!("{:.2}x", l.f64_at("intensity")),
+                format!("{:.3}", o.f64_at("p50_ms")),
+                format!("{:.3}", o.f64_at("p99_ms")),
+                format!("{:.3}", o.f64_at("p999_ms")),
+                format!("{:.2}", 100.0 * o.f64_at("miss_frac")),
+                o.u64_at("shed").to_string(),
+                format!("{:.2}", q.f64_at("utilization")),
+                format!("{:.2}", q.f64_at("avg_batch")),
             ]);
         }
     }
@@ -67,7 +65,7 @@ fn main() {
             .unwrap_or("<none>");
         println!(
             "SLO p99 <= {:.3} ms at the knee: cheapest meeting design {pick}{}",
-            f(rec, "target_p99_ms"),
+            rec.f64_at("target_p99_ms"),
             if rec.get("next_cheaper_misses").is_some() {
                 " (next-cheaper rung misses)"
             } else {
@@ -76,20 +74,7 @@ fn main() {
         );
     }
 
-    let mut body = j.to_string_pretty();
-    body.push('\n');
-    match std::fs::write("BENCH_serving.json", body) {
-        Ok(()) => println!("[saved BENCH_serving.json]"),
-        Err(e) => eprintln!("could not save BENCH_serving.json: {e}"),
-    }
-
-    let md = serving_markdown(&j);
-    let path = std::path::Path::new("results").join("SERVING.md");
-    let write = std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, md));
-    match write {
-        Ok(()) => println!("[saved {}]", path.display()),
-        Err(e) => eprintln!("could not save {}: {e}", path.display()),
-    }
+    observatory::publish(&j);
 
     // --chrome: replay the knee cell on the reference design point with
     // per-request lifecycle spans and queue-depth / batch-size counters.

@@ -14,8 +14,8 @@ use lva_core::MachineConfig;
 use lva_isa::Machine;
 use lva_kernels::gemm::GemmWorkspace;
 use lva_kernels::{conv_im2col_gemm, ConvParams};
-use lva_roofline::{arithmetic_intensity, fraction_of_peak};
 use lva_tensor::{Matrix, Shape, Tensor};
+use lva_whatif::roofline::{arithmetic_intensity, fraction_of_peak};
 
 /// One Table IV row: (label, in_c, in_hw, out_c, k, stride, paper AI,
 /// paper %peak) at the 608x608 network input.

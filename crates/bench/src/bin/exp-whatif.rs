@@ -29,23 +29,10 @@ fn main() {
     // --retime: each design point captures once and its five idealized
     // counterfactuals re-time the recording; output is bit-identical.
     let mut engine = retime_engine(&opts);
-    let j = whatif_json_with(&specs, opts.div, opts.jobs, headline.as_ref(), engine.as_mut());
+    let j = whatif_json(&specs, opts.div, opts.jobs, headline.as_ref(), engine.as_mut());
     log_retime(engine.as_ref());
 
-    let mut body = j.to_string_pretty();
-    body.push('\n');
-    match std::fs::write("BENCH_whatif.json", body) {
-        Ok(()) => println!("[saved BENCH_whatif.json]"),
-        Err(e) => eprintln!("could not save BENCH_whatif.json: {e}"),
-    }
-
-    let md = codesign_markdown(&j);
-    let path = std::path::Path::new("results").join("CODESIGN_REPORT.md");
-    let write = std::fs::create_dir_all("results").and_then(|()| std::fs::write(&path, md));
-    match write {
-        Ok(()) => println!("[saved {}]", path.display()),
-        Err(e) => eprintln!("could not save {}: {e}", path.display()),
-    }
+    observatory::publish(&j);
 
     lva_trace::flush();
 }

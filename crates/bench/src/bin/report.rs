@@ -3,17 +3,23 @@
 //! report byte-for-byte, or render a record produced elsewhere (CI
 //! artifacts).
 //!
-//! The record's tags select the renderer: `"tool": "lint-dataflow"`
-//! records render the dataflow certifier report (`results/DATAFLOW.md`),
-//! `"bench": "serving"` records render the serving load report
-//! (`results/SERVING.md`), `"bench": "scaling"` records render the
-//! scale-out report (`results/SCALING.md`); everything else is treated as
-//! a `BENCH_whatif.json` co-design record (`results/CODESIGN_REPORT.md`).
+//! The record's `bench` (or `tool`) tag selects the renderer and the
+//! default output path from `lva_bench::observatory::KINDS`: energy →
+//! `results/PARETO.md`, serving → `results/SERVING.md`, scaling →
+//! `results/SCALING.md`, whatif → `results/CODESIGN_REPORT.md`,
+//! lint-dataflow → `results/DATAFLOW.md`.
 //!
 //! Usage: `report [--in BENCH_whatif.json] [--out results/…]`
+//!
+//! Exit codes: 0 = rendered; 2 = usage error, unreadable or invalid input,
+//! or a record whose kind has no renderer (nothing is written).
 
-use lva_bench::{codesign_markdown, scaling_markdown, serving_markdown, Json};
-use lva_depgraph::dataflow_markdown;
+use lva_bench::observatory::render;
+
+fn fail(msg: &str) -> ! {
+    eprintln!("report: {msg}");
+    std::process::exit(2);
+}
 
 fn main() {
     let mut input = String::from("BENCH_whatif.json");
@@ -21,40 +27,19 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--in" => input = args.next().expect("--in needs a file path"),
-            "--out" => output = Some(args.next().expect("--out needs a file path")),
+            "--in" => input = args.next().unwrap_or_else(|| fail("--in needs a file path")),
+            "--out" => output = args.next().or_else(|| fail("--out needs a file path")),
             "--help" | "-h" => {
                 eprintln!(
-                    "Render a committed markdown report from its JSON record.\n\nOptions:\n  --in FILE   input record (default BENCH_whatif.json); a \"tool\":\n              \"lint-dataflow\" record renders the dataflow report, a\n              \"bench\": \"serving\" record the serving load report, a\n              \"bench\": \"scaling\" record the scale-out report\n  --out FILE  output markdown (default results/CODESIGN_REPORT.md,\n              results/DATAFLOW.md for lint-dataflow records,\n              results/SERVING.md for serving records, or\n              results/SCALING.md for scaling records)"
+                    "Render a committed markdown report from its JSON record.\n\nOptions:\n  --in FILE   input record (default BENCH_whatif.json); its tag selects\n              the renderer: energy, serving, scaling, whatif or\n              lint-dataflow\n  --out FILE  output markdown (default: the kind's committed report,\n              e.g. results/PARETO.md for energy records)"
                 );
                 std::process::exit(0);
             }
-            other => {
-                eprintln!("unknown option {other}; try --help");
-                std::process::exit(2);
-            }
+            other => fail(&format!("unknown option {other}; try --help")),
         }
     }
-    let text = std::fs::read_to_string(&input).unwrap_or_else(|e| {
-        panic!("cannot read {input}: {e} (run exp-whatif or lint-dataflow first)")
-    });
-    let j = Json::parse(&text).unwrap_or_else(|e| panic!("{input} is not valid JSON: {e:?}"));
-    let dataflow = j.get("tool").and_then(Json::as_str) == Some("lint-dataflow");
-    let serving = j.get("bench").and_then(Json::as_str) == Some("serving");
-    let scaling = j.get("bench").and_then(Json::as_str) == Some("scaling");
-    let (md, default_out) = if dataflow {
-        (dataflow_markdown(&j), "results/DATAFLOW.md")
-    } else if serving {
-        (serving_markdown(&j), "results/SERVING.md")
-    } else if scaling {
-        (scaling_markdown(&j), "results/SCALING.md")
-    } else {
-        (codesign_markdown(&j), "results/CODESIGN_REPORT.md")
-    };
-    let output = output.unwrap_or_else(|| default_out.to_string());
-    if let Some(dir) = std::path::Path::new(&output).parent() {
-        std::fs::create_dir_all(dir).expect("create output directory");
+    match render(&input, output.as_deref()) {
+        Ok(path) => println!("[rendered {path} from {input}]"),
+        Err(e) => fail(&e),
     }
-    std::fs::write(&output, md).unwrap_or_else(|e| panic!("cannot write {output}: {e}"));
-    println!("[rendered {output} from {input}]");
 }

@@ -1,63 +1,88 @@
-//! Benchmark regression diffing: compare two `BENCH_headline.json`-style
-//! reports under a tolerance policy.
+//! Benchmark regression diffing: walk two records of one report kind under
+//! that kind's drift rules (the rule tables live in [`crate::observatory`]).
 //!
 //! The simulator is deterministic, so at a pinned configuration a committed
 //! baseline compares *exactly* — the tolerances exist to separate "this
 //! change made layer 7 five percent slower" (a gated regression) from noise
 //! introduced by intentional re-baselining at slightly different scales.
 //!
-//! Compared per run (matched by `name`):
-//! * `totals.cycles` — relative, default ±2%;
-//! * each `layers[i].cycles` — relative, default ±5%;
-//! * each `caches.<level>.hit_rate` — absolute, default ±0.01;
-//! * `stalls.total` — relative, default ±10%.
+//! A [`Rule`] names a metric by a dotted path. Each segment is one of:
+//! * `key` — an object field;
+//! * `key[field]` — the array under `key`, elements paired by `field`;
+//! * `key[#]` — elements paired by position;
+//! * `key[#field]` — paired by position, and `field` must be equal;
+//! * `*` — every key of the object.
 //!
-//! Cycles or stalls *up*, or hit rate *down*, beyond tolerance is a
-//! **regression** (fatal). Movement in the good direction is reported as an
-//! **improvement** (informational — a nudge to re-baseline). Missing runs,
-//! layers, or sections are **structural** findings (fatal: a silently
-//! shrunken benchmark must not pass the gate).
+//! A move beyond tolerance in the worse direction is a **regression**
+//! (fatal), in the better direction an **improvement** (informational — a
+//! nudge to re-baseline). An element or key missing from either side, an
+//! empty top-level array in the baseline, and any change to a `fixed`
+//! value are **structural** findings (fatal: a silently shrunken benchmark
+//! or a moved headline claim must not pass the gate).
 
 use lva_trace::Json;
 
-/// Tolerance policy for [`compare`]. Percentages are relative (`5.0` =
-/// ±5%); `hit_rate_abs` is absolute on a 0..1 rate.
-#[derive(Debug, Clone)]
-pub struct Tolerance {
-    pub total_cycles_pct: f64,
-    pub layer_cycles_pct: f64,
-    pub hit_rate_abs: f64,
-    pub stall_pct: f64,
-    /// Per-point total energy, relative percent (`BENCH_energy.json` gate).
-    pub energy_pct: f64,
-    /// Per-point energy-delay product, relative percent. EDP compounds the
-    /// cycle and energy drifts, so its default is looser than either alone.
-    pub edp_pct: f64,
-    /// Per-cell overall p50 latency, relative percent (`BENCH_serving.json`
-    /// gate). The median is a stable statistic, so it gets the tight gate.
-    pub p50_pct: f64,
-    /// Per-cell overall p99 latency, relative percent. The tail sits on
-    /// log-bucket edges, so a tolerance looser than p50's absorbs a sample
-    /// stepping one sub-bucket without letting a real regression through.
-    pub p99_pct: f64,
-    /// Per-cell SoC throughput (frames/kcycle), relative percent
-    /// (`BENCH_scaling.json` gate). Lower is worse.
-    pub throughput_pct: f64,
+/// How a rule judges the drift of its metric.
+#[derive(Debug, Clone, Copy)]
+enum Check {
+    /// A move of more than this many percent is a finding.
+    Rel(f64),
+    /// A move of more than this absolute amount is a finding.
+    Abs(f64),
+    /// Any change is a regression (deterministic counts).
+    Exact,
+    /// Any change is structural: the value is a headline claim the
+    /// committed baseline pins, so it is re-baselined deliberately or not
+    /// at all. An absent value compares as `null`.
+    Fixed,
 }
 
-impl Default for Tolerance {
-    fn default() -> Self {
-        Tolerance {
-            total_cycles_pct: 2.0,
-            layer_cycles_pct: 5.0,
-            hit_rate_abs: 0.01,
-            stall_pct: 10.0,
-            energy_pct: 2.0,
-            edp_pct: 4.0,
-            p50_pct: 2.0,
-            p99_pct: 5.0,
-            throughput_pct: 2.0,
-        }
+/// One drift rule: a metric path and how it may drift.
+#[derive(Debug, Clone, Copy)]
+pub struct Rule {
+    path: &'static str,
+    check: Check,
+    /// A drop, not a rise, is the worse direction (throughput, hit rate).
+    lower_is_worse: bool,
+    /// Drift is not judged while both sides stay below this, so a share
+    /// that is exactly zero in the baseline does not turn numeric dust
+    /// into an infinite relative delta.
+    floor: f64,
+}
+
+impl Rule {
+    const fn new(path: &'static str, check: Check) -> Rule {
+        Rule { path, check, lower_is_worse: false, floor: f64::NEG_INFINITY }
+    }
+
+    /// The metric may move ±`pct` percent.
+    pub const fn rel(path: &'static str, pct: f64) -> Rule {
+        Rule::new(path, Check::Rel(pct))
+    }
+
+    /// The metric may move ±`tol` in absolute terms.
+    pub const fn abs(path: &'static str, tol: f64) -> Rule {
+        Rule::new(path, Check::Abs(tol))
+    }
+
+    /// Any change to the metric is a regression.
+    pub const fn exact(path: &'static str) -> Rule {
+        Rule::new(path, Check::Exact)
+    }
+
+    /// Any change to the value is structural.
+    pub const fn fixed(path: &'static str) -> Rule {
+        Rule::new(path, Check::Fixed)
+    }
+
+    /// A drop, not a rise, is the worse direction.
+    pub const fn lower_is_worse(self) -> Rule {
+        Rule { lower_is_worse: true, ..self }
+    }
+
+    /// Judge drift only once either side reaches `floor`.
+    pub const fn above(self, floor: f64) -> Rule {
+        Rule { floor, ..self }
     }
 }
 
@@ -81,7 +106,7 @@ pub struct Finding {
 #[derive(Debug, Clone, Default)]
 pub struct DiffReport {
     pub findings: Vec<Finding>,
-    /// Number of metric comparisons performed (a sanity floor: comparing
+    /// Number of rule evaluations performed (a sanity floor: comparing
     /// two empty files passes every tolerance while checking nothing).
     pub compared: usize,
 }
@@ -106,6 +131,158 @@ impl DiffReport {
     fn push(&mut self, severity: Severity, message: String) {
         self.findings.push(Finding { severity, message });
     }
+
+    /// A structural finding for a value absent (or mistyped) on one side.
+    fn missing(&mut self, label: &str, in_base: bool) {
+        let side = if in_base { "current" } else { "baseline" };
+        self.push(Severity::Structural, format!("{label}: missing from {side}"));
+    }
+}
+
+/// Compare `cur` against `base` under `rules`.
+pub fn walk(rules: &[Rule], base: &Json, cur: &Json) -> DiffReport {
+    let mut out = DiffReport::default();
+    let cursors: Vec<(&Rule, &str)> = rules.iter().map(|r| (r, r.path)).collect();
+    node(&mut out, &cursors, "", Some(base), Some(cur), true);
+    out
+}
+
+/// Judge the rules whose path ends at this node, then descend. Rules that
+/// share a next segment descend together, so each element is matched —
+/// and reported missing — once, and findings read element by element.
+fn node(
+    out: &mut DiffReport,
+    cursors: &[(&Rule, &str)],
+    label: &str,
+    base: Option<&Json>,
+    cur: Option<&Json>,
+    top: bool,
+) {
+    let mut heads: Vec<&str> = Vec::new();
+    for &(rule, rest) in cursors {
+        match rest.split_once('.').map_or(rest, |(h, _)| h) {
+            "" => judge(out, rule, label, base, cur),
+            h if !heads.contains(&h) => heads.push(h),
+            _ => {}
+        }
+    }
+    for head in heads {
+        let sub: Vec<(&Rule, &str)> = cursors
+            .iter()
+            .filter_map(|&(r, rest)| match rest.split_once('.') {
+                Some((h, tail)) if h == head => Some((r, tail)),
+                None if rest == head => Some((r, "")),
+                _ => None,
+            })
+            .collect();
+        step(out, head, &sub, label, base, cur, top);
+    }
+}
+
+/// Descend one path segment on both sides.
+fn step<'j>(
+    out: &mut DiffReport,
+    seg: &str,
+    sub: &[(&Rule, &str)],
+    label: &str,
+    base: Option<&'j Json>,
+    cur: Option<&'j Json>,
+    top: bool,
+) {
+    let join = |k: &str| if label.is_empty() { k.to_string() } else { format!("{label}.{k}") };
+    if seg == "*" {
+        let (Some(Json::Obj(bo)), Some(Json::Obj(co))) = (base, cur) else {
+            return out.missing(label, matches!(base, Some(Json::Obj(_))));
+        };
+        for (k, bv) in bo {
+            match co.iter().find(|(ck, _)| ck == k) {
+                Some((_, cv)) => node(out, sub, &join(k), Some(bv), Some(cv), top),
+                None => out.missing(&join(k), true),
+            }
+        }
+        for (k, _) in co.iter().filter(|(k, _)| !bo.iter().any(|(bk, _)| bk == k)) {
+            out.missing(&join(k), false);
+        }
+        return;
+    }
+    let Some((key, pairing)) = seg.strip_suffix(']').and_then(|s| s.split_once('[')) else {
+        let field = |j: Option<&'j Json>| j.and_then(|j| j.get(seg));
+        return node(out, sub, &join(seg), field(base), field(cur), top);
+    };
+    let label = join(key);
+    let arr = |j: Option<&'j Json>| j.and_then(|j| j.get(key)).and_then(Json::as_arr);
+    let (Some(ba), Some(ca)) = (arr(base), arr(cur)) else {
+        return out.missing(&label, arr(base).is_some());
+    };
+    if top && ba.is_empty() {
+        return out.push(Severity::Structural, format!("{label}: empty in baseline"));
+    }
+    match pairing.strip_prefix('#') {
+        None => {
+            let name = |e: &Json| show(e.get(pairing));
+            for b in ba {
+                let at = format!("{label}[{}]", name(b));
+                match ca.iter().find(|c| name(c) == name(b)) {
+                    Some(c) => node(out, sub, &at, Some(b), Some(c), false),
+                    None => out.missing(&at, true),
+                }
+            }
+            for c in ca.iter().filter(|c| !ba.iter().any(|b| name(b) == name(c))) {
+                out.missing(&format!("{label}[{}]", name(c)), false);
+            }
+        }
+        Some(field) => {
+            for i in 0..ba.len().max(ca.len()) {
+                let at = format!("{label}[{i}]");
+                let (Some(b), Some(c)) = (ba.get(i), ca.get(i)) else {
+                    out.missing(&at, i < ba.len());
+                    continue;
+                };
+                if field.is_empty() {
+                    node(out, sub, &at, Some(b), Some(c), false);
+                } else if b.get(field) == c.get(field) {
+                    let at = format!("{label}[{field}={}]", show(b.get(field)));
+                    node(out, sub, &at, Some(b), Some(c), false);
+                } else {
+                    let (bf, cf) = (show(b.get(field)), show(c.get(field)));
+                    out.push(Severity::Structural, format!("{at}: {field} moved {bf} -> {cf}"));
+                }
+            }
+        }
+    }
+}
+
+/// Evaluate one rule on the value pair its path resolved to.
+fn judge(out: &mut DiffReport, rule: &Rule, label: &str, base: Option<&Json>, cur: Option<&Json>) {
+    if let Check::Fixed = rule.check {
+        out.compared += 1;
+        if base != cur {
+            let msg = format!("{label} moved {} -> {}", show(base), show(cur));
+            out.push(Severity::Structural, msg);
+        }
+        return;
+    }
+    let (Some(b), Some(c)) = (base.and_then(Json::as_f64), cur.and_then(Json::as_f64)) else {
+        return out.missing(label, base.and_then(Json::as_f64).is_some());
+    };
+    out.compared += 1;
+    if b.max(c) < rule.floor {
+        return;
+    }
+    let (delta, within, tol) = match rule.check {
+        Check::Rel(pct) => {
+            let d = rel_delta_pct(b, c);
+            (d, d.abs() <= pct, format!("{d:+.1}%, tol ±{pct}%"))
+        }
+        Check::Abs(tol) => (c - b, (c - b).abs() <= tol, format!("{:+.4}, tol ±{tol}", c - b)),
+        Check::Exact | Check::Fixed => (c - b, b == c, "exact".to_string()),
+    };
+    if within {
+        return;
+    }
+    let worse = matches!(rule.check, Check::Exact) || (delta < 0.0) == rule.lower_is_worse;
+    let sev = if worse { Severity::Regression } else { Severity::Improvement };
+    out.push(sev, format!("{label}: {} -> {} ({tol})", fmt_metric(b), fmt_metric(c)));
 }
 
 fn rel_delta_pct(base: f64, cur: f64) -> f64 {
@@ -121,7 +298,7 @@ fn rel_delta_pct(base: f64, cur: f64) -> f64 {
 }
 
 /// Render a metric value readably whether it is a cycle count or a
-/// sub-unit float (joules, joule-seconds).
+/// sub-unit float (joules, joule-seconds, shares).
 fn fmt_metric(v: f64) -> String {
     if v.abs() >= 1000.0 || v == v.trunc() {
         format!("{v:.0}")
@@ -130,530 +307,79 @@ fn fmt_metric(v: f64) -> String {
     }
 }
 
-/// Compare a "higher is worse" metric under a relative tolerance.
-fn check_higher_worse(out: &mut DiffReport, what: &str, base: f64, cur: f64, tol_pct: f64) {
-    out.compared += 1;
-    let d = rel_delta_pct(base, cur);
-    if d.abs() <= tol_pct {
-        return;
-    }
-    let sev = if d > 0.0 { Severity::Regression } else { Severity::Improvement };
-    out.push(
-        sev,
-        format!("{what}: {} -> {} ({d:+.1}%, tol ±{tol_pct}%)", fmt_metric(base), fmt_metric(cur)),
-    );
-}
-
-/// Compare a "lower is worse" metric (throughput) under a relative
-/// tolerance.
-fn check_lower_worse(out: &mut DiffReport, what: &str, base: f64, cur: f64, tol_pct: f64) {
-    out.compared += 1;
-    let d = rel_delta_pct(base, cur);
-    if d.abs() <= tol_pct {
-        return;
-    }
-    let sev = if d < 0.0 { Severity::Regression } else { Severity::Improvement };
-    out.push(
-        sev,
-        format!("{what}: {} -> {} ({d:+.1}%, tol ±{tol_pct}%)", fmt_metric(base), fmt_metric(cur)),
-    );
-}
-
-fn run_name(run: &Json) -> &str {
-    run.get("name").and_then(Json::as_str).unwrap_or("<unnamed>")
-}
-
-fn compare_runs(out: &mut DiffReport, base: &Json, cur: &Json, tol: &Tolerance) {
-    let name = run_name(base);
-
-    // totals.cycles
-    let total = |r: &Json| r.get("totals").and_then(|t| t.get("cycles")).and_then(Json::as_f64);
-    match (total(base), total(cur)) {
-        (Some(b), Some(c)) => {
-            check_higher_worse(out, &format!("{name}: total cycles"), b, c, tol.total_cycles_pct);
-        }
-        _ => out.push(Severity::Structural, format!("{name}: missing totals.cycles")),
-    }
-
-    // stalls.total
-    let stall = |r: &Json| r.get("stalls").and_then(|s| s.get("total")).and_then(Json::as_f64);
-    if let (Some(b), Some(c)) = (stall(base), stall(cur)) {
-        check_higher_worse(out, &format!("{name}: stall cycles"), b, c, tol.stall_pct);
-    }
-
-    // caches.<level>.hit_rate, for every level the baseline has.
-    if let Some(Json::Obj(levels)) = base.get("caches") {
-        for (level, bc) in levels {
-            let b_hr = bc.get("hit_rate").and_then(Json::as_f64);
-            let c_hr = cur
-                .get("caches")
-                .and_then(|c| c.get(level))
-                .and_then(|c| c.get("hit_rate"))
-                .and_then(Json::as_f64);
-            match (b_hr, c_hr) {
-                (Some(b), Some(c)) => {
-                    out.compared += 1;
-                    let d = c - b;
-                    if d.abs() > tol.hit_rate_abs {
-                        let sev =
-                            if d < 0.0 { Severity::Regression } else { Severity::Improvement };
-                        out.push(
-                            sev,
-                            format!(
-                                "{name}: {level} hit rate {b:.4} -> {c:.4} ({d:+.4}, tol ±{:.4})",
-                                tol.hit_rate_abs
-                            ),
-                        );
-                    }
-                }
-                _ => out.push(
-                    Severity::Structural,
-                    format!("{name}: cache level {level} missing from current report"),
-                ),
-            }
-        }
-    }
-
-    // Per-layer cycles, matched by index.
-    fn layers(r: &Json) -> &[Json] {
-        r.get("layers").and_then(Json::as_arr).unwrap_or(&[])
-    }
-    let (bl, cl) = (layers(base), layers(cur));
-    if bl.len() != cl.len() {
-        out.push(Severity::Structural, format!("{name}: layer count {} -> {}", bl.len(), cl.len()));
-    }
-    for (i, (b, c)) in bl.iter().zip(cl).enumerate() {
-        let cyc = |l: &Json| l.get("cycles").and_then(Json::as_f64);
-        match (cyc(b), cyc(c)) {
-            (Some(bv), Some(cv)) => {
-                let desc = b.get("desc").and_then(Json::as_str).unwrap_or("?");
-                check_higher_worse(
-                    out,
-                    &format!("{name}: layer {i} ({desc}) cycles"),
-                    bv,
-                    cv,
-                    tol.layer_cycles_pct,
-                );
-            }
-            _ => out.push(Severity::Structural, format!("{name}: layer {i} missing cycles")),
-        }
+/// An element key or a fixed value as it appears in a finding.
+fn show(v: Option<&Json>) -> String {
+    match v {
+        Some(Json::Str(s)) => s.clone(),
+        Some(j) => j.to_string_compact(),
+        None => "null".to_string(),
     }
 }
 
-/// Compare two benchmark reports (the top-level objects of
-/// `BENCH_headline.json`). Runs are matched by name; a run present in the
-/// baseline but not the current report is structural (fatal), a run only
-/// in the current report is reported informationally.
-pub fn compare(base: &Json, cur: &Json, tol: &Tolerance) -> DiffReport {
-    let mut out = DiffReport::default();
-    let runs =
-        |j: &Json| j.get("runs").and_then(Json::as_arr).map(<[Json]>::to_vec).unwrap_or_default();
-    let (base_runs, cur_runs) = (runs(base), runs(cur));
-    if base_runs.is_empty() {
-        out.push(Severity::Structural, "baseline has no runs".to_string());
-        return out;
+/// Move every relative metric of `report` `pct`% in its worse direction.
+/// Used by `bench-diff --inject` so CI can prove each gate actually trips
+/// on a synthetic regression.
+pub fn inject(rules: &[Rule], report: &mut Json, pct: f64) {
+    for rule in rules.iter().filter(|r| matches!(r.check, Check::Rel(_))) {
+        let factor = if rule.lower_is_worse { 1.0 - pct / 100.0 } else { 1.0 + pct / 100.0 };
+        scale(report, rule.path, factor);
     }
-    for b in &base_runs {
-        match cur_runs.iter().find(|c| run_name(c) == run_name(b)) {
-            Some(c) => compare_runs(&mut out, b, c, tol),
-            None => out.push(
-                Severity::Structural,
-                format!("run {} missing from current report", run_name(b)),
-            ),
-        }
-    }
-    for c in &cur_runs {
-        if !base_runs.iter().any(|b| run_name(b) == run_name(c)) {
-            out.push(
-                Severity::Improvement,
-                format!("run {} is new (not in baseline)", run_name(c)),
-            );
-        }
-    }
-    out
 }
 
-/// The `bench` tag of a report's top-level object, used by `bench-diff` to
-/// autodetect which comparison applies. Reports written before the tag
-/// existed are headline-shaped, so that is the fallback.
-pub fn report_kind(j: &Json) -> &str {
-    j.get("bench").and_then(Json::as_str).unwrap_or("headline")
-}
-
-/// Compare two `BENCH_energy.json` grid records. Networks and design
-/// points are matched by name; per point, `cycles`, `total_j`, and
-/// `edp_js` are gated as higher-is-worse relative drifts. Either optimum
-/// moving to a different design point is **structural** (fatal): the
-/// committed baseline encodes the headline finite-EDP-optimum claim, so a
-/// shifted optimum must be re-baselined deliberately, not slide through.
-pub fn compare_energy(base: &Json, cur: &Json, tol: &Tolerance) -> DiffReport {
-    let mut out = DiffReport::default();
-    let nets = |j: &Json| {
-        j.get("networks").and_then(Json::as_arr).map(<[Json]>::to_vec).unwrap_or_default()
-    };
-    let (base_nets, cur_nets) = (nets(base), nets(cur));
-    if base_nets.is_empty() {
-        out.push(Severity::Structural, "baseline has no networks".to_string());
-        return out;
-    }
-    for b in &base_nets {
-        let name = run_name(b);
-        let Some(c) = cur_nets.iter().find(|c| run_name(c) == name) else {
-            out.push(Severity::Structural, format!("network {name} missing from current report"));
-            continue;
-        };
-        for opt in ["cycles_optimal", "edp_optimal"] {
-            let pick = |j: &Json| j.get(opt).and_then(Json::as_str).unwrap_or("?").to_string();
-            let (bo, co) = (pick(b), pick(c));
-            out.compared += 1;
-            if bo != co {
-                out.push(Severity::Structural, format!("{name}: {opt} moved {bo} -> {co}"));
-            }
-        }
-        let points = |j: &Json| {
-            j.get("points").and_then(Json::as_arr).map(<[Json]>::to_vec).unwrap_or_default()
-        };
-        let (bp, cp) = (points(b), points(c));
-        if bp.len() != cp.len() {
-            out.push(
-                Severity::Structural,
-                format!("{name}: point count {} -> {}", bp.len(), cp.len()),
-            );
-        }
-        for pb in &bp {
-            let pname = run_name(pb);
-            let Some(pc) = cp.iter().find(|p| run_name(p) == pname) else {
-                out.push(Severity::Structural, format!("{name}/{pname}: point missing"));
-                continue;
-            };
-            let metric = |p: &Json, k: &str| p.get(k).and_then(Json::as_f64);
-            for (key, what, pct) in [
-                ("cycles", "cycles", tol.total_cycles_pct),
-                ("total_j", "energy", tol.energy_pct),
-                ("edp_js", "EDP", tol.edp_pct),
-            ] {
-                match (metric(pb, key), metric(pc, key)) {
-                    (Some(bv), Some(cv)) => {
-                        check_higher_worse(
-                            &mut out,
-                            &format!("{name}/{pname}: {what}"),
-                            bv,
-                            cv,
-                            pct,
-                        );
-                    }
-                    _ => out.push(Severity::Structural, format!("{name}/{pname}: missing {key}")),
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Compare two `BENCH_serving.json` records. Design points are matched by
-/// name and their load cells by index (the intensity grid is part of the
-/// record's shape — a changed grid is structural). Per cell, the overall
-/// `p50_ms` / `p99_ms` are gated as higher-is-worse relative drifts and
-/// `deadline_misses` must match **exactly**: the simulator is
-/// deterministic, so a single extra miss at a pinned configuration is a
-/// behavior change, not noise. The SLO recommendation moving to a
-/// different design point is structural (fatal) — the committed baseline
-/// encodes the headline cheapest-point claim, so a shifted recommendation
-/// must be re-baselined deliberately.
-pub fn compare_serving(base: &Json, cur: &Json, tol: &Tolerance) -> DiffReport {
-    let mut out = DiffReport::default();
-    let points =
-        |j: &Json| j.get("points").and_then(Json::as_arr).map(<[Json]>::to_vec).unwrap_or_default();
-    let (bp, cp) = (points(base), points(cur));
-    if bp.is_empty() {
-        out.push(Severity::Structural, "baseline has no design points".to_string());
-        return out;
-    }
-
-    // The recommendation gate first: it is the record's headline claim.
-    let pick = |j: &Json| {
-        j.get("slo_recommendation")
-            .and_then(|r| r.get("recommended"))
-            .and_then(|p| p.get("point"))
-            .and_then(Json::as_str)
-            .unwrap_or("<none>")
-            .to_string()
-    };
-    let (br, cr) = (pick(base), pick(cur));
-    out.compared += 1;
-    if br != cr {
-        out.push(Severity::Structural, format!("slo recommendation moved {br} -> {cr}"));
-    }
-
-    for b in &bp {
-        let name = run_name(b);
-        let Some(c) = cp.iter().find(|c| run_name(c) == name) else {
-            out.push(Severity::Structural, format!("point {name} missing from current report"));
-            continue;
-        };
-        let loads = |j: &Json| {
-            j.get("loads").and_then(Json::as_arr).map(<[Json]>::to_vec).unwrap_or_default()
-        };
-        let (bl, cl) = (loads(b), loads(c));
-        if bl.len() != cl.len() {
-            out.push(
-                Severity::Structural,
-                format!("{name}: load count {} -> {}", bl.len(), cl.len()),
-            );
-        }
-        for (i, (lb, lc)) in bl.iter().zip(&cl).enumerate() {
-            let rho = |l: &Json| l.get("intensity").and_then(Json::as_f64);
-            if rho(lb) != rho(lc) {
-                out.push(Severity::Structural, format!("{name}: load {i} intensity changed"));
-                continue;
-            }
-            let cell = format!("{name}@{}x", rho(lb).unwrap_or(0.0));
-            let overall =
-                |l: &Json, k: &str| l.get("overall").and_then(|o| o.get(k)).and_then(Json::as_f64);
-            for (key, what, pct) in [("p50_ms", "p50", tol.p50_pct), ("p99_ms", "p99", tol.p99_pct)]
-            {
-                match (overall(lb, key), overall(lc, key)) {
-                    (Some(bv), Some(cv)) => {
-                        check_higher_worse(&mut out, &format!("{cell}: {what}"), bv, cv, pct);
-                    }
-                    _ => out.push(Severity::Structural, format!("{cell}: missing {key}")),
-                }
-            }
-            match (overall(lb, "deadline_misses"), overall(lc, "deadline_misses")) {
-                (Some(bv), Some(cv)) => {
-                    out.compared += 1;
-                    if bv != cv {
-                        out.push(
-                            Severity::Regression,
-                            format!(
-                                "{cell}: deadline misses {bv:.0} -> {cv:.0} (exact gate: the \
-                                 simulator is deterministic)"
-                            ),
-                        );
-                    }
-                }
-                _ => out.push(Severity::Structural, format!("{cell}: missing deadline_misses")),
-            }
-        }
-    }
-    for c in &cp {
-        if !bp.iter().any(|b| run_name(b) == run_name(c)) {
-            out.push(
-                Severity::Improvement,
-                format!("point {} is new (not in baseline)", run_name(c)),
-            );
-        }
-    }
-    out
-}
-
-/// Compare two `BENCH_scaling.json` records. Networks and design points
-/// are matched by name, curves by sharding strategy, cells by index (the
-/// core ladder is part of the record's shape — a changed ladder is
-/// structural). Per cell, throughput is gated as a lower-is-worse relative
-/// drift and every stall-cause share as a higher-is-worse relative drift
-/// (with a small absolute floor so a share that is exactly zero in the
-/// baseline — contention at one core — doesn't turn numeric dust into an
-/// infinite relative delta). A curve's knee moving to a different core
-/// count, or its recovery lever changing, is **structural** (fatal): the
-/// committed baseline encodes the headline where-it-bends claim, so a
-/// shifted knee must be re-baselined deliberately.
-pub fn compare_scaling(base: &Json, cur: &Json, tol: &Tolerance) -> DiffReport {
-    /// Shares below this are "both zero" for gating purposes.
-    const SHARE_FLOOR: f64 = 0.001;
-    let mut out = DiffReport::default();
-    let nets = |j: &Json| {
-        j.get("networks").and_then(Json::as_arr).map(<[Json]>::to_vec).unwrap_or_default()
-    };
-    let (bn, cn) = (nets(base), nets(cur));
-    if bn.is_empty() {
-        out.push(Severity::Structural, "baseline has no networks".to_string());
-        return out;
-    }
-    for b in &bn {
-        let net = run_name(b);
-        let Some(c) = cn.iter().find(|c| run_name(c) == net) else {
-            out.push(Severity::Structural, format!("network {net} missing from current report"));
-            continue;
-        };
-        let points = |j: &Json| {
-            j.get("points").and_then(Json::as_arr).map(<[Json]>::to_vec).unwrap_or_default()
-        };
-        for pb in &points(b) {
-            let pname = run_name(pb);
-            let Some(pc) = points(c).into_iter().find(|p| run_name(p) == pname) else {
-                out.push(Severity::Structural, format!("{net}/{pname}: point missing"));
-                continue;
-            };
-            let curves = |j: &Json| {
-                j.get("curves").and_then(Json::as_arr).map(<[Json]>::to_vec).unwrap_or_default()
-            };
-            for cb in &curves(pb) {
-                let sharding = cb.get("sharding").and_then(Json::as_str).unwrap_or("?");
-                let tag = format!("{net}/{pname}/{sharding}");
-                let Some(cc) = curves(&pc)
-                    .into_iter()
-                    .find(|c| c.get("sharding").and_then(Json::as_str) == Some(sharding))
-                else {
-                    out.push(Severity::Structural, format!("{tag}: curve missing"));
-                    continue;
-                };
-
-                // The headline claim first: knee and lever must not move.
-                let advice = |j: &Json, k: &str| {
-                    j.get("advice").and_then(|a| a.get(k)).cloned().unwrap_or(Json::Null)
-                };
-                for key in ["knee_cores", "lever"] {
-                    let (bv, cv) = (advice(cb, key), advice(&cc, key));
-                    out.compared += 1;
-                    if bv != cv {
-                        out.push(
-                            Severity::Structural,
-                            format!(
-                                "{tag}: {key} moved {} -> {}",
-                                bv.to_string_compact(),
-                                cv.to_string_compact()
-                            ),
-                        );
-                    }
-                }
-
-                let cells = |j: &Json| {
-                    j.get("cells").and_then(Json::as_arr).map(<[Json]>::to_vec).unwrap_or_default()
-                };
-                let (bcells, ccells) = (cells(cb), cells(&cc));
-                if bcells.len() != ccells.len() {
-                    out.push(
-                        Severity::Structural,
-                        format!("{tag}: cell count {} -> {}", bcells.len(), ccells.len()),
-                    );
-                }
-                for (lb, lc) in bcells.iter().zip(&ccells) {
-                    let cores = |l: &Json| l.get("cores").and_then(Json::as_u64);
-                    if cores(lb) != cores(lc) {
-                        out.push(Severity::Structural, format!("{tag}: core ladder changed"));
-                        continue;
-                    }
-                    let cell = format!("{tag} x{}", cores(lb).unwrap_or(0));
-                    let thr = |l: &Json| l.get("throughput_fpkc").and_then(Json::as_f64);
-                    match (thr(lb), thr(lc)) {
-                        (Some(bv), Some(cv)) => check_lower_worse(
-                            &mut out,
-                            &format!("{cell}: throughput"),
-                            bv,
-                            cv,
-                            tol.throughput_pct,
-                        ),
-                        _ => out
-                            .push(Severity::Structural, format!("{cell}: missing throughput_fpkc")),
-                    }
-                    let Some(Json::Obj(shares)) = lb.get("stall_shares") else {
-                        out.push(Severity::Structural, format!("{cell}: missing stall_shares"));
-                        continue;
-                    };
-                    for (cause, bs) in shares {
-                        let bv = bs.as_f64().unwrap_or(0.0);
-                        let cv = lc
-                            .get("stall_shares")
-                            .and_then(|s| s.get(cause))
-                            .and_then(Json::as_f64);
-                        let Some(cv) = cv else {
-                            out.push(
-                                Severity::Structural,
-                                format!("{cell}: stall share {cause} missing"),
-                            );
-                            continue;
-                        };
-                        out.compared += 1;
-                        if bv.max(cv) < SHARE_FLOOR {
-                            continue;
-                        }
-                        let d = rel_delta_pct(bv, cv);
-                        if d.abs() > tol.stall_pct {
-                            let sev =
-                                if d > 0.0 { Severity::Regression } else { Severity::Improvement };
-                            out.push(
-                                sev,
-                                format!(
-                                    "{cell}: {cause} stall share {bv:.4} -> {cv:.4} \
-                                     ({d:+.1}%, tol ±{}%)",
-                                    tol.stall_pct
-                                ),
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Multiply every `totals.cycles` and per-layer `cycles` in a report by
-/// `1 + pct/100`. Used by `bench-diff --inject-cycles` so CI can prove the
-/// gate actually trips on a synthetic slowdown.
-pub fn inject_cycles(report: &mut Json, pct: f64) {
-    let scale = |j: &mut Json| {
+/// Multiply every value `path` reaches (all elements, all keys) by `factor`.
+fn scale(j: &mut Json, path: &str, factor: f64) {
+    if path.is_empty() {
         if let Some(v) = j.as_f64() {
-            *j = Json::UInt((v * (1.0 + pct / 100.0)).round() as u64);
+            *j = Json::Num(v * factor);
         }
-    };
-    let Some(Json::Arr(runs)) = get_mut(report, "runs") else { return };
-    for run in runs {
-        if let Some(totals) = get_mut(run, "totals") {
-            if let Some(c) = get_mut(totals, "cycles") {
-                scale(c);
-            }
-        }
-        if let Some(Json::Arr(layers)) = get_mut(run, "layers") {
-            for l in layers {
-                if let Some(c) = get_mut(l, "cycles") {
-                    scale(c);
-                }
-            }
-        }
+        return;
     }
-}
-
-fn get_mut<'a>(j: &'a mut Json, key: &str) -> Option<&'a mut Json> {
-    match j {
-        Json::Obj(pairs) => pairs.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
-        _ => None,
+    let (seg, rest) = path.split_once('.').unwrap_or((path, ""));
+    let key = seg.split_once('[').map_or(seg, |(k, _)| k);
+    let Json::Obj(pairs) = j else { return };
+    for (_, v) in pairs.iter_mut().filter(|(k, _)| seg == "*" || k == key) {
+        match v {
+            Json::Arr(items) if seg.ends_with(']') => {
+                items.iter_mut().for_each(|e| scale(e, rest, factor));
+            }
+            v if !seg.ends_with(']') => scale(v, rest, factor),
+            _ => {}
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observatory::kind_of;
+
+    /// Compare two records under the registered rules of the baseline's kind.
+    fn gate(base: &Json, cur: &Json) -> DiffReport {
+        walk(kind_of(base).expect("registered kind").rules, base, cur)
+    }
+
+    fn run(name: &str, total: u64, layers: &[u64], hit: f64) -> Json {
+        let layer = |(i, &cycles): (usize, &u64)| {
+            let desc = if i == 0 { "conv" } else { "pool" };
+            Json::obj().field("index", i).field("desc", desc).field("cycles", cycles)
+        };
+        Json::obj()
+            .field("name", name)
+            .field("totals", Json::obj().field("cycles", total))
+            .field("stalls", Json::obj().field("total", 100u64).field("attributed", 100u64))
+            .field("caches", Json::obj().field("l2", Json::obj().field("hit_rate", hit)))
+            .field("layers", Json::Arr(layers.iter().enumerate().map(layer).collect()))
+    }
 
     fn report(total: u64, layer0: u64, layer1: u64, hit: f64) -> Json {
-        Json::obj().field("bench", "headline").field(
-            "runs",
-            Json::Arr(vec![Json::obj()
-                .field("name", "rvv_tiny_opt3")
-                .field("totals", Json::obj().field("cycles", total))
-                .field("stalls", Json::obj().field("total", 100u64).field("attributed", 100u64))
-                .field("caches", Json::obj().field("l2", Json::obj().field("hit_rate", hit)))
-                .field(
-                    "layers",
-                    Json::Arr(vec![
-                        Json::obj()
-                            .field("index", 0u64)
-                            .field("desc", "conv")
-                            .field("cycles", layer0),
-                        Json::obj()
-                            .field("index", 1u64)
-                            .field("desc", "pool")
-                            .field("cycles", layer1),
-                    ]),
-                )]),
-        )
+        let runs = vec![run("rvv_tiny_opt3", total, &[layer0, layer1], hit)];
+        Json::obj().field("bench", "headline").field("runs", Json::Arr(runs))
     }
 
     #[test]
     fn identical_reports_pass() {
         let b = report(1000, 600, 400, 0.95);
-        let d = compare(&b, &b, &Tolerance::default());
+        let d = gate(&b, &b);
         assert!(d.is_pass(), "{:?}", d.findings);
         assert!(d.compared >= 4);
     }
@@ -662,7 +388,7 @@ mod tests {
     fn small_drift_within_tolerance_passes() {
         let b = report(1000, 600, 400, 0.95);
         let c = report(1010, 610, 395, 0.945); // 1%, 1.7%, -1.3%, -0.005
-        let d = compare(&b, &c, &Tolerance::default());
+        let d = gate(&b, &c);
         assert!(d.is_pass(), "{:?}", d.findings);
     }
 
@@ -670,19 +396,19 @@ mod tests {
     fn layer_cycle_regression_fails() {
         let b = report(1000, 600, 400, 0.95);
         let c = report(1000, 660, 400, 0.95); // layer 0 +10% > 5%
-        let d = compare(&b, &c, &Tolerance::default());
+        let d = gate(&b, &c);
         assert!(!d.is_pass());
         assert_eq!(d.regressions(), 1);
-        assert!(d.findings[0].message.contains("layer 0"));
+        assert!(d.findings[0].message.contains("layers[0]"));
     }
 
     #[test]
     fn hit_rate_drop_fails_and_rise_is_improvement() {
         let b = report(1000, 600, 400, 0.95);
         let drop = report(1000, 600, 400, 0.90);
-        assert_eq!(compare(&b, &drop, &Tolerance::default()).regressions(), 1);
+        assert_eq!(gate(&b, &drop).regressions(), 1);
         let rise = report(1000, 600, 400, 0.99);
-        let d = compare(&b, &rise, &Tolerance::default());
+        let d = gate(&b, &rise);
         assert!(d.is_pass(), "improvements are not fatal: {:?}", d.findings);
         assert_eq!(d.count(Severity::Improvement), 1);
     }
@@ -691,12 +417,35 @@ mod tests {
     fn missing_run_or_layer_is_structural() {
         let b = report(1000, 600, 400, 0.95);
         let empty = Json::obj().field("runs", Json::Arr(vec![]));
-        let d = compare(&b, &empty, &Tolerance::default());
+        let d = gate(&b, &empty);
         assert!(!d.is_pass());
         assert_eq!(d.structural(), 1);
         // Comparing nothing at all must not pass either.
-        let d = compare(&empty, &empty, &Tolerance::default());
+        let d = gate(&empty, &empty);
         assert!(!d.is_pass());
+    }
+
+    #[test]
+    fn element_only_in_current_is_structural() {
+        let b = report(1000, 600, 400, 0.95);
+        // A third layer in the run and a second run: both exist only in the
+        // current record, and each is one structural finding.
+        let runs = vec![
+            run("rvv_tiny_opt3", 1000, &[600, 400, 400], 0.95),
+            run("rvv_tiny_naive", 1000, &[600, 400], 0.95),
+        ];
+        let grown = Json::obj().field("bench", "headline").field("runs", Json::Arr(runs));
+        let d = gate(&b, &grown);
+        assert!(!d.is_pass());
+        let msgs: Vec<&str> = d.findings.iter().map(|f| f.message.as_str()).collect();
+        assert_eq!(
+            msgs,
+            [
+                "runs[rvv_tiny_opt3].layers[2]: missing from baseline",
+                "runs[rvv_tiny_naive]: missing from baseline"
+            ]
+        );
+        assert_eq!(d.structural(), 2);
     }
 
     fn energy_report(cycles: u64, total_j: f64, edp_js: f64, edp_opt: &str) -> Json {
@@ -725,28 +474,29 @@ mod tests {
 
     #[test]
     fn report_kind_detects_energy_and_defaults_to_headline() {
-        assert_eq!(report_kind(&energy_report(1000, 0.01, 0.005, "2048b/4MB")), "energy");
-        assert_eq!(report_kind(&report(1000, 600, 400, 0.95)), "headline");
-        assert_eq!(report_kind(&Json::obj()), "headline");
+        let tag = |j: &Json| kind_of(j).expect("registered kind").tag;
+        assert_eq!(tag(&energy_report(1000, 0.01, 0.005, "2048b/4MB")), "energy");
+        assert_eq!(tag(&report(1000, 600, 400, 0.95)), "headline");
+        assert_eq!(tag(&Json::obj()), "headline");
     }
 
     #[test]
     fn identical_energy_reports_pass_and_drift_gates() {
         let b = energy_report(1000, 0.010, 0.005, "2048b/4MB");
-        let d = compare_energy(&b, &b, &Tolerance::default());
+        let d = gate(&b, &b);
         assert!(d.is_pass(), "{:?}", d.findings);
         assert!(d.compared >= 8);
         // +1% energy passes the 2% gate; +5% fails it (and drags EDP along
         // past its 4% gate).
         let ok = energy_report(1000, 0.0101, 0.00505, "2048b/4MB");
-        assert!(compare_energy(&b, &ok, &Tolerance::default()).is_pass());
+        assert!(gate(&b, &ok).is_pass());
         let bad = energy_report(1000, 0.0105, 0.00525, "2048b/4MB");
-        let d = compare_energy(&b, &bad, &Tolerance::default());
+        let d = gate(&b, &bad);
         assert!(!d.is_pass());
         assert!(d.regressions() >= 2, "{:?}", d.findings);
         // Energy *down* is an improvement, not a failure.
         let better = energy_report(1000, 0.009, 0.0045, "2048b/4MB");
-        let d = compare_energy(&b, &better, &Tolerance::default());
+        let d = gate(&b, &better);
         assert!(d.is_pass(), "{:?}", d.findings);
         assert!(d.count(Severity::Improvement) >= 2);
     }
@@ -755,13 +505,13 @@ mod tests {
     fn moved_optimum_or_missing_point_is_structural() {
         let b = energy_report(1000, 0.010, 0.005, "2048b/4MB");
         let moved = energy_report(1000, 0.010, 0.005, "8192b/256MB");
-        let d = compare_energy(&b, &moved, &Tolerance::default());
+        let d = gate(&b, &moved);
         assert!(!d.is_pass());
         assert_eq!(d.structural(), 1);
         assert!(d.findings[0].message.contains("edp_optimal moved"));
         let empty = Json::obj().field("bench", "energy").field("networks", Json::Arr(vec![]));
-        assert!(!compare_energy(&b, &empty, &Tolerance::default()).is_pass());
-        assert!(!compare_energy(&empty, &empty, &Tolerance::default()).is_pass());
+        assert!(!gate(&b, &empty).is_pass());
+        assert!(!gate(&empty, &empty).is_pass());
     }
 
     fn serving_report_fixture(p99: f64, misses: u64, recommended: &str) -> Json {
@@ -800,26 +550,27 @@ mod tests {
 
     #[test]
     fn report_kind_detects_serving() {
-        assert_eq!(report_kind(&serving_report_fixture(3.0, 2, "a64fx")), "serving");
+        let kind = kind_of(&serving_report_fixture(3.0, 2, "a64fx")).expect("registered kind");
+        assert_eq!(kind.tag, "serving");
     }
 
     #[test]
     fn identical_serving_reports_pass_and_latency_drift_gates() {
         let b = serving_report_fixture(3.0, 2, "a64fx");
-        let d = compare_serving(&b, &b, &Tolerance::default());
+        let d = gate(&b, &b);
         assert!(d.is_pass(), "{:?}", d.findings);
         // 1 recommendation + 2 points × 2 loads × 3 metrics.
         assert_eq!(d.compared, 13);
         // +4% p99 passes the 5% gate; +8% fails it.
         let ok = serving_report_fixture(3.12, 2, "a64fx");
-        assert!(compare_serving(&b, &ok, &Tolerance::default()).is_pass());
+        assert!(gate(&b, &ok).is_pass());
         let bad = serving_report_fixture(3.24, 2, "a64fx");
-        let d = compare_serving(&b, &bad, &Tolerance::default());
+        let d = gate(&b, &bad);
         assert!(!d.is_pass());
         assert!(d.regressions() >= 1, "{:?}", d.findings);
         // Faster tails are improvements, not failures.
         let better = serving_report_fixture(2.7, 2, "a64fx");
-        let d = compare_serving(&b, &better, &Tolerance::default());
+        let d = gate(&b, &better);
         assert!(d.is_pass(), "{:?}", d.findings);
     }
 
@@ -827,22 +578,30 @@ mod tests {
     fn deadline_miss_count_gates_exactly() {
         let b = serving_report_fixture(3.0, 2, "a64fx");
         let one_more = serving_report_fixture(3.0, 3, "a64fx");
-        let d = compare_serving(&b, &one_more, &Tolerance::default());
+        let d = gate(&b, &one_more);
         assert!(!d.is_pass(), "one extra miss must fail: {:?}", d.findings);
         assert!(d.regressions() >= 1);
-        assert!(d.findings.iter().any(|f| f.message.contains("deadline misses")));
+        assert!(d.findings.iter().any(|f| f.message.contains("deadline_misses")));
+        // Exact means exact: one miss fewer is a behaviour change too.
+        let one_fewer = serving_report_fixture(3.0, 1, "a64fx");
+        assert!(!gate(&b, &one_fewer).is_pass());
     }
 
     #[test]
     fn moved_recommendation_or_missing_point_is_structural() {
         let b = serving_report_fixture(3.0, 2, "a64fx");
         let moved = serving_report_fixture(3.0, 2, "sve512/1MB");
-        let d = compare_serving(&b, &moved, &Tolerance::default());
+        let d = gate(&b, &moved);
         assert!(!d.is_pass());
-        assert!(d.findings.iter().any(|f| f.message.contains("recommendation moved")));
+        assert!(d.findings.iter().any(|f| f.message.contains("recommended.point moved")));
+        // Loads pair by position, so a changed intensity grid is structural.
+        let regrid = b.to_string_compact().replace("\"intensity\":0.95", "\"intensity\":0.9");
+        let d = gate(&b, &Json::parse(&regrid).expect("parses"));
+        assert!(d.findings.iter().any(|f| f.message.contains("intensity moved 0.95 -> 0.9")));
+        assert!(!d.is_pass());
         let empty = Json::obj().field("bench", "serving").field("points", Json::Arr(vec![]));
-        assert!(!compare_serving(&b, &empty, &Tolerance::default()).is_pass());
-        assert!(!compare_serving(&empty, &empty, &Tolerance::default()).is_pass());
+        assert!(!gate(&b, &empty).is_pass());
+        assert!(!gate(&empty, &empty).is_pass());
     }
 
     fn scaling_report_fixture(thr8: f64, cont8: f64, knee: Option<u64>, lever: &str) -> Json {
@@ -876,26 +635,27 @@ mod tests {
 
     #[test]
     fn report_kind_detects_scaling() {
-        assert_eq!(report_kind(&scaling_report_fixture(4.8, 0.3, Some(8), "grow_l2")), "scaling");
+        let j = scaling_report_fixture(4.8, 0.3, Some(8), "grow_l2");
+        assert_eq!(kind_of(&j).expect("registered kind").tag, "scaling");
     }
 
     #[test]
     fn identical_scaling_reports_pass_and_throughput_drift_gates() {
         let b = scaling_report_fixture(4.8, 0.3, Some(8), "grow_l2");
-        let d = compare_scaling(&b, &b, &Tolerance::default());
+        let d = gate(&b, &b);
         assert!(d.is_pass(), "{:?}", d.findings);
         // 2 advice keys + 3 cells × (1 throughput + 2 shares).
         assert_eq!(d.compared, 11);
         // -1% throughput passes the 2% gate; -5% fails it as a regression.
         let ok = scaling_report_fixture(4.752, 0.3, Some(8), "grow_l2");
-        assert!(compare_scaling(&b, &ok, &Tolerance::default()).is_pass());
+        assert!(gate(&b, &ok).is_pass());
         let bad = scaling_report_fixture(4.56, 0.3, Some(8), "grow_l2");
-        let d = compare_scaling(&b, &bad, &Tolerance::default());
+        let d = gate(&b, &bad);
         assert!(!d.is_pass());
         assert!(d.regressions() >= 1, "{:?}", d.findings);
         // Faster is an improvement, not a failure.
         let better = scaling_report_fixture(5.2, 0.3, Some(8), "grow_l2");
-        let d = compare_scaling(&b, &better, &Tolerance::default());
+        let d = gate(&b, &better);
         assert!(d.is_pass(), "{:?}", d.findings);
         assert!(d.count(Severity::Improvement) >= 1);
     }
@@ -906,35 +666,40 @@ mod tests {
         // Contention share +20% relative fails the 10% gate; the 1-core
         // cell's exactly-zero share on both sides never trips.
         let worse = scaling_report_fixture(4.8, 0.36, Some(8), "grow_l2");
-        let d = compare_scaling(&b, &worse, &Tolerance::default());
+        let d = gate(&b, &worse);
         assert!(!d.is_pass());
-        assert!(d.findings.iter().any(|f| f.message.contains("contention stall share")));
+        assert!(d.findings.iter().any(|f| f.message.contains("stall_shares.contention")));
+        // Dust on a share that is zero in the baseline stays below the floor.
+        let zero = scaling_report_fixture(4.8, 0.0, Some(8), "grow_l2");
+        let dust = scaling_report_fixture(4.8, 0.0008, Some(8), "grow_l2");
+        assert!(gate(&zero, &dust).is_pass());
     }
 
     #[test]
     fn moved_knee_or_lever_is_structural() {
         let b = scaling_report_fixture(4.8, 0.3, Some(8), "grow_l2");
         let moved = scaling_report_fixture(4.8, 0.3, Some(4), "grow_l2");
-        let d = compare_scaling(&b, &moved, &Tolerance::default());
+        let d = gate(&b, &moved);
         assert!(!d.is_pass());
         assert!(d.findings.iter().any(|f| f.message.contains("knee_cores moved")));
         let relever = scaling_report_fixture(4.8, 0.3, Some(8), "fewer_cores");
-        let d = compare_scaling(&b, &relever, &Tolerance::default());
+        let d = gate(&b, &relever);
         assert!(!d.is_pass());
         assert!(d.findings.iter().any(|f| f.message.contains("lever moved")));
         let empty = Json::obj().field("bench", "scaling").field("networks", Json::Arr(vec![]));
-        assert!(!compare_scaling(&b, &empty, &Tolerance::default()).is_pass());
-        assert!(!compare_scaling(&empty, &empty, &Tolerance::default()).is_pass());
+        assert!(!gate(&b, &empty).is_pass());
+        assert!(!gate(&empty, &empty).is_pass());
     }
 
     #[test]
     fn injected_slowdown_trips_the_gate() {
         let b = report(100_000, 60_000, 40_000, 0.95);
         let mut c = b.clone();
-        inject_cycles(&mut c, 6.0);
-        let d = compare(&b, &c, &Tolerance::default());
+        inject(kind_of(&b).expect("registered kind").rules, &mut c, 6.0);
+        let d = gate(&b, &c);
         assert!(!d.is_pass(), "a 6% injected slowdown must fail the default gate");
-        // Layers (5% tol) and total (2% tol) all regress.
+        // Layers (5% tol) and total (2% tol) all regress; stalls (10% tol)
+        // absorb the same 6%.
         assert_eq!(d.regressions(), 3);
     }
 }

@@ -176,15 +176,10 @@ fn network_json(
 /// Assemble the full `BENCH_energy.json` value: the VL × L2 grid for each
 /// headline network, per-point energy from the streaming probe, frontier
 /// flags, and both optima. Deterministic for fixed `(div, layers)` —
-/// independent of `jobs` and the host.
-pub fn energy_grid_json(div: usize, layers: Option<usize>, jobs: usize) -> Json {
-    energy_grid_json_with(div, layers, jobs, None)
-}
-
-/// [`energy_grid_json`] with an optional retime engine (the `--retime`
-/// path): per network and VL, one functional capture serves the entire
-/// L2 axis. Output is bit-identical to the full-simulation grid.
-pub fn energy_grid_json_with(
+/// independent of `jobs` and the host. With a retime engine (the
+/// `--retime` path), per network and VL one functional capture serves the
+/// entire L2 axis; the output is bit-identical to the full-simulation grid.
+pub fn energy_grid_json(
     div: usize,
     layers: Option<usize>,
     jobs: usize,
@@ -230,21 +225,13 @@ pub fn energy_grid_json_with(
     )
 }
 
-fn get_str<'a>(j: &'a Json, key: &str) -> &'a str {
-    j.get(key).and_then(Json::as_str).unwrap_or("?")
-}
-
-fn get_f64(j: &Json, key: &str) -> f64 {
-    j.get(key).and_then(Json::as_f64).unwrap_or(0.0)
-}
-
 /// Render `results/PARETO.md` from a parsed `BENCH_energy.json`. Pure
 /// function of its input: no timestamps, no host data — CI regenerates it
 /// and byte-compares against the committed copy.
 pub fn pareto_markdown(j: &Json) -> String {
     use std::fmt::Write as _;
     let mut md = String::new();
-    let div = j.get("div").and_then(Json::as_u64).unwrap_or(0);
+    let div = j.u64_at("div");
     let _ = writeln!(md, "# Cycles-vs-energy Pareto frontier\n");
     let _ = writeln!(
         md,
@@ -256,38 +243,38 @@ pub fn pareto_markdown(j: &Json) -> String {
          leakage with capacity, so the EDP-optimal L2 is finite. Regenerate with \
          `cargo run --release --bin exp-energy`.\n"
     );
-    for net in j.get("networks").and_then(Json::as_arr).unwrap_or(&[]) {
-        let _ = writeln!(md, "## {}\n", get_str(net, "network"));
+    for net in j.arr_at("networks") {
+        let _ = writeln!(md, "## {}\n", net.str_at("network"));
         let _ = writeln!(
             md,
             "Cycles-optimal: **{}** · EDP-optimal: **{}**\n",
-            get_str(net, "cycles_optimal"),
-            get_str(net, "edp_optimal")
+            net.str_at("cycles_optimal"),
+            net.str_at("edp_optimal")
         );
         let _ = writeln!(
             md,
             "| design point | cycles | energy (mJ) | compute | memory | static | EDP (µJ·s) | frontier |"
         );
         let _ = writeln!(md, "|---|---:|---:|---:|---:|---:|---:|:---:|");
-        for p in net.get("points").and_then(Json::as_arr).unwrap_or(&[]) {
-            let name = get_str(p, "name");
+        for p in net.arr_at("points") {
+            let name = p.str_at("name");
             let frontier = matches!(p.get("pareto"), Some(Json::Bool(true)));
             let mut label = String::new();
-            if name == get_str(net, "cycles_optimal") {
+            if name == net.str_at("cycles_optimal") {
                 label.push_str(" ← cycles-opt");
             }
-            if name == get_str(net, "edp_optimal") {
+            if name == net.str_at("edp_optimal") {
                 label.push_str(" ← EDP-opt");
             }
             let _ = writeln!(
                 md,
                 "| {name}{label} | {} | {:.3} | {:.3} | {:.3} | {:.3} | {:.2} | {} |",
-                fmt_cycles(p.get("cycles").and_then(Json::as_u64).unwrap_or(0)),
-                1e3 * get_f64(p, "total_j"),
-                1e3 * get_f64(p, "compute_j"),
-                1e3 * get_f64(p, "memory_j"),
-                1e3 * get_f64(p, "static_j"),
-                1e6 * get_f64(p, "edp_js"),
+                fmt_cycles(p.u64_at("cycles")),
+                1e3 * p.f64_at("total_j"),
+                1e3 * p.f64_at("compute_j"),
+                1e3 * p.f64_at("memory_j"),
+                1e3 * p.f64_at("static_j"),
+                1e6 * p.f64_at("edp_js"),
                 if frontier { "◆" } else { "" }
             );
         }
@@ -302,13 +289,13 @@ mod tests {
 
     fn tiny_grid() -> Json {
         // Reduced sweep: tiny div, few layers — the CI configuration.
-        energy_grid_json(8, Some(6), 2)
+        energy_grid_json(8, Some(6), 2, None)
     }
 
     #[test]
     fn energy_grid_is_deterministic_across_jobs() {
         let a = tiny_grid();
-        let b = energy_grid_json(8, Some(6), 1);
+        let b = energy_grid_json(8, Some(6), 1, None);
         assert_eq!(
             a.to_string_pretty(),
             b.to_string_pretty(),
@@ -323,8 +310,8 @@ mod tests {
         for net in j.get("networks").and_then(Json::as_arr).expect("networks") {
             let co = net.get("cycles_optimal_l2_bytes").and_then(Json::as_u64).expect("cycles l2");
             let eo = net.get("edp_optimal_l2_bytes").and_then(Json::as_u64).expect("edp l2");
-            assert_eq!(co, max_l2, "{}: performance never punishes capacity", get_str(net, "name"));
-            assert!(eo < co, "{}: EDP-optimal L2 must be finite", get_str(net, "name"));
+            assert_eq!(co, max_l2, "{}: performance never punishes capacity", net.str_at("name"));
+            assert!(eo < co, "{}: EDP-optimal L2 must be finite", net.str_at("name"));
             // Both optima sit on the frontier, and the frontier is sane.
             let points = net.get("points").and_then(Json::as_arr).expect("points");
             assert_eq!(points.len(), ENERGY_VLENS.len() * crate::L2_SIZES.len());
@@ -338,20 +325,20 @@ mod tests {
             // tie-break deliberately takes the largest L2 among cycle-equal
             // points, which a smaller cache can dominate on energy — so we
             // only require that it achieves the global cycle minimum.
-            let edp_opt = get_str(net, "edp_optimal");
+            let edp_opt = net.str_at("edp_optimal");
             assert!(
-                frontier.iter().any(|p| get_str(p, "name") == edp_opt),
+                frontier.iter().any(|p| p.str_at("name") == edp_opt),
                 "EDP optimum {edp_opt} must be non-dominated"
             );
             let min_cycles =
                 points.iter().filter_map(|p| p.get("cycles").and_then(Json::as_u64)).min();
             let cyc_opt = points
                 .iter()
-                .find(|p| get_str(p, "name") == get_str(net, "cycles_optimal"))
+                .find(|p| p.str_at("name") == net.str_at("cycles_optimal"))
                 .expect("cycles optimum is a grid point");
             assert_eq!(cyc_opt.get("cycles").and_then(Json::as_u64), min_cycles);
             for p in points {
-                let err = get_f64(p, "reconciliation_rel_err");
+                let err = p.f64_at("reconciliation_rel_err");
                 assert!(err < 1e-6, "sum-to-total on every published point, got {err}");
             }
         }

@@ -11,21 +11,19 @@
 pub mod diff;
 pub mod energy_report;
 pub mod microbench;
+pub mod observatory;
 pub mod scaling_report;
 pub mod serving_report;
 pub mod sweep;
 pub mod whatif_report;
 
-pub use energy_report::{energy_grid_json, energy_grid_json_with, pareto_markdown};
+pub use energy_report::{energy_grid_json, pareto_markdown};
 pub use scaling_report::{
-    scaling_chrome_trace, scaling_grid_json, scaling_grid_json_with, scaling_markdown,
-    SCALING_CORES,
+    scaling_chrome_trace, scaling_grid_json, scaling_markdown, SCALING_CORES,
 };
-pub use serving_report::{
-    knee_chrome_trace, serving_grid_json, serving_grid_json_with, serving_markdown,
-};
+pub use serving_report::{knee_chrome_trace, serving_grid_json, serving_markdown};
 pub use sweep::{median_ms, run_sweep, run_sweep_retimed, SweepRun};
-pub use whatif_report::{codesign_markdown, whatif_json, whatif_json_with};
+pub use whatif_report::{codesign_markdown, whatif_json};
 
 pub use lva_core::report::{fmt_cycles, fmt_speedup};
 pub use lva_core::{

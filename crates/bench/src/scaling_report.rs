@@ -253,18 +253,13 @@ fn cell_json(real: &SocResult, ideal: &SocResult) -> Json {
 }
 
 /// Assemble the full `BENCH_scaling.json` value. Deterministic for fixed
-/// `(div, layers)` — independent of `jobs` and the host.
-pub fn scaling_grid_json(div: usize, layers: Option<usize>, jobs: usize) -> Json {
-    scaling_grid_json_with(div, layers, jobs, None)
-}
-
-/// [`scaling_grid_json`] with an optional retime engine (the `--retime`
-/// path). The engine **refuses**: retime certificates are single-core
+/// `(div, layers)` — independent of `jobs` and the host. A retime engine
+/// (the `--retime` path) **refuses**: retime certificates are single-core
 /// timing proofs and say nothing about cross-core port interleaving, so it
-/// records [`lva_retime::CONTENTION_REFUSAL`] and this function falls back
-/// to the full SoC simulation — the output is byte-identical to the
-/// engineless path (pinned by test).
-pub fn scaling_grid_json_with(
+/// records [`lva_retime::CONTENTION_REFUSAL`] and this function runs the
+/// full SoC simulation — the output is byte-identical to the engineless
+/// path (pinned by test).
+pub fn scaling_grid_json(
     div: usize,
     layers: Option<usize>,
     jobs: usize,
@@ -414,25 +409,13 @@ pub fn scaling_chrome_trace(div: usize, layers: Option<usize>) -> crate::ChromeT
     t
 }
 
-fn get_str<'a>(j: &'a Json, key: &str) -> &'a str {
-    j.get(key).and_then(Json::as_str).unwrap_or("?")
-}
-
-fn get_f64(j: &Json, key: &str) -> f64 {
-    j.get(key).and_then(Json::as_f64).unwrap_or(0.0)
-}
-
-fn get_u64(j: &Json, key: &str) -> u64 {
-    j.get(key).and_then(Json::as_u64).unwrap_or(0)
-}
-
 /// Render `results/SCALING.md` from a parsed `BENCH_scaling.json`. Pure
 /// function of its input — CI regenerates it and byte-compares against the
 /// committed copy.
 pub fn scaling_markdown(j: &Json) -> String {
     use std::fmt::Write as _;
     let mut md = String::new();
-    let div = get_u64(j, "div");
+    let div = j.u64_at("div");
     let _ = writeln!(md, "# Scale-out observatory\n");
     let _ = writeln!(
         md,
@@ -453,10 +436,10 @@ pub fn scaling_markdown(j: &Json) -> String {
     let _ = writeln!(md, "## Scaling knees and recovery levers\n");
     let _ = writeln!(md, "| network | point | sharding | knee | contention-bound | lever |");
     let _ = writeln!(md, "|---|---|---|---:|---|---|");
-    let nets = j.get("networks").and_then(Json::as_arr).unwrap_or(&[]);
+    let nets = j.arr_at("networks");
     for net in nets {
-        for p in net.get("points").and_then(Json::as_arr).unwrap_or(&[]) {
-            for c in p.get("curves").and_then(Json::as_arr).unwrap_or(&[]) {
+        for p in net.arr_at("points") {
+            for c in p.arr_at("curves") {
                 let adv = c.get("advice").cloned().unwrap_or_else(Json::obj);
                 let knee = adv
                     .get("knee_cores")
@@ -471,9 +454,9 @@ pub fn scaling_markdown(j: &Json) -> String {
                 let _ = writeln!(
                     md,
                     "| {} | {} | {} | {} | {} | {} |",
-                    get_str(net, "name"),
-                    get_str(p, "name"),
-                    get_str(c, "sharding"),
+                    net.str_at("name"),
+                    p.str_at("name"),
+                    c.str_at("sharding"),
                     knee,
                     bound,
                     lever,
@@ -484,46 +467,44 @@ pub fn scaling_markdown(j: &Json) -> String {
     let _ = writeln!(md);
 
     for net in nets {
-        let _ = writeln!(md, "## {}\n", get_str(net, "name"));
-        for p in net.get("points").and_then(Json::as_arr).unwrap_or(&[]) {
+        let _ = writeln!(md, "## {}\n", net.str_at("name"));
+        for p in net.arr_at("points") {
             let _ = writeln!(
                 md,
                 "### {} — {} (single-core frame: {} cycles)\n",
-                get_str(p, "name"),
-                get_str(p, "hw"),
-                get_u64(p, "single_core_cycles"),
+                p.str_at("name"),
+                p.str_at("hw"),
+                p.u64_at("single_core_cycles"),
             );
-            for c in p.get("curves").and_then(Json::as_arr).unwrap_or(&[]) {
+            for c in p.arr_at("curves") {
                 let adv = c.get("advice").cloned().unwrap_or_else(Json::obj);
-                let eff = adv.get("efficiency").and_then(Json::as_arr).unwrap_or(&[]);
-                let _ = writeln!(md, "**{} sharding**\n", get_str(c, "sharding"));
+                let eff = adv.arr_at("efficiency");
+                let _ = writeln!(md, "**{} sharding**\n", c.str_at("sharding"));
                 let _ = writeln!(
                     md,
                     "| cores | frames | fr/kcycle | eff | cont % | ideal fr/kcycle | \
                      port util | Mattson err |"
                 );
                 let _ = writeln!(md, "|---:|---:|---:|---:|---:|---:|---:|---:|");
-                for (i, cell) in
-                    c.get("cells").and_then(Json::as_arr).unwrap_or(&[]).iter().enumerate()
-                {
+                for (i, cell) in c.arr_at("cells").iter().enumerate() {
                     let port = cell.get("port").cloned().unwrap_or_else(Json::obj);
                     let mat = cell.get("mattson").cloned().unwrap_or_else(Json::obj);
-                    let util = if get_u64(cell, "makespan") == 0 {
+                    let util = if cell.u64_at("makespan") == 0 {
                         0.0
                     } else {
-                        get_u64(&port, "service_cycles") as f64 / get_u64(cell, "makespan") as f64
+                        port.u64_at("service_cycles") as f64 / cell.u64_at("makespan") as f64
                     };
                     let _ = writeln!(
                         md,
                         "| {} | {} | {:.6} | {:.2} | {:.1} | {:.6} | {:.2} | {:.4} |",
-                        get_u64(cell, "cores"),
-                        get_u64(cell, "frames"),
-                        get_f64(cell, "throughput_fpkc"),
+                        cell.u64_at("cores"),
+                        cell.u64_at("frames"),
+                        cell.f64_at("throughput_fpkc"),
                         eff.get(i).and_then(Json::as_f64).unwrap_or(0.0),
-                        100.0 * get_f64(cell, "contention_share"),
-                        get_f64(cell, "ideal_throughput_fpkc"),
+                        100.0 * cell.f64_at("contention_share"),
+                        cell.f64_at("ideal_throughput_fpkc"),
                         util,
-                        get_f64(&mat, "abs_error"),
+                        mat.f64_at("abs_error"),
                     );
                 }
                 let _ = writeln!(md);
@@ -542,7 +523,7 @@ mod tests {
     fn tiny_grid() -> Json {
         // Reduced sweep: tiny scale, short prefixes — the unit-test
         // configuration (CI runs the committed default separately).
-        scaling_grid_json(16, Some(4), 2)
+        scaling_grid_json(16, Some(4), 2, None)
     }
 
     fn cells_of<'a>(j: &'a Json, net: usize, point: usize, sharding: &str) -> &'a [Json] {
@@ -567,7 +548,7 @@ mod tests {
     #[test]
     fn scaling_grid_is_deterministic_across_jobs() {
         let a = tiny_grid();
-        let b = scaling_grid_json(16, Some(4), 1);
+        let b = scaling_grid_json(16, Some(4), 1, None);
         assert_eq!(
             a.to_string_pretty(),
             b.to_string_pretty(),
@@ -580,7 +561,7 @@ mod tests {
         let j = tiny_grid();
         for net in j.get("networks").and_then(Json::as_arr).expect("networks") {
             for p in net.get("points").and_then(Json::as_arr).expect("points") {
-                let single = get_u64(p, "single_core_cycles");
+                let single = p.u64_at("single_core_cycles");
                 let report = p.get("report").expect("embedded RunReport");
                 let totals =
                     report.get("totals").and_then(|t| t.get("cycles")).and_then(Json::as_u64);
@@ -596,11 +577,11 @@ mod tests {
                     .and_then(Json::as_arr)
                     .expect("batch curve");
                 let one = &batch[0];
-                assert_eq!(get_u64(one, "cores"), 1);
-                assert_eq!(get_u64(one, "frames"), 1);
-                assert_eq!(get_u64(one, "makespan"), single, "N=1 is bit-identical");
-                assert_eq!(get_f64(one, "contention_share"), 0.0);
-                assert_eq!(get_u64(one, "contention_cycles"), 0);
+                assert_eq!(one.u64_at("cores"), 1);
+                assert_eq!(one.u64_at("frames"), 1);
+                assert_eq!(one.u64_at("makespan"), single, "N=1 is bit-identical");
+                assert_eq!(one.f64_at("contention_share"), 0.0);
+                assert_eq!(one.u64_at("contention_cycles"), 0);
                 // The report also carries the scaling section.
                 let sec = report.get("scaling").expect("scaling section attached");
                 assert_eq!(sec.get("single_core_cycles").and_then(Json::as_u64), Some(single));
@@ -619,8 +600,7 @@ mod tests {
                 // claim of SCALING.md).
                 let cells = cells_of(&j, net, point, "batch");
                 assert_eq!(cells.len(), SCALING_CORES.len());
-                let shares: Vec<f64> =
-                    cells.iter().map(|c| get_f64(c, "contention_share")).collect();
+                let shares: Vec<f64> = cells.iter().map(|c| c.f64_at("contention_share")).collect();
                 for w in shares.windows(2) {
                     assert!(
                         w[1] >= w[0],
@@ -638,13 +618,13 @@ mod tests {
                     for cell in c.get("cells").and_then(Json::as_arr).expect("cells") {
                         let err = cell
                             .get("mattson")
-                            .map(|m| get_f64(m, "abs_error"))
+                            .map(|m| m.f64_at("abs_error"))
                             .expect("mattson section");
                         assert!(err < 0.01, "Mattson error {err} >= 1% absolute");
                         // The counterfactual can only help.
                         assert!(
-                            get_f64(cell, "ideal_throughput_fpkc") + 1e-12
-                                >= get_f64(cell, "throughput_fpkc")
+                            cell.f64_at("ideal_throughput_fpkc") + 1e-12
+                                >= cell.f64_at("throughput_fpkc")
                         );
                     }
                 }
@@ -658,7 +638,7 @@ mod tests {
             lva_core::RetimeOpt::On,
             lva_retime::CertGate::decided(Ok(())),
         );
-        let with = scaling_grid_json_with(16, Some(4), 2, Some(&mut engine));
+        let with = scaling_grid_json(16, Some(4), 2, Some(&mut engine));
         let without = tiny_grid();
         assert_eq!(
             with.to_string_pretty(),
@@ -700,14 +680,14 @@ mod tests {
         let j = tiny_grid();
         let pipe = cells_of(&j, 0, 0, "pipeline");
         assert!(pipe.len() < SCALING_CORES.len());
-        assert!(pipe.iter().all(|c| get_u64(c, "cores") <= 4));
+        assert!(pipe.iter().all(|c| c.u64_at("cores") <= 4));
         let batch = cells_of(&j, 0, 0, "batch");
         assert_eq!(batch.len(), SCALING_CORES.len());
         // Stall shares sum to at most 1 and include the contention key.
         for c in batch {
             let shares = c.get("stall_shares").expect("stall shares");
             let total: f64 =
-                lva_isa::StallCause::ALL.iter().map(|&x| get_f64(shares, x.name())).sum();
+                lva_isa::StallCause::ALL.iter().map(|&x| shares.f64_at(x.name())).sum();
             assert!(total <= 1.0 + 1e-9, "stall shares exceed core cycles: {total}");
             assert!(shares.get("contention").is_some());
         }

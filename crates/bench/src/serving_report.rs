@@ -233,16 +233,12 @@ fn cell_json(
 
 /// Assemble the full `BENCH_serving.json` value. Deterministic for fixed
 /// `(div, layers)` — independent of `jobs` and the host; the simulated
-/// cycle clock is the only time source anywhere in the pipeline.
-pub fn serving_grid_json(div: usize, layers: Option<usize>, jobs: usize) -> Json {
-    serving_grid_json_with(div, layers, jobs, None)
-}
-
-/// [`serving_grid_json`] with an optional retime engine (the `--retime`
-/// path): the ladder calibration — the only place the cycle-approximate
-/// machine runs — goes through the engine, so each tenant stream is
-/// captured once and re-timed per rung. Output is bit-identical.
-pub fn serving_grid_json_with(
+/// cycle clock is the only time source anywhere in the pipeline. With a
+/// retime engine (the `--retime` path), the ladder calibration — the only
+/// place the cycle-approximate machine runs — goes through the engine, so
+/// each tenant stream is captured once and re-timed per rung. Output is
+/// bit-identical.
+pub fn serving_grid_json(
     div: usize,
     layers: Option<usize>,
     jobs: usize,
@@ -379,25 +375,13 @@ pub fn knee_chrome_trace(div: usize, layers: Option<usize>, jobs: usize) -> Chro
     t
 }
 
-fn get_str<'a>(j: &'a Json, key: &str) -> &'a str {
-    j.get(key).and_then(Json::as_str).unwrap_or("?")
-}
-
-fn get_f64(j: &Json, key: &str) -> f64 {
-    j.get(key).and_then(Json::as_f64).unwrap_or(0.0)
-}
-
-fn get_u64(j: &Json, key: &str) -> u64 {
-    j.get(key).and_then(Json::as_u64).unwrap_or(0)
-}
-
 /// Render `results/SERVING.md` from a parsed `BENCH_serving.json`. Pure
 /// function of its input — CI regenerates it and byte-compares against the
 /// committed copy.
 pub fn serving_markdown(j: &Json) -> String {
     use std::fmt::Write as _;
     let mut md = String::new();
-    let div = get_u64(j, "div");
+    let div = j.u64_at("div");
     let _ = writeln!(md, "# Serving observatory\n");
     let _ = writeln!(
         md,
@@ -416,23 +400,23 @@ pub fn serving_markdown(j: &Json) -> String {
                 .collect::<Vec<_>>()
                 .join("/"))
             .unwrap_or_default(),
-        get_str(j, "reference_point"),
+        j.str_at("reference_point"),
         100.0 * lva_serve::MAX_REL_ERROR,
-        get_f64(j, "freq_ghz"),
+        j.f64_at("freq_ghz"),
     );
 
     let _ = writeln!(md, "## Tenant mix\n");
     let _ = writeln!(md, "| tenant | weight | requests/load | deadline (ms) | miss budget |");
     let _ = writeln!(md, "|---|---:|---:|---:|---:|");
-    for t in j.get("tenants").and_then(Json::as_arr).unwrap_or(&[]) {
+    for t in j.arr_at("tenants") {
         let _ = writeln!(
             md,
             "| {} | {:.2} | {} | {:.3} | {:.0}% |",
-            get_str(t, "name"),
-            get_f64(t, "weight"),
-            get_u64(t, "requests"),
-            get_f64(t, "deadline_ms"),
-            100.0 * get_f64(t, "miss_budget_frac"),
+            t.str_at("name"),
+            t.f64_at("weight"),
+            t.u64_at("requests"),
+            t.f64_at("deadline_ms"),
+            100.0 * t.f64_at("miss_budget_frac"),
         );
     }
     let _ = writeln!(md);
@@ -440,7 +424,7 @@ pub fn serving_markdown(j: &Json) -> String {
     let rec = j.get("slo_recommendation");
     let _ = writeln!(md, "## SLO recommendation\n");
     if let Some(rec) = rec {
-        let target = get_f64(rec, "target_p99_ms");
+        let target = rec.f64_at("target_p99_ms");
         match rec.get("recommended") {
             Some(p) => {
                 let _ = writeln!(
@@ -448,11 +432,11 @@ pub fn serving_markdown(j: &Json) -> String {
                     "Cheapest design point holding overall p99 ≤ **{target:.3} ms** at the \
                      {}× knee: **{}** (cost {:.0}, measured p99 {:.3} ms, \
                      deadline-miss {:.1}%).",
-                    get_f64(j, "knee_intensity"),
-                    get_str(p, "point"),
-                    get_f64(p, "cost"),
-                    get_f64(p, "p99_ms"),
-                    100.0 * get_f64(p, "miss_frac"),
+                    j.f64_at("knee_intensity"),
+                    p.str_at("point"),
+                    p.f64_at("cost"),
+                    p.f64_at("p99_ms"),
+                    100.0 * p.f64_at("miss_frac"),
                 );
                 match rec.get("next_cheaper_misses") {
                     Some(n) => {
@@ -460,9 +444,9 @@ pub fn serving_markdown(j: &Json) -> String {
                             md,
                             "One rung down, **{}** (cost {:.0}) misses at p99 {:.3} ms — the \
                              recommendation's own counterfactual.\n",
-                            get_str(n, "point"),
-                            get_f64(n, "cost"),
-                            get_f64(n, "p99_ms"),
+                            n.str_at("point"),
+                            n.f64_at("cost"),
+                            n.f64_at("p99_ms"),
                         );
                     }
                     None => {
@@ -477,35 +461,35 @@ pub fn serving_markdown(j: &Json) -> String {
     }
 
     let _ = writeln!(md, "## Design points under load\n");
-    for p in j.get("points").and_then(Json::as_arr).unwrap_or(&[]) {
+    for p in j.arr_at("points") {
         let _ = writeln!(
             md,
             "### {} — {} (cost {:.0})\n",
-            get_str(p, "name"),
-            get_str(p, "hw"),
-            get_f64(p, "cost")
+            p.str_at("name"),
+            p.str_at("hw"),
+            p.f64_at("cost")
         );
         let _ = writeln!(
             md,
             "| load | p50 (ms) | p95 (ms) | p99 (ms) | p99.9 (ms) | miss % | shed | util | avg batch | switches |"
         );
         let _ = writeln!(md, "|---:|---:|---:|---:|---:|---:|---:|---:|---:|---:|");
-        for l in p.get("loads").and_then(Json::as_arr).unwrap_or(&[]) {
+        for l in p.arr_at("loads") {
             let o = l.get("overall").cloned().unwrap_or_else(Json::obj);
             let q = l.get("queue").cloned().unwrap_or_else(Json::obj);
             let _ = writeln!(
                 md,
                 "| {}× | {:.3} | {:.3} | {:.3} | {:.3} | {:.1} | {} | {:.2} | {:.2} | {} |",
-                get_f64(l, "intensity"),
-                get_f64(&o, "p50_ms"),
-                get_f64(&o, "p95_ms"),
-                get_f64(&o, "p99_ms"),
-                get_f64(&o, "p999_ms"),
-                100.0 * get_f64(&o, "miss_frac"),
-                get_u64(&o, "shed"),
-                get_f64(&q, "utilization"),
-                get_f64(&q, "avg_batch"),
-                get_u64(&q, "switches"),
+                l.f64_at("intensity"),
+                o.f64_at("p50_ms"),
+                o.f64_at("p95_ms"),
+                o.f64_at("p99_ms"),
+                o.f64_at("p999_ms"),
+                100.0 * o.f64_at("miss_frac"),
+                o.u64_at("shed"),
+                q.f64_at("utilization"),
+                q.f64_at("avg_batch"),
+                q.u64_at("switches"),
             );
         }
         let _ = writeln!(md);
@@ -517,14 +501,14 @@ pub fn serving_markdown(j: &Json) -> String {
         "Per-tenant p99 (ms) as offered load rises — the knee is where a column \
          departs from its low-load plateau.\n"
     );
-    let points = j.get("points").and_then(Json::as_arr).unwrap_or(&[]);
-    for t in j.get("tenants").and_then(Json::as_arr).unwrap_or(&[]) {
-        let tname = get_str(t, "name");
+    let points = j.arr_at("points");
+    for t in j.arr_at("tenants") {
+        let tname = t.str_at("name");
         let _ = writeln!(md, "### {tname}\n");
         let mut header = String::from("| load |");
         let mut rule = String::from("|---:|");
         for p in points {
-            let _ = write!(header, " {} |", get_str(p, "name"));
+            let _ = write!(header, " {} |", p.str_at("name"));
             rule.push_str("---:|");
         }
         let _ = writeln!(md, "{header}");
@@ -546,7 +530,7 @@ pub fn serving_markdown(j: &Json) -> String {
                     .and_then(|ls| ls.get(li))
                     .and_then(|l| l.get("tenants"))
                     .and_then(|ts| ts.get(tname))
-                    .map_or(0.0, |s| get_f64(s, "p99_ms"));
+                    .map_or(0.0, |s| s.f64_at("p99_ms"));
                 let _ = write!(row, " {p99:.3} |");
             }
             let _ = writeln!(md, "{row}");
@@ -563,7 +547,7 @@ mod tests {
     fn tiny_grid() -> Json {
         // Reduced sweep: tiny scale, short prefixes — the unit-test
         // configuration (CI runs the committed default separately).
-        serving_grid_json(16, Some(4), 2)
+        serving_grid_json(16, Some(4), 2, None)
     }
 
     #[test]
@@ -579,7 +563,7 @@ mod tests {
     #[test]
     fn serving_grid_is_deterministic_across_jobs() {
         let a = tiny_grid();
-        let b = serving_grid_json(16, Some(4), 1);
+        let b = serving_grid_json(16, Some(4), 1, None);
         assert_eq!(
             a.to_string_pretty(),
             b.to_string_pretty(),
@@ -633,7 +617,7 @@ mod tests {
             .and_then(Json::as_arr)
             .expect("tenants")
             .iter()
-            .map(|t| get_u64(t, "requests"))
+            .map(|t| t.u64_at("requests"))
             .sum();
         let points = j.get("points").and_then(Json::as_arr).expect("points");
         // Faster hardware under byte-identical arrivals cannot lose the
@@ -646,7 +630,7 @@ mod tests {
                 .and_then(Json::as_arr)
                 .and_then(|ls| ls.last())
                 .and_then(|l| l.get("overall"))
-                .map_or(0.0, |o| get_f64(o, "p99_ms"))
+                .map_or(0.0, |o| o.f64_at("p99_ms"))
         };
         let cheapest = points.first().expect("non-empty");
         let dearest = points.last().expect("non-empty");
@@ -662,15 +646,15 @@ mod tests {
             for l in loads {
                 let o = l.get("overall").expect("overall");
                 assert_eq!(
-                    get_u64(o, "completed") + get_u64(o, "shed"),
-                    get_u64(o, "offered"),
+                    o.u64_at("completed") + o.u64_at("shed"),
+                    o.u64_at("offered"),
                     "conservation in every cell"
                 );
-                assert_eq!(get_u64(o, "offered"), offered_per_load);
+                assert_eq!(o.u64_at("offered"), offered_per_load);
                 // Tail orderings the histogram must respect.
-                assert!(get_f64(o, "p50_ms") <= get_f64(o, "p95_ms"));
-                assert!(get_f64(o, "p95_ms") <= get_f64(o, "p99_ms"));
-                assert!(get_f64(o, "p99_ms") <= get_f64(o, "p999_ms"));
+                assert!(o.f64_at("p50_ms") <= o.f64_at("p95_ms"));
+                assert!(o.f64_at("p95_ms") <= o.f64_at("p99_ms"));
+                assert!(o.f64_at("p99_ms") <= o.f64_at("p999_ms"));
             }
             // The embedded RunReport carries the serving section.
             let rep = p.get("report").expect("per-point RunReport");

@@ -1,5 +1,5 @@
 //! The co-design advisor: merges factual headline runs, `lva-whatif`
-//! counterfactual analyses, and `lva-roofline` ceilings into one
+//! counterfactual analyses, and `lva_whatif::roofline` ceilings into one
 //! machine-readable record (`BENCH_whatif.json`) and renders the
 //! human-readable `results/CODESIGN_REPORT.md` from it.
 //!
@@ -24,10 +24,10 @@ fn roofline_json(e: &Experiment, s: &lva_core::RunSummary) -> Json {
                 l.mnk.map(|(m, n, k)| {
                     Json::obj()
                         .field("index", l.index as u64)
-                        .field("ai", lva_roofline::arithmetic_intensity(m, n, k))
+                        .field("ai", lva_whatif::roofline::arithmetic_intensity(m, n, k))
                         .field(
                             "pct_peak",
-                            100.0 * lva_roofline::fraction_of_peak(&cfg, l.flops, l.cycles),
+                            100.0 * lva_whatif::roofline::fraction_of_peak(&cfg, l.flops, l.cycles),
                         )
                 })
             })
@@ -35,7 +35,7 @@ fn roofline_json(e: &Experiment, s: &lva_core::RunSummary) -> Json {
     );
     Json::obj()
         .field("peak_flops_per_cycle", cfg.peak_flops_per_cycle())
-        .field("pct_peak", 100.0 * lva_roofline::fraction_of_peak(&cfg, s.flops, s.cycles))
+        .field("pct_peak", 100.0 * lva_whatif::roofline::fraction_of_peak(&cfg, s.flops, s.cycles))
         .field("layers", layers)
 }
 
@@ -67,21 +67,11 @@ fn headline_check(runs: &[(String, &Experiment, u64)], headline: &Json) -> Optio
 /// Run every spec factually plus one counterfactual per [`IdealKnob`]
 /// (fanned over `jobs` threads) and assemble the merged `BENCH_whatif.json`
 /// value. `headline` is an already-written `BENCH_headline.json` to
-/// cross-check against, if one exists.
+/// cross-check against, if one exists. With a retime engine, every factual
+/// and counterfactual run goes through the engine's serial front door (one
+/// capture per spec, then five re-timed idealizations) instead of six full
+/// simulations per spec. Output is bit-identical either way.
 pub fn whatif_json(
-    specs: &[(String, Experiment)],
-    div: usize,
-    jobs: usize,
-    headline: Option<&Json>,
-) -> Json {
-    whatif_json_with(specs, div, jobs, headline, None)
-}
-
-/// [`whatif_json`] with an optional retime engine: when present, every
-/// factual and counterfactual run goes through the engine's serial front
-/// door (one capture per spec, then five re-timed idealizations) instead
-/// of six full simulations per spec. Output is bit-identical either way.
-pub fn whatif_json_with(
     specs: &[(String, Experiment)],
     div: usize,
     jobs: usize,
@@ -129,8 +119,8 @@ fn ranked_knobs(whatif: &Json) -> Vec<(String, u64, f64)> {
     let mut out = Vec::new();
     if let Some(Json::Obj(pairs)) = whatif.get("knobs") {
         for (knob, v) in pairs {
-            let saved = v.get("saved").and_then(Json::as_u64).unwrap_or(0);
-            let frac = v.get("saved_frac").and_then(Json::as_f64).unwrap_or(0.0);
+            let saved = v.u64_at("saved");
+            let frac = v.f64_at("saved_frac");
             out.push((knob.clone(), saved, frac));
         }
     }
@@ -156,7 +146,7 @@ fn knob_recommendation(name: &str) -> &'static str {
 pub fn codesign_markdown(j: &Json) -> String {
     use std::fmt::Write as _;
     let mut md = String::new();
-    let div = j.get("div").and_then(Json::as_u64).unwrap_or(0);
+    let div = j.u64_at("div");
     let _ = writeln!(md, "# Co-design advisor report\n");
     let _ = writeln!(
         md,
@@ -168,7 +158,7 @@ pub fn codesign_markdown(j: &Json) -> String {
          below. Regenerate with `cargo run --release --bin exp-whatif` or re-render \
          from `BENCH_whatif.json` with `cargo run --release --bin report`.\n"
     );
-    let threshold = j.get("compute_bound_threshold").and_then(Json::as_f64).unwrap_or(0.0);
+    let threshold = j.f64_at("compute_bound_threshold");
     let _ = writeln!(
         md,
         "A region is *compute-bound* when no idealization recovers at least \
@@ -187,7 +177,7 @@ pub fn codesign_markdown(j: &Json) -> String {
         );
     }
 
-    let runs = j.get("runs").and_then(Json::as_arr).unwrap_or(&[]);
+    let runs = j.arr_at("runs");
     let _ = writeln!(md, "## Summary\n");
     let _ = writeln!(md, "| run | hw | workload | cycles | bound | top recommendation |");
     let _ = writeln!(md, "|---|---|---|---:|---|---|");
@@ -199,9 +189,9 @@ pub fn codesign_markdown(j: &Json) -> String {
         let _ = writeln!(
             md,
             "| {} | {} | {} | {} | {} | {} |",
-            r.get("name").and_then(Json::as_str).unwrap_or("?"),
-            r.get("hw").and_then(Json::as_str).unwrap_or("?"),
-            r.get("workload").and_then(Json::as_str).unwrap_or("?"),
+            r.str_at("name"),
+            r.str_at("hw"),
+            r.str_at("workload"),
             fmt_u64(r.get("totals").and_then(|t| t.get("cycles"))),
             bound,
             rec
@@ -210,8 +200,8 @@ pub fn codesign_markdown(j: &Json) -> String {
     let _ = writeln!(md);
 
     for r in runs {
-        let name = r.get("name").and_then(Json::as_str).unwrap_or("?");
-        let hw = r.get("hw").and_then(Json::as_str).unwrap_or("?");
+        let name = r.str_at("name");
+        let hw = r.str_at("hw");
         let _ = writeln!(md, "## {name} — {hw}\n");
         let Some(whatif) = r.get("whatif") else {
             let _ = writeln!(md, "(no whatif section)\n");
@@ -221,8 +211,8 @@ pub fn codesign_markdown(j: &Json) -> String {
             let _ = writeln!(
                 md,
                 "Roofline: {:.1}% of the {:.0}-flops/cycle ceiling.\n",
-                roof.get("pct_peak").and_then(Json::as_f64).unwrap_or(0.0),
-                roof.get("peak_flops_per_cycle").and_then(Json::as_f64).unwrap_or(0.0)
+                roof.f64_at("pct_peak"),
+                roof.f64_at("peak_flops_per_cycle")
             );
         }
         let _ = writeln!(md, "### Top co-design levers\n");
@@ -241,7 +231,7 @@ pub fn codesign_markdown(j: &Json) -> String {
         let _ = writeln!(md, "### Per-layer bounds\n");
         let _ = writeln!(md, "| layer | kernel | cycles | bound | dominant knob | saved |");
         let _ = writeln!(md, "|---:|---|---:|---|---|---:|");
-        let layers = whatif.get("layers").and_then(Json::as_arr).unwrap_or(&[]);
+        let layers = whatif.arr_at("layers");
         for l in layers {
             let dominant = l.get("dominant_knob").and_then(Json::as_str).unwrap_or("—");
             let saved = l
@@ -253,9 +243,9 @@ pub fn codesign_markdown(j: &Json) -> String {
                 md,
                 "| {} | {} | {} | {} | {dominant} | {saved} |",
                 fmt_u64(l.get("index")),
-                l.get("desc").and_then(Json::as_str).unwrap_or("?"),
+                l.str_at("desc"),
                 fmt_u64(l.get("cycles")),
-                l.get("bound").and_then(Json::as_str).unwrap_or("?")
+                l.str_at("bound")
             );
         }
         let _ = writeln!(md);
@@ -263,15 +253,15 @@ pub fn codesign_markdown(j: &Json) -> String {
         let _ =
             writeln!(md, "| idealization | stall cause | causal saved | attributed | gap/run |");
         let _ = writeln!(md, "|---|---|---:|---:|---:|");
-        for a in whatif.get("agreement").and_then(Json::as_arr).unwrap_or(&[]) {
+        for a in whatif.arr_at("agreement") {
             let _ = writeln!(
                 md,
                 "| {} | {} | {} | {} | {} |",
-                a.get("knob").and_then(Json::as_str).unwrap_or("?"),
-                a.get("cause").and_then(Json::as_str).unwrap_or("?"),
+                a.str_at("knob"),
+                a.str_at("cause"),
                 fmt_u64(a.get("causal_saved")),
                 fmt_u64(a.get("attributed")),
-                fmt_pct(a.get("norm_gap").and_then(Json::as_f64).unwrap_or(0.0))
+                fmt_pct(a.f64_at("norm_gap"))
             );
         }
         let _ = writeln!(md);
@@ -288,7 +278,7 @@ mod tests {
         // One cheap spec: the tiny network, 2 layers, small input.
         let mut specs = headline_specs(8, Some(2));
         specs.truncate(1);
-        whatif_json(&specs, 8, 1, None)
+        whatif_json(&specs, 8, 1, None, None)
     }
 
     #[test]

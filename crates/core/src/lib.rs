@@ -13,19 +13,17 @@
 
 #![forbid(unsafe_code)]
 pub mod cli;
-pub mod energy;
 pub mod experiment;
 pub mod par;
 pub mod report;
 pub mod run_report;
 
 pub use cli::{Opts, RetimeOpt};
-pub use energy::{EnergyBreakdown, EnergyCounts, EnergyModel, EnergyReport};
 pub use experiment::{
     scaled_input, CapturedRun, CapturedStream, Experiment, HwTarget, RunSummary, StreamSummary,
     Workload,
 };
-pub use lva_energy::EnergyAttribution;
+pub use lva_energy::{EnergyAttribution, EnergyBreakdown, EnergyCounts, EnergyModel, EnergyReport};
 pub use par::{default_jobs, parallel_map};
 pub use report::{ArityError, Table};
 pub use run_report::RunReport;

@@ -409,7 +409,7 @@ mod tests {
             ConvPolicy::gemm_only(lva_kernels::GemmVariant::opt3()),
             Workload { model: ModelId::Yolov3, input_hw: 32, layer_limit: Some(3) },
         );
-        let (s, att) = e.run_energy(&crate::energy::EnergyModel::default());
+        let (s, att) = e.run_energy(&crate::EnergyModel::default());
         let report = RunReport::new("t", &e, &s).with_energy(att.to_json());
         let compact = report.to_json().to_string_compact();
         let parsed = Json::parse(&compact).expect("report with energy parses");

@@ -8,35 +8,19 @@
 
 use lva_trace::Json;
 
-fn s<'j>(j: &'j Json, k: &str) -> &'j str {
-    j.get(k).and_then(Json::as_str).unwrap_or("?")
-}
-
-fn u(j: &Json, k: &str) -> u64 {
-    j.get(k).and_then(Json::as_u64).unwrap_or(0)
-}
-
-fn f(j: &Json, k: &str) -> f64 {
-    j.get(k).and_then(Json::as_f64).unwrap_or(0.0)
-}
-
-fn arr<'j>(j: &'j Json, k: &str) -> &'j [Json] {
-    j.get(k).and_then(Json::as_arr).unwrap_or(&[])
-}
-
 /// Render the full `results/DATAFLOW.md` from a `lint-dataflow` record.
 pub fn dataflow_markdown(r: &Json) -> String {
     use std::fmt::Write as _;
     let mut md = String::new();
-    let points: Vec<&str> = arr(r, "design_points").iter().filter_map(Json::as_str).collect();
+    let points: Vec<&str> = r.arr_at("design_points").iter().filter_map(Json::as_str).collect();
     let _ = writeln!(md, "# Dataflow certifier — retime-safety and critical-path tightness\n");
     let _ = writeln!(
         md,
         "Generated by `lint-dataflow` v{} over {} kernel × design-point runs \
          (deterministic; re-render with `cargo run --release --bin report -- --in \
          lint-dataflow.json`).\n",
-        s(r, "version"),
-        u(r, "kernel_runs"),
+        r.str_at("version"),
+        r.u64_at("kernel_runs"),
     );
 
     // ---- certificate summary ------------------------------------------
@@ -55,20 +39,20 @@ pub fn dataflow_markdown(r: &Json) -> String {
         "| kernel | shape | design points | stream invariance | VL renaming | certified |"
     );
     let _ = writeln!(md, "|---|---|---|---|---|---|");
-    for c in arr(r, "certificates") {
-        let pts = arr(c, "points");
-        let covered = pts.iter().map(|p| s(p, "profile")).collect::<Vec<_>>().join(", ");
+    for c in r.arr_at("certificates") {
+        let pts = c.arr_at("points");
+        let covered = pts.iter().map(|p| p.str_at("profile")).collect::<Vec<_>>().join(", ");
         let inv_ok = pts
             .iter()
             .filter(|p| p.get("invariant").and_then(Json::as_bool).unwrap_or(false))
             .count();
-        let vl_classes = arr(c, "vl_equivalence");
+        let vl_classes = c.arr_at("vl_equivalence");
         let vl_ok =
             vl_classes.iter().all(|e| e.get("equivalent").and_then(Json::as_bool).unwrap_or(false));
         let vl_cell = if vl_classes.is_empty() {
             "n/a".to_string()
         } else if vl_ok {
-            vl_classes.iter().map(|e| s(e, "isa")).collect::<Vec<_>>().join("+") + " ok"
+            vl_classes.iter().map(|e| e.str_at("isa")).collect::<Vec<_>>().join("+") + " ok"
         } else {
             "**broken**".to_string()
         };
@@ -76,8 +60,8 @@ pub fn dataflow_markdown(r: &Json) -> String {
         let _ = writeln!(
             md,
             "| {} | {} | {} | {}/{} invariant | {} | {} |",
-            s(c, "kernel"),
-            s(c, "shape"),
+            c.str_at("kernel"),
+            c.str_at("shape"),
             covered,
             inv_ok,
             pts.len(),
@@ -107,13 +91,13 @@ pub fn dataflow_markdown(r: &Json) -> String {
     let _ = writeln!(md);
     let mut sum = 0.0f64;
     let mut n = 0u32;
-    for c in arr(r, "certificates") {
-        let _ = write!(md, "| {} |", s(c, "kernel"));
+    for c in r.arr_at("certificates") {
+        let _ = write!(md, "| {} |", c.str_at("kernel"));
         for p in &points {
-            let cell = arr(c, "points").iter().find(|pt| s(pt, "profile") == *p);
+            let cell = c.arr_at("points").iter().find(|pt| pt.str_at("profile") == *p);
             match cell {
                 Some(pt) => {
-                    let t = f(pt, "tightness_pct");
+                    let t = pt.f64_at("tightness_pct");
                     sum += t;
                     n += 1;
                     let _ = write!(md, " {t:.1}% |");
@@ -130,7 +114,7 @@ pub fn dataflow_markdown(r: &Json) -> String {
     }
 
     // ---- findings ------------------------------------------------------
-    let findings = arr(r, "findings");
+    let findings = r.arr_at("findings");
     let _ = writeln!(md, "\n## Dataflow lint findings\n");
     if findings.is_empty() {
         let _ = writeln!(md, "None — no redundant loads, dead stores, or certification failures.");
@@ -139,22 +123,22 @@ pub fn dataflow_markdown(r: &Json) -> String {
             let _ = writeln!(
                 md,
                 "- **{}** `{}` on {}: {}",
-                s(fnd, "pass"),
-                s(fnd, "kernel"),
-                s(fnd, "profile"),
-                s(fnd, "detail"),
+                fnd.str_at("pass"),
+                fnd.str_at("kernel"),
+                fnd.str_at("profile"),
+                fnd.str_at("detail"),
             );
         }
     }
     // Allowlisted findings are grouped by (kernel, pass): one reviewed
     // reason covers every instance, so the report shows the count, the
     // reason, and the first instance as a representative example.
-    let allow = arr(r, "allowlisted");
+    let allow = r.arr_at("allowlisted");
     if !allow.is_empty() {
         let _ = writeln!(md, "\nAllowlisted (documented, not gated):\n");
         let mut groups: Vec<(&str, &str)> = Vec::new();
         for fnd in allow {
-            let key = (s(fnd, "kernel"), s(fnd, "pass"));
+            let key = (fnd.str_at("kernel"), fnd.str_at("pass"));
             if !groups.contains(&key) {
                 groups.push(key);
             }
@@ -162,16 +146,16 @@ pub fn dataflow_markdown(r: &Json) -> String {
         for (kernel, pass) in groups {
             let members: Vec<&Json> = allow
                 .iter()
-                .filter(|fnd| s(fnd, "kernel") == kernel && s(fnd, "pass") == pass)
+                .filter(|fnd| fnd.str_at("kernel") == kernel && fnd.str_at("pass") == pass)
                 .collect();
             let first = members[0];
             let _ = writeln!(
                 md,
                 "- **{pass}** `{kernel}` — {} finding(s), e.g. on {}: {}\n  — *{}*",
                 members.len(),
-                s(first, "profile"),
-                s(first, "detail"),
-                s(first, "reason"),
+                first.str_at("profile"),
+                first.str_at("detail"),
+                first.str_at("reason"),
             );
         }
     }

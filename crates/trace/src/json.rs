@@ -526,6 +526,27 @@ impl Json {
             _ => None,
         }
     }
+
+    /// String field `key`, or `"?"` when absent or not a string — the
+    /// placeholder every report renderer prints for a missing label.
+    pub fn str_at(&self, key: &str) -> &str {
+        self.get(key).and_then(Json::as_str).unwrap_or("?")
+    }
+
+    /// Numeric field `key` as `f64`, or `0.0` when absent or not a number.
+    pub fn f64_at(&self, key: &str) -> f64 {
+        self.get(key).and_then(Json::as_f64).unwrap_or(0.0)
+    }
+
+    /// Unsigned field `key`, or `0` when absent or not an unsigned integer.
+    pub fn u64_at(&self, key: &str) -> u64 {
+        self.get(key).and_then(Json::as_u64).unwrap_or(0)
+    }
+
+    /// Array field `key`, or an empty slice when absent or not an array.
+    pub fn arr_at(&self, key: &str) -> &[Json] {
+        self.get(key).and_then(Json::as_arr).unwrap_or(&[])
+    }
 }
 
 impl From<bool> for Json {
@@ -702,6 +723,20 @@ mod tests {
         assert_eq!(j.at(0), None);
         assert_eq!(Json::UInt(7).as_f64(), Some(7.0));
         assert_eq!(Json::Int(-7).as_u64(), None);
+    }
+
+    #[test]
+    fn field_accessors_fall_back_to_report_defaults() {
+        let j = Json::obj()
+            .field("name", "a64fx")
+            .field("ms", 1.5)
+            .field("n", 3u64)
+            .field("xs", Json::Arr(vec![Json::Null]));
+        assert_eq!((j.str_at("name"), j.f64_at("ms"), j.u64_at("n")), ("a64fx", 1.5, 3));
+        assert_eq!(j.arr_at("xs").len(), 1);
+        // Absent keys and wrong types alike take the default.
+        assert_eq!((j.str_at("ms"), j.f64_at("name"), j.u64_at("ms")), ("?", 0.0, 0));
+        assert!(j.arr_at("missing").is_empty() && Json::Null.arr_at("xs").is_empty());
     }
 
     #[test]

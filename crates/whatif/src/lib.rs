@@ -22,6 +22,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod roofline;
 pub mod scale;
 pub mod slo;
 

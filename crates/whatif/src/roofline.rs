@@ -1,4 +1,4 @@
-//! # lva-roofline — roofline analysis for the co-design study
+//! Roofline analysis for the co-design study.
 //!
 //! Implements the arithmetic-intensity and sustained-performance accounting
 //! behind the paper's Table IV: for each discrete GEMM-shaped convolutional
@@ -12,7 +12,6 @@
 //! where the machine peak is `2 * lanes` SP flops per cycle (62.5 GFLOP/s on
 //! a 2 GHz A64FX core in the paper; 64 GFLOP/s in our model).
 
-#![forbid(unsafe_code)]
 use lva_isa::MachineConfig;
 
 /// Arithmetic intensity of an `M x N x K` GEMM in flops per byte, exactly

@@ -13,8 +13,8 @@
 //! `--vlen BITS`, `--lanes N`, `--l2 MB`, `--gemm naive|opt3|opt6`,
 //! `--winograd`, `--div N`, `--layers N`.
 
-use longvec_cnn::core::energy::EnergyModel;
 use longvec_cnn::core::report::fmt_cycles;
+use longvec_cnn::core::EnergyModel;
 use longvec_cnn::prelude::*;
 use std::process::exit;
 

@@ -42,7 +42,6 @@
 //! | [`winograd`] | Cook–Toom generator + F(6,3) VLA implementation |
 //! | [`fft`] | FFT convolution (the §II-C large-kernel algorithm) |
 //! | [`nn`] | Darknet-substitute framework and the paper's models |
-//! | [`roofline`] | arithmetic intensity / %peak accounting (Table IV) |
 //! | [`core`] | co-design experiment API (hardware x software x workload) |
 //!
 //! See DESIGN.md for the system inventory and EXPERIMENTS.md for the
@@ -54,9 +53,9 @@ pub use lva_fft as fft;
 pub use lva_isa as isa;
 pub use lva_kernels as kernels;
 pub use lva_nn as nn;
-pub use lva_roofline as roofline;
 pub use lva_sim as sim;
 pub use lva_tensor as tensor;
+pub use lva_whatif::roofline;
 pub use lva_winograd as winograd;
 
 /// The most commonly used items in one import.
