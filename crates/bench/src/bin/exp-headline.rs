@@ -15,79 +15,57 @@
 //! (serial vs `--jobs`, median of 3 each) and writes the simulator's
 //! self-benchmark to `BENCH_sim_wallclock.json`.
 
-use std::collections::HashMap;
 use std::time::Instant;
 
 use lva_bench::*;
-use lva_isa::{LayerMemo, RefitPlan};
-use lva_retime::ConfigKey;
 
 fn ratio(a: u64, b: u64) -> String {
     fmt_speedup(a as f64 / b as f64)
 }
 
 /// The retime-vs-full section of the wallclock benchmark: capture every
-/// spec once, then re-time the whole suite through the memoized tape
-/// refit — one cold pass (plan build, layer-memo misses) and three warm
-/// passes (median). Every re-timed summary is asserted equal to the full
-/// simulator's, so the published speedup is over verified-identical work.
+/// spec once, then re-time the whole suite by tape refit three times
+/// (median). Nothing carries over between passes, so each one costs what
+/// re-timing nine unseen timing points costs. Every capture and every
+/// re-timed summary is asserted equal to the full simulator's, so the
+/// published speedup is over verified-identical work.
 fn retime_bench(specs: &[(String, Experiment)], full: &[SweepRun], serial_ms: f64) -> Json {
+    let check = |what: &str, i: usize, s: &RunSummary| {
+        let (name, want) = (&specs[i].0, &full[i].summary);
+        assert_eq!(s.cycles, want.cycles, "{name}: {what} cycles diverged from the full simulator");
+        assert_eq!(s.report, want.report, "{name}: {what} report diverged from the full simulator");
+    };
     let t0 = Instant::now();
     let caps: Vec<_> = specs.iter().map(|(_, e)| e.run_traced()).collect();
     let capture_ms = t0.elapsed().as_secs_f64() * 1e3;
     eprintln!(".. wallclock retime capture: {capture_ms:.0} ms");
-    let plans: Vec<RefitPlan> = specs
-        .iter()
-        .zip(&caps)
-        .map(|((_, e), cap)| RefitPlan::build(&cap.trace, e.refit_geometry()))
-        .collect();
-    // Layer memos are scoped per timing config, exactly like the engine's
-    // store (the a64fx and rvv specs share theirs across workloads).
-    let mut memos: HashMap<ConfigKey, LayerMemo> = HashMap::new();
-    let mut cold_ms = 0.0;
-    let mut warm_ms = Vec::new();
-    for pass in 0..4 {
+    for (i, cap) in caps.iter().enumerate() {
+        check("captured", i, &cap.summary);
+    }
+    let mut retime_ms = Vec::new();
+    for pass in 1..=3 {
         let t0 = Instant::now();
-        for (i, (((name, e), cap), plan)) in specs.iter().zip(&caps).zip(&plans).enumerate() {
-            let memo = memos.entry(ConfigKey::of(e)).or_default();
-            let s = e.retime_tape_memoized(cap, plan, memo).expect("tape matches own geometry");
-            assert_eq!(
-                s.cycles, full[i].summary.cycles,
-                "{name}: retimed cycles diverged from the full simulator"
-            );
-        }
+        let retimed: Vec<RunSummary> = specs
+            .iter()
+            .zip(&caps)
+            .map(|((_, e), cap)| e.retime_tape(cap).expect("tape matches own geometry"))
+            .collect();
         let ms = t0.elapsed().as_secs_f64() * 1e3;
-        if pass == 0 {
-            cold_ms = ms;
-            eprintln!(".. wallclock retime cold pass: {ms:.0} ms");
-        } else {
-            eprintln!(".. wallclock retime warm pass {pass}: {ms:.0} ms");
-            warm_ms.push(ms);
+        eprintln!(".. wallclock retime pass {pass}: {ms:.0} ms");
+        retime_ms.push(ms);
+        for (i, s) in retimed.iter().enumerate() {
+            check("retimed", i, s);
         }
     }
-    let warm = median_ms(&mut warm_ms);
-    let (entries, hits, misses) = memos
-        .values()
-        .fold((0usize, 0u64, 0u64), |a, m| (a.0 + m.len(), a.1 + m.hits, a.2 + m.misses));
-    let looked = hits + misses;
+    let retime = median_ms(&mut retime_ms);
     Json::obj()
         .field("runs", specs.len() as u64)
         .field("capture_ms", capture_ms)
-        .field("first_retime_ms", cold_ms)
-        .field("retime_ms_median_of_3", warm)
-        .field("speedup_retime_vs_full_serial", if warm > 0.0 { serial_ms / warm } else { 0.0 })
+        .field("retime_ms_median_of_3", retime)
+        .field("speedup_retime_vs_full_serial", if retime > 0.0 { serial_ms / retime } else { 0.0 })
         .field(
             "speedup_including_capture",
-            if capture_ms + cold_ms > 0.0 { serial_ms / (capture_ms + cold_ms) } else { 0.0 },
-        )
-        .field(
-            "layer_memo",
-            Json::obj()
-                .field("configs", memos.len() as u64)
-                .field("entries", entries as u64)
-                .field("hits", hits)
-                .field("misses", misses)
-                .field("hit_rate", if looked > 0 { hits as f64 / looked as f64 } else { 0.0 }),
+            if capture_ms + retime > 0.0 { serial_ms / (capture_ms + retime) } else { 0.0 },
         )
 }
 
@@ -172,7 +150,7 @@ fn main() {
     let opts = Opts::parse(4, "Headline optimization speedups (§VI-A/§VI-C)");
     let specs = headline_specs(opts.div, opts.layers);
 
-    // --retime: the memoizing retime engine fronts every simulation
+    // --retime: the retime engine fronts every simulation
     // below. --profile needs the real memory system live, so the table
     // pass falls back to full simulation when both are requested.
     let mut engine = retime_engine(&opts);

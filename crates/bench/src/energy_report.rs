@@ -141,7 +141,7 @@ fn network_json(
         }
     };
     let points: Vec<Point> = match engine {
-        // The retime path is serial: the engine's memo store is shared
+        // The retime path is serial: the engine's recording store is shared
         // mutable state, and re-timing a cell is far cheaper than the
         // simulation it replaces.
         Some(eng) => grid

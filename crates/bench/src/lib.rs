@@ -118,7 +118,7 @@ pub fn retime_engine(opts: &Opts) -> Option<RetimeEngine> {
 }
 
 /// Log the retime engine's provenance to stderr after a sweep: path
-/// counts, memo hits, and the refusal reason if certification failed.
+/// counts and the refusal reason if certification failed.
 /// Stderr only — the machine-readable records stay byte-identical to
 /// their full-simulation counterparts so CI can compare them directly.
 pub fn log_retime(engine: Option<&RetimeEngine>) {
@@ -126,8 +126,7 @@ pub fn log_retime(engine: Option<&RetimeEngine>) {
     let c = eng.counters();
     eprintln!(
         "[retime: {} captures, {} tape refits, {} live replays, {} stream captures, \
-         {} stream refits, {} stream live replays, {} energy retimes, {} memo hits, \
-         {} verified]",
+         {} stream refits, {} stream live replays, {} energy retimes, {} verified]",
         c.captures,
         c.tape_refits,
         c.live_replays,
@@ -135,7 +134,6 @@ pub fn log_retime(engine: Option<&RetimeEngine>) {
         c.stream_refits,
         c.stream_live_replays,
         c.energy_retimes,
-        c.run_memo_hits,
         c.verified
     );
     if let Some(reason) = eng.refusal() {

@@ -86,9 +86,9 @@ pub fn run_sweep(
 /// of the full simulator: the first visit to a semantic stream captures
 /// it, every later design point re-times the recording.
 ///
-/// Always serial — the engine's memo store is one mutable structure, and
-/// re-timing is fast enough that thread fan-out would only buy back a
-/// fraction of the capture cost. Results are bit-identical to
+/// Always serial — the engine's recording store is one mutable
+/// structure, and re-timing is fast enough that thread fan-out would only
+/// buy back a fraction of the capture cost. Results are bit-identical to
 /// [`run_sweep`] at any `jobs` (the engine asserts this per run under
 /// `--retime=verify`), so `--jobs` changes nothing but wall-clock.
 pub fn run_sweep_retimed(

@@ -6,8 +6,11 @@
 //! them one at a time for flag parity; [`Opts`] is now the single
 //! implementation. Experiment bins call [`Opts::parse`] (the full dialect,
 //! re-exported as `lva_bench::Opts`); lint tools call [`Opts::parse_tool`]
-//! (the `--jobs/--json/--trace` subset, with usage errors reported on the
-//! lint tools' "internal error" exit code 2).
+//! (the `--jobs/--json/--trace` subset). Both print `--help` and exit 0,
+//! and answer a malformed command line with one line naming the flag and
+//! exit 2 (the lint tools' "internal/usage error" code). The parsing
+//! itself is [`Opts::try_parse`] / [`Opts::try_parse_tool`], which take
+//! the arguments as an iterator and return a [`CliError`].
 
 use std::env;
 
@@ -43,9 +46,9 @@ pub struct Opts {
     /// report (`--with-energy`): one probed re-run per design point, cycle
     /// counts unchanged. Off by default.
     pub energy: bool,
-    /// Route runs through the `lva-retime` memoizing retime engine
-    /// (`--retime`), or through it *and* the full simulator with a
-    /// bit-identity assertion per run (`--retime=verify`).
+    /// Route runs through the `lva-retime` retime engine (`--retime`), or
+    /// through it *and* the full simulator with a bit-identity assertion
+    /// per run (`--retime=verify`).
     pub retime: RetimeOpt,
 }
 
@@ -70,6 +73,31 @@ impl RetimeOpt {
     }
 }
 
+/// Why [`Opts::try_parse`] or [`Opts::try_parse_tool`] returned no options.
+#[derive(Debug, PartialEq, Eq)]
+pub enum CliError {
+    /// `--help` or `-h`: print the usage text and exit 0.
+    Help,
+    /// A malformed command line, as one line naming the flag: print it
+    /// and exit 2.
+    Usage(String),
+}
+
+impl CliError {
+    fn exit(self, usage: &str) -> ! {
+        match self {
+            CliError::Help => {
+                eprintln!("{usage}");
+                std::process::exit(0);
+            }
+            CliError::Usage(msg) => {
+                eprintln!("{msg}; try --help");
+                std::process::exit(2);
+            }
+        }
+    }
+}
+
 impl Opts {
     fn defaults(default_div: usize) -> Opts {
         Opts {
@@ -87,96 +115,159 @@ impl Opts {
         }
     }
 
-    /// Parse `--div N`, `--layers N`, `--csv`, `--json`, `--trace FILE`,
-    /// `--help` from `std::env`. `default_div` is the experiment's default
-    /// scale. `--trace` installs a JSONL telemetry sink for the whole run.
+    /// Parse the full dialect from `std::env`; print the usage text and
+    /// exit 0 on `--help`, or print the error and exit 2 on a malformed
+    /// command line. `default_div` is the experiment's default scale.
+    /// `--trace` installs a JSONL telemetry sink for the whole run.
     pub fn parse(default_div: usize, what: &str) -> Opts {
+        Self::try_parse(default_div, env::args().skip(1)).unwrap_or_else(|e| {
+            e.exit(&format!(
+                "{what}\n\nOptions:\n  --div N      input down-scale divisor (default {default_div}; 1 = paper size)\n  --layers N   layer prefix override\n  --csv/--no-csv  write results/<exp>.csv (default on)\n  --json       also write results/<exp>.json (machine-readable)\n  --profile    tap the cache hierarchy: reuse-distance histograms, 3C\n               miss classes, capacity curves (in the JSON output)\n  --chrome FILE  write a Chrome trace-event timeline (Perfetto) to FILE\n  --trace FILE stream JSONL telemetry spans to FILE\n  --jobs N     run independent design points on N threads (0 = all cores;\n               results and reports are identical to --jobs 1)\n  --wallclock  self-benchmark: time the sweep serial vs --jobs (median of\n               3 each) and write BENCH_sim_wallclock.json\n  --with-whatif  attach lva-whatif counterfactual analyses (bound\n               classification, cycles-saved-if-fixed) to the JSON reports\n  --with-energy  attach the lva-energy streamed attribution (per-layer\n               joules, EDP, energy roofline) to the JSON reports\n  --retime     trace each semantic stream once, re-time every other design\n               point from the recording (bit-identical; certificate-gated,\n               falls back to full simulation)\n  --retime=verify  retime AND fully simulate every run, asserting the\n               results are bit-identical"
+            ))
+        })
+    }
+
+    /// Parse the lint-tool subset (`--jobs N`, `--json`, `--trace FILE`,
+    /// `--help`) from `std::env`, exiting like [`Opts::parse`]. Used by
+    /// `lint-kernels` and `lint-dataflow`, whose exit codes distinguish
+    /// findings (1) from internal/usage errors (2).
+    pub fn parse_tool(what: &str) -> Opts {
+        Self::try_parse_tool(env::args().skip(1)).unwrap_or_else(|e| {
+            e.exit(&format!(
+                "{what}\n\nOptions:\n  --jobs N     check design points on N threads (0 = all cores;\n               the report is identical for every N)\n  --json       also save the report under results/\n  --trace FILE stream JSONL telemetry spans to FILE\n\nExit codes: 0 clean, 1 findings, 2 internal/usage error"
+            ))
+        })
+    }
+
+    /// [`Opts::parse`] over explicit arguments (without the program name).
+    pub fn try_parse(
+        default_div: usize,
+        args: impl IntoIterator<Item = String>,
+    ) -> Result<Opts, CliError> {
+        Self::parse_args(default_div, false, args)
+    }
+
+    /// [`Opts::parse_tool`] over explicit arguments (without the program
+    /// name).
+    pub fn try_parse_tool(args: impl IntoIterator<Item = String>) -> Result<Opts, CliError> {
+        Self::parse_args(1, true, args)
+    }
+
+    /// The one parser: the lint tools' subset first, then (unless `tool`)
+    /// the experiment flags.
+    fn parse_args(
+        default_div: usize,
+        tool: bool,
+        args: impl IntoIterator<Item = String>,
+    ) -> Result<Opts, CliError> {
         let mut opts = Opts::defaults(default_div);
-        let mut args = env::args().skip(1);
+        let mut args = args.into_iter();
         while let Some(a) = args.next() {
             match a.as_str() {
-                "--div" => {
-                    opts.div =
-                        args.next().and_then(|v| v.parse().ok()).expect("--div needs an integer");
-                }
-                "--layers" => {
-                    opts.layers = Some(
-                        args.next()
-                            .and_then(|v| v.parse().ok())
-                            .expect("--layers needs an integer"),
-                    );
-                }
+                "--jobs" => opts.jobs = parse_jobs(&mut args)?,
+                "--json" => opts.json = true,
+                "--trace" => install_trace(&mut args)?,
+                "--help" | "-h" => return Err(CliError::Help),
+                other if tool => return Err(CliError::Usage(format!("unknown option {other}"))),
+                "--div" => opts.div = integer(&mut args, "--div", 1)?,
+                "--layers" => opts.layers = Some(integer(&mut args, "--layers", 0)?),
                 "--no-csv" => opts.csv = false,
                 "--csv" => opts.csv = true,
-                "--json" => opts.json = true,
                 "--no-json" => opts.json = false,
                 "--profile" => opts.profile = true,
-                "--jobs" => opts.jobs = parse_jobs(&mut args),
                 "--wallclock" => opts.wallclock = true,
                 "--with-whatif" => opts.whatif = true,
                 "--with-energy" => opts.energy = true,
                 "--retime" => opts.retime = RetimeOpt::On,
                 "--retime=verify" => opts.retime = RetimeOpt::Verify,
                 "--retime=off" => opts.retime = RetimeOpt::Off,
-                "--chrome" => {
-                    opts.chrome = Some(args.next().expect("--chrome needs a file path"));
-                }
-                "--trace" => install_trace(&mut args),
-                "--help" | "-h" => {
-                    eprintln!(
-                        "{what}\n\nOptions:\n  --div N      input down-scale divisor (default {default_div}; 1 = paper size)\n  --layers N   layer prefix override\n  --csv/--no-csv  write results/<exp>.csv (default on)\n  --json       also write results/<exp>.json (machine-readable)\n  --profile    tap the cache hierarchy: reuse-distance histograms, 3C\n               miss classes, capacity curves (in the JSON output)\n  --chrome FILE  write a Chrome trace-event timeline (Perfetto) to FILE\n  --trace FILE stream JSONL telemetry spans to FILE\n  --jobs N     run independent design points on N threads (0 = all cores;\n               results and reports are identical to --jobs 1)\n  --wallclock  self-benchmark: time the sweep serial vs --jobs (median of\n               3 each) and write BENCH_sim_wallclock.json\n  --with-whatif  attach lva-whatif counterfactual analyses (bound\n               classification, cycles-saved-if-fixed) to the JSON reports\n  --with-energy  attach the lva-energy streamed attribution (per-layer\n               joules, EDP, energy roofline) to the JSON reports\n  --retime     trace each semantic stream once, re-time every other design\n               point through the memoizing retime engine (bit-identical;\n               certificate-gated, falls back to full simulation)\n  --retime=verify  retime AND fully simulate every run, asserting the\n               results are bit-identical"
-                    );
-                    std::process::exit(0);
-                }
-                other => {
-                    eprintln!("unknown option {other}; try --help");
-                    std::process::exit(2);
-                }
+                "--chrome" => opts.chrome = Some(value(&mut args, "--chrome", "a file path")?),
+                other => return Err(CliError::Usage(format!("unknown option {other}"))),
             }
         }
-        opts
-    }
-
-    /// Parse the lint-tool subset: `--jobs N`, `--json`, `--trace FILE`,
-    /// `--help`. Used by `lint-kernels` and `lint-dataflow`, whose exit
-    /// codes distinguish findings (1) from internal/usage errors (2) —
-    /// unknown flags therefore exit 2, never 1.
-    pub fn parse_tool(what: &str) -> Opts {
-        let mut opts = Opts::defaults(1);
-        let mut args = env::args().skip(1);
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--jobs" => opts.jobs = parse_jobs(&mut args),
-                "--json" => opts.json = true,
-                "--trace" => install_trace(&mut args),
-                "--help" | "-h" => {
-                    eprintln!(
-                        "{what}\n\nOptions:\n  --jobs N     check design points on N threads (0 = all cores;\n               the report is identical for every N)\n  --json       also save the report under results/\n  --trace FILE stream JSONL telemetry spans to FILE\n\nExit codes: 0 clean, 1 findings, 2 internal/usage error"
-                    );
-                    std::process::exit(0);
-                }
-                other => {
-                    eprintln!("unknown option {other}; try --help");
-                    std::process::exit(2);
-                }
-            }
-        }
-        opts
+        Ok(opts)
     }
 }
 
-fn parse_jobs(args: &mut impl Iterator<Item = String>) -> usize {
-    let n: usize = args.next().and_then(|v| v.parse().ok()).expect("--jobs needs an integer");
-    if n == 0 {
-        crate::par::default_jobs()
-    } else {
-        n
-    }
+/// The value after `flag`, or a usage error saying what it `needs`.
+fn value(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    needs: &str,
+) -> Result<String, CliError> {
+    args.next().ok_or_else(|| CliError::Usage(format!("{flag} needs {needs}")))
 }
 
-fn install_trace(args: &mut impl Iterator<Item = String>) {
-    let path = args.next().expect("--trace needs a file path");
+/// The integer of at least `min` (0 or 1) after `flag`.
+fn integer(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    min: usize,
+) -> Result<usize, CliError> {
+    let needs = if min == 0 { "a non-negative integer" } else { "a positive integer" };
+    let v = value(args, flag, needs)?;
+    v.parse()
+        .ok()
+        .filter(|&n| n >= min)
+        .ok_or_else(|| CliError::Usage(format!("{flag} needs {needs}, got `{v}`")))
+}
+
+/// `--jobs N`, where 0 means all host cores.
+fn parse_jobs(args: &mut impl Iterator<Item = String>) -> Result<usize, CliError> {
+    let n = integer(args, "--jobs", 0)?;
+    Ok(if n == 0 { crate::par::default_jobs() } else { n })
+}
+
+fn install_trace(args: &mut impl Iterator<Item = String>) -> Result<(), CliError> {
+    let path = value(args, "--trace", "a file path")?;
     lva_trace::enable_to_file(&path)
-        .unwrap_or_else(|e| panic!("cannot open trace file {path}: {e}"));
+        .map_err(|e| CliError::Usage(format!("--trace cannot open {path}: {e}")))?;
     eprintln!("[tracing to {path}]");
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    #[test]
+    fn well_formed_flags_parse() {
+        let o = Opts::try_parse(4, args("--div 8 --layers 0 --no-csv --jobs 3 --retime=verify"))
+            .expect("valid command line");
+        assert_eq!((o.div, o.layers, o.csv, o.jobs), (8, Some(0), false, 3));
+        assert_eq!(o.retime, RetimeOpt::Verify);
+        assert_eq!(Opts::try_parse(4, args("")).expect("defaults").div, 4);
+        assert_eq!(Opts::try_parse_tool(args("--jobs 2 --json")).expect("tool subset").jobs, 2);
+        assert_eq!(Opts::try_parse(4, args("-h")).unwrap_err(), CliError::Help);
+        assert_eq!(Opts::try_parse_tool(args("--help")).unwrap_err(), CliError::Help);
+    }
+
+    #[test]
+    fn malformed_flags_are_one_line_usage_errors_naming_the_flag() {
+        let trace = "--trace /nonexistent/dir/t.jsonl";
+        for (line, flag) in [
+            ("--div 0", "--div"),
+            ("--div x", "--div"),
+            ("--jobs", "--jobs"),
+            ("--layers -1", "--layers"),
+            ("--chrome", "--chrome"),
+            (trace, "--trace"),
+            ("--bogus", "--bogus"),
+        ] {
+            let Err(CliError::Usage(msg)) = Opts::try_parse(4, args(line)) else {
+                panic!("`{line}` must be a usage error");
+            };
+            assert!(msg.contains(flag) && !msg.contains('\n'), "`{line}`: {msg}");
+        }
+        for (line, flag) in [("--jobs x", "--jobs"), ("--div 8", "--div")] {
+            let Err(CliError::Usage(msg)) = Opts::try_parse_tool(args(line)) else {
+                panic!("`{line}` must be a lint-tool usage error");
+            };
+            assert!(msg.contains(flag) && !msg.contains('\n'), "`{line}`: {msg}");
+        }
+    }
 }

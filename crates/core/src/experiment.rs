@@ -1,9 +1,6 @@
 //! Experiment definition and execution.
 
-use lva_isa::{
-    IdealSpec, LayerMemo, Machine, MachineConfig, ProbeTape, RefitGeometry, RefitPlan, ReplayTrace,
-    SegmentReplay,
-};
+use lva_isa::{IdealSpec, Machine, MachineConfig, ProbeTape, ReplayTrace, SegmentReplay};
 use lva_nn::network::{estimate_arena_words, LayerReport, Network};
 use lva_nn::{ConvPolicy, ModelId, NetReport};
 use lva_tensor::host_random;
@@ -464,63 +461,16 @@ impl Experiment {
         Ok(Self::reconstruct(cap, segs))
     }
 
-    /// The probe-count / miss-ring geometry of this experiment's memory
-    /// system, for building [`RefitPlan`]s and scoping [`LayerMemo`]s.
-    pub fn refit_geometry(&self) -> RefitGeometry {
-        let cfg = self.hw.machine_config();
-        RefitGeometry {
-            line_bytes: cfg.mem.l1.line_bytes as u64,
-            hw_prefetch: cfg.mem.hw_prefetch.is_some(),
-        }
-    }
-
-    /// [`Experiment::retime_tape`] through a per-layer timing memo: layers
-    /// whose reduced op region, tape slice and relative entry state were
-    /// seen before are applied as stored state deltas instead of
-    /// re-interpreted (bit-identical; see `lva_isa::refit`). `plan` must be
-    /// built from `cap.trace` at [`Experiment::refit_geometry`], and `memo`
-    /// scoped to exactly this design point — the `lva-retime` store manages
-    /// both.
-    pub fn retime_tape_memoized(
-        &self,
-        cap: &CapturedRun,
-        plan: &RefitPlan,
-        memo: &mut LayerMemo,
-    ) -> Result<RunSummary, String> {
-        self.retime_tape_memoized_with(cap, &cap.tape, plan, memo)
-    }
-
-    /// [`Experiment::retime_tape_memoized`] with an explicit tape (one
-    /// recorded at this configuration's geometry by
-    /// [`Experiment::retime_live_recording`] when it differs from the
-    /// capture's).
-    pub fn retime_tape_memoized_with(
-        &self,
-        cap: &CapturedRun,
-        tape: &Arc<ProbeTape>,
-        plan: &RefitPlan,
-        memo: &mut LayerMemo,
-    ) -> Result<RunSummary, String> {
-        let mut m = self.replay_machine();
-        m.play_probe_tape(Arc::clone(tape))?;
-        let segs = m.replay_with(&cap.trace, Some((plan, memo)));
-        Ok(Self::reconstruct(cap, segs))
-    }
-
-    /// Re-time a captured multi-frame stream through the probe tape and
-    /// per-layer memo, reconstructing the per-frame cycle series and the
-    /// steady-state summary. Bit-identical to [`Experiment::run_stream`]
-    /// at this design point (stream-equivalence permitting, as certified
-    /// by `lva-depgraph`).
-    pub fn retime_stream_tape_memoized(
-        &self,
-        cap: &CapturedStream,
-        plan: &RefitPlan,
-        memo: &mut LayerMemo,
-    ) -> Result<StreamSummary, String> {
+    /// Re-time a captured multi-frame stream through its probe tape,
+    /// reconstructing the per-frame cycle series and the steady-state
+    /// summary. Bit-identical to [`Experiment::run_stream`] at this design
+    /// point (stream-equivalence permitting, as certified by
+    /// `lva-depgraph`); refuses like [`Experiment::retime_tape`] when the
+    /// cache geometry differs from the capture's.
+    pub fn retime_stream_tape(&self, cap: &CapturedStream) -> Result<StreamSummary, String> {
         let mut m = self.replay_machine();
         m.play_probe_tape(Arc::clone(&cap.tape))?;
-        let segs = m.replay_with(&cap.trace, Some((plan, memo)));
+        let segs = m.replay(&cap.trace);
         Ok(Self::reconstruct_stream(cap, segs))
     }
 
@@ -624,6 +574,27 @@ impl Experiment {
             l2_miss_rate,
             report,
         }
+    }
+}
+
+// ---- Shims for the host benchmark ---------------------------------------
+//
+// Kept only because the host benchmark (`benchmark/`), which changes
+// separately from the simulator, still calls them. Delete them together
+// with those calls.
+impl Experiment {
+    /// Does nothing. Its only caller is the host benchmark (`benchmark/`).
+    pub fn refit_geometry(&self) {}
+
+    /// [`Experiment::retime_tape`]; `plan` and `memo` are ignored. Its only
+    /// caller is the host benchmark (`benchmark/`).
+    pub fn retime_tape_memoized(
+        &self,
+        cap: &CapturedRun,
+        _plan: &lva_isa::RefitPlan,
+        _memo: &mut lva_isa::LayerMemo,
+    ) -> Result<RunSummary, String> {
+        self.retime_tape(cap)
     }
 }
 

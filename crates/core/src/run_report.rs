@@ -50,7 +50,7 @@ pub struct RunReport {
     /// [`Self::with_serving`].
     pub serving: Option<Json>,
     /// Retime-engine provenance (`lva-retime`: which path produced this
-    /// result, memo counters, refusals); `None` (the default) omits the
+    /// result, path counters, refusals); `None` (the default) omits the
     /// section. See [`Self::with_retime`].
     pub retime: Option<Json>,
     /// Multi-core scaling observatory (`lva-scale`: per-core contention

@@ -24,10 +24,6 @@
 use crate::config::{IsaKind, MachineConfig};
 use crate::pred::Pred;
 use crate::record::{EventSink, VecEvent};
-use crate::refit::{
-    fold_levels, phases_delta, vpu_accum, vpu_delta, EntrySnapshot, Fold128, LayerEffect,
-    LayerMemo, MemoKey, RefitPlan,
-};
 use crate::replay::{
     r32, ArithShape, IndexedOp, LayerReplay, ProbeTape, ReduceOp, ReplayOp, ReplayTrace,
     SegmentReplay, TapePlayer, TapeRecorder, VArithOp,
@@ -1913,30 +1909,7 @@ impl Machine {
     /// machine's real memory hierarchy (optionally recording a fresh tape
     /// via [`Self::record_probe_tape`]).
     pub fn replay(&mut self, trace: &ReplayTrace) -> Vec<SegmentReplay> {
-        self.replay_with(trace, None)
-    }
-
-    /// [`Self::replay`] with an optional per-layer timing memo (the
-    /// retime-many fast path; see [`crate::refit`]). On a **tape refit**
-    /// with no observers installed, each `LayerBegin..LayerEnd` region
-    /// whose [`MemoKey`] (reduced op signature × tape slice × relative
-    /// entry state) is already in `memo` is *applied* as a stored state
-    /// delta instead of interpreted — bit-identical by the timing model's
-    /// translation invariance — and missed regions are interpreted once and
-    /// stored. With observers present (event sink, recorder, pipeline
-    /// recorder, address tap, replay log, tape recorder), on a live replay,
-    /// or on the reference model, the memo is ignored entirely: those paths
-    /// have per-op side effects a state delta cannot reproduce.
-    ///
-    /// `memo` must be scoped to exactly this machine configuration and the
-    /// installed tape's geometry; the caller (the `lva-retime` store) keys
-    /// its memo instances accordingly.
-    pub fn replay_with(
-        &mut self,
-        trace: &ReplayTrace,
-        memo: Option<(&RefitPlan, &mut LayerMemo)>,
-    ) -> Vec<SegmentReplay> {
-        self.replay_span(trace, 0, false, memo).0
+        self.replay_span(trace, 0, false).0
     }
 
     /// Replay only the setup prologue — everything up to and including the
@@ -1945,14 +1918,14 @@ impl Machine {
     /// setup and the measured segment, exactly where a full run attaches
     /// them, before finishing with [`Self::replay_from`].
     pub fn replay_setup(&mut self, trace: &ReplayTrace) -> usize {
-        self.replay_span(trace, 0, true, None).1
+        self.replay_span(trace, 0, true).1
     }
 
     /// Replay from op index `start` (as returned by [`Self::replay_setup`])
     /// to the end of the trace, returning one [`SegmentReplay`] per
     /// remaining segment.
     pub fn replay_from(&mut self, trace: &ReplayTrace, start: usize) -> Vec<SegmentReplay> {
-        self.replay_span(trace, start, false, None).0
+        self.replay_span(trace, start, false).0
     }
 
     /// Execute the recorded op under `cur` and advance the cursor; `false`
@@ -2082,7 +2055,6 @@ impl Machine {
         trace: &ReplayTrace,
         start: usize,
         stop_after_reset: bool,
-        mut memo: Option<(&RefitPlan, &mut LayerMemo)>,
     ) -> (Vec<SegmentReplay>, usize) {
         let mut segments = Vec::new();
         // (phase, cycles at open) — mirrors the call stack of `phase()`.
@@ -2090,26 +2062,8 @@ impl Machine {
         // Open layer: (index, desc, cycles/stalls/instr/elem snapshots).
         let mut layer_open: Option<(usize, u32, u64, StallBreakdown, u64, u64)> = None;
         let mut layers: Vec<LayerReplay> = Vec::new();
-        // Memoization is sound only when replay state is *all* the state:
-        // tape playback (no cache arrays evolving) and no per-op observers.
-        let memo_static_ok = self.tape_play.is_some()
-            && self.rec.is_none()
-            && self.sink.is_none()
-            && self.pipe.is_none()
-            && self.rlog.is_none()
-            && self.tape_rec.is_none()
-            && !self.ref_model
-            && !self.sys.has_tap();
-        // Next entry of the plan's region list (one per LayerBegin).
-        let mut next_region = 0usize;
-        // Entry snapshot of a missed region being interpreted for capture.
-        let mut pending: Option<EntrySnapshot> = None;
-        let ops = &trace.ops;
-        let mut i = start;
-        while i < ops.len() {
-            let op = ops[i];
+        for (i, &op) in trace.ops.iter().enumerate().skip(start) {
             if self.replay_op(trace, op) {
-                i += 1;
                 continue;
             }
             match op {
@@ -2128,68 +2082,8 @@ impl Machine {
                         self.stats.vec_instrs,
                         self.stats.active_elems,
                     ));
-                    if memo_static_ok {
-                        if let Some((plan, store)) = memo.as_mut() {
-                            let region = plan.regions[next_region];
-                            next_region += 1;
-                            debug_assert_eq!(
-                                region.begin_op, i,
-                                "refit plan misaligned with trace"
-                            );
-                            // Below the out-of-order window the scoreboard's
-                            // `saturating_sub` breaks translation invariance;
-                            // interpret such (rare, run-initial) layers.
-                            if region.balanced && self.now >= self.cfg.core.ooo_window {
-                                let tp = self.tape_play.as_ref().expect("memo requires tape");
-                                let key = MemoKey {
-                                    sig: region.sig,
-                                    slice: fold_levels(tp.peek(region.probes)),
-                                    entry: self.entry_fold(plan.geometry.hw_prefetch),
-                                };
-                                if let Some(eff) = store.map.get(&key) {
-                                    let eff = eff.clone();
-                                    self.apply_effect(&eff);
-                                    self.tape_play
-                                        .as_mut()
-                                        .expect("memo requires tape")
-                                        .skip(region.probes);
-                                    store.hits += 1;
-                                    // Resume at the region's LayerEnd, which
-                                    // runs its normal bookkeeping.
-                                    i = region.end_op;
-                                    continue;
-                                }
-                                store.misses += 1;
-                                pending = Some(EntrySnapshot {
-                                    key,
-                                    now: self.now,
-                                    cursor: self
-                                        .tape_play
-                                        .as_ref()
-                                        .expect("memo requires tape")
-                                        .cursor,
-                                    probes: region.probes,
-                                    stalls: self.stalls,
-                                    phases: self.phases.clone(),
-                                    stats: self.stats,
-                                });
-                            }
-                        }
-                    }
                 }
                 ReplayOp::LayerEnd => {
-                    if let Some(snap) = pending.take() {
-                        let (plan, store) =
-                            memo.as_mut().expect("pending memo capture without context");
-                        let consumed = self.tape_play.as_ref().expect("memo requires tape").cursor
-                            - snap.cursor;
-                        assert_eq!(
-                            consumed as u64, snap.probes,
-                            "refit plan probe count diverged from timing consumption"
-                        );
-                        let eff = self.effect_since(&snap, plan.geometry.hw_prefetch);
-                        store.map.insert(snap.key, eff);
-                    }
                     self.sys.tap_scope(TapScope::LayerEnd);
                     let (index, desc, t0, stalls0, instrs0, elems0) =
                         layer_open.take().expect("replay: LayerEnd without open layer");
@@ -2214,92 +2108,10 @@ impl Machine {
                 }
                 _ => unreachable!("replay: timing op {op:?} reached the boundary arms"),
             }
-            i += 1;
         }
         assert!(!stop_after_reset, "replay_setup: trace has no ResetTiming boundary");
         segments.push(self.segment_snapshot(layers));
-        (segments, i)
-    }
-
-    /// Fold the timing-relevant machine state *relative to `now`* — the
-    /// entry-state component of a layer [`MemoKey`]. Everything the timing
-    /// functions read that is not config or op-stream: scoreboard distances,
-    /// the fractional scalar accumulator, the occupancy-split carry-overs,
-    /// and (only when a hardware prefetcher can read it) the recent-miss
-    /// ring with its absolute line numbers.
-    fn entry_fold(&self, ring_relevant: bool) -> Fold128 {
-        let mut f = Fold128::new(0x0045_4E54_5259);
-        let now = self.now as i64;
-        f.push((self.unit_free as i64 - now) as u64);
-        for &r in &self.ready {
-            f.push((r as i64 - now) as u64);
-        }
-        f.push(self.scalar_frac.to_bits());
-        f.push(self.next_occ_mem);
-        f.push(self.next_occ_cont);
-        f.push(self.last_occ_mem);
-        f.push(self.last_occ_cont);
-        f.push(self.last_occ_total);
-        if ring_relevant {
-            for &m in &self.recent_misses {
-                f.push(m);
-            }
-            f.push(self.recent_miss_pos as u64);
-        }
-        f.finish()
-    }
-
-    /// Diff the machine state against a region-entry snapshot into a
-    /// [`LayerEffect`]: scoreboard exits relative to the entry `now`
-    /// (translation-invariant), determined exit values, and accumulator
-    /// deltas.
-    fn effect_since(&self, snap: &EntrySnapshot, ring_relevant: bool) -> LayerEffect {
-        let base = snap.now as i64;
-        let mut ready_rel = [0i64; NUM_VREGS];
-        for (rel, &r) in ready_rel.iter_mut().zip(self.ready.iter()) {
-            *rel = r as i64 - base;
-        }
-        LayerEffect {
-            d_now: self.now - snap.now,
-            uf_rel: self.unit_free as i64 - base,
-            ready_rel,
-            frac_bits: self.scalar_frac.to_bits(),
-            next_occ_mem: self.next_occ_mem,
-            next_occ_cont: self.next_occ_cont,
-            last_occ_mem: self.last_occ_mem,
-            last_occ_cont: self.last_occ_cont,
-            last_occ_total: self.last_occ_total,
-            ring: ring_relevant.then_some((self.recent_misses, self.recent_miss_pos)),
-            stalls_d: self.stalls.since(&snap.stalls),
-            phases_d: phases_delta(&snap.phases, &self.phases),
-            stats_d: vpu_delta(&snap.stats, &self.stats),
-        }
-    }
-
-    /// Apply a stored [`LayerEffect`] at the current `now` — the memo-hit
-    /// fast path, bit-identical to interpreting the region (given an equal
-    /// [`MemoKey`] and `now >= ooo_window`; see [`crate::refit`]).
-    fn apply_effect(&mut self, eff: &LayerEffect) {
-        let base = self.now as i64;
-        self.now += eff.d_now;
-        self.unit_free = (base + eff.uf_rel) as u64;
-        for (r, &rel) in self.ready.iter_mut().zip(eff.ready_rel.iter()) {
-            *r = (base + rel) as u64;
-        }
-        self.ready_max = self.ready.iter().copied().max().unwrap_or(0);
-        self.scalar_frac = f64::from_bits(eff.frac_bits);
-        self.next_occ_mem = eff.next_occ_mem;
-        self.next_occ_cont = eff.next_occ_cont;
-        self.last_occ_mem = eff.last_occ_mem;
-        self.last_occ_cont = eff.last_occ_cont;
-        self.last_occ_total = eff.last_occ_total;
-        if let Some((ring, pos)) = eff.ring {
-            self.recent_misses = ring;
-            self.recent_miss_pos = pos;
-        }
-        self.stalls.merge(&eff.stalls_d);
-        self.phases.merge(&eff.phases_d);
-        vpu_accum(&mut self.stats, &eff.stats_d);
+        (segments, trace.ops.len())
     }
 
     /// The current segment's complete timing results (cache statistics from

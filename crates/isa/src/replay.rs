@@ -41,8 +41,8 @@
 //! pool layout stays inside this module: those ops are recorded through
 //! the `ReplayTrace::push_*` methods and decoded through its accessors,
 //! which return exactly the arguments of the original call. Fixed-size ops keep
-//! every trace position a plain index, so cursors, segment boundaries and
-//! refit regions need no decoding.
+//! every trace position a plain index, so cursors and segment boundaries
+//! need no decoding.
 
 use crate::stats::{KernelPhase, PhaseTimer, StallBreakdown, VpuStats};
 use lva_sim::{MemSystemStats, PrefetchTarget};
@@ -477,18 +477,6 @@ impl TapePlayer {
     /// Stats snapshot for the segment currently being replayed.
     pub(crate) fn segment_stats(&self) -> MemSystemStats {
         self.tape.segments[self.seg].stats
-    }
-
-    /// The next `n` probe levels, without consuming them (memo keying).
-    #[inline]
-    pub(crate) fn peek(&self, n: u64) -> &[u8] {
-        &self.tape.levels[self.cursor..self.cursor + n as usize]
-    }
-
-    /// Advance past `n` probes without reading them (memoized-layer apply).
-    #[inline]
-    pub(crate) fn skip(&mut self, n: u64) {
-        self.cursor += n as usize;
     }
 }
 

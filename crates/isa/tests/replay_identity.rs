@@ -17,10 +17,7 @@
 //! charges and `reset_timing` segment boundaries.
 
 use lva_isa::replay::{ProbeTape, ReplayTrace, SegmentReplay, TapeSegment};
-use lva_isa::{
-    Buf, IdealKnob, KernelPhase, LayerMemo, Machine, MachineConfig, PrefetchTarget, RefitGeometry,
-    RefitPlan, ReplayOp,
-};
+use lva_isa::{Buf, IdealKnob, KernelPhase, Machine, MachineConfig, PrefetchTarget, ReplayOp};
 use lva_sim::{AccessKind, Rng};
 
 /// Working-set size in `f32` words: larger than the L1 so the stream
@@ -342,30 +339,6 @@ fn workloads_cover_both_sides_of_the_inline_encodings() {
         let streams = count(&|op| matches!(op, ReplayOp::ScalarStream { .. }));
         assert!(0 < empty && empty < whilelt, "seed {seed:#x}: {empty} of {whilelt} whilelt empty");
         assert!(0 < long && long < streams, "seed {seed:#x}: {long} of {streams} streams long");
-    }
-}
-
-/// A memoized tape refit checks the refit plan's per-layer probe counts —
-/// computed from the pool-backed operands — against what the timing
-/// functions consume, and a second pass applies stored layers.
-#[test]
-fn memoized_tape_refit_matches_capture_bit_for_bit() {
-    for (name, cfg) in design_points() {
-        let (obs, trace, tape) = capture_run(&cfg, 5);
-        let geometry = RefitGeometry {
-            line_bytes: cfg.mem.l1.line_bytes as u64,
-            hw_prefetch: cfg.mem.hw_prefetch.is_some(),
-        };
-        let plan = RefitPlan::build(&trace, geometry);
-        let tape = std::sync::Arc::new(tape);
-        let mut memo = LayerMemo::new();
-        for pass in 0..2 {
-            let mut m = Machine::new(cfg.clone());
-            m.play_probe_tape(tape.clone()).expect("same geometry");
-            let segs = m.replay_with(&trace, Some((&plan, &mut memo)));
-            assert_eq!(observe_segment(&segs[1]), obs, "{name} pass {pass}: memoized refit");
-        }
-        assert!(memo.misses > 0, "{name}: no layer was interpreted");
     }
 }
 

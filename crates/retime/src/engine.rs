@@ -5,24 +5,24 @@
 //!
 //! 1. mode `Off` → full simulation (the engine is a no-op).
 //! 2. certificate gate refused → full simulation, refusal recorded.
-//! 3. run memo hit → cloned summary.
-//! 4. no recording for the stream → capture (one full simulation under
+//! 3. no recording for the stream → capture (one full simulation under
 //!    the recorder; its summary *is* the answer).
-//! 5. recording + a tape at this geometry → memoized tape refit.
-//! 6. recording, no tape at this geometry → live replay, recording a
-//!    fresh tape so the next run at this geometry refits.
+//! 4. recording + a tape at this geometry → tape refit.
+//! 5. recording, no tape at this geometry → live replay. A run's live
+//!    replay records a fresh tape so the next run at this geometry
+//!    refits; a multi-frame stream's does not (see [`RetimeStore`]).
 //!
 //! Under mode `Verify` every request additionally runs the full
 //! simulator and asserts the results are bit-identical — cycles, flops,
 //! the complete per-layer report with stall breakdowns, VPU statistics
 //! and cache statistics.
 //!
-//! Results are independent of memo state (every path is bit-identical),
-//! so a sweep driven through the engine produces byte-identical reports
-//! for any execution order or warm/cold store.
+//! Every path is bit-identical, so a sweep driven through the engine
+//! produces byte-identical reports for any execution order or store
+//! state.
 
 use crate::cert::CertGate;
-use crate::key::{ConfigKey, StreamKey};
+use crate::key::StreamKey;
 use crate::store::RetimeStore;
 use lva_core::{Experiment, RetimeOpt, RunSummary, StreamSummary};
 use lva_trace::Json;
@@ -33,7 +33,6 @@ use std::sync::Arc;
 pub struct Counters {
     pub full_runs: u64,
     pub refused_runs: u64,
-    pub run_memo_hits: u64,
     pub captures: u64,
     pub tape_refits: u64,
     pub live_replays: u64,
@@ -147,30 +146,21 @@ impl RetimeEngine {
             return (e.run(), "refused");
         }
         let sk = StreamKey::of(e);
-        let ck = ConfigKey::of(e);
-        if let Some(s) = self.store.run_cached(&sk, &ck) {
-            self.counters.run_memo_hits += 1;
-            self.verify(e, &s);
-            return (s, "run-memo");
-        }
         let fp = mem_fingerprint(e);
-        let (summary, path) = match self.store.lookup(&sk, &fp, e.refit_geometry()) {
+        let (summary, path) = match self.store.lookup(&sk, &fp) {
             None => {
-                let cap = e.run_traced();
-                let s = cap.summary.clone();
-                self.store.insert_trace(sk.clone(), cap, fp);
+                let cap = self.store.insert_trace(sk, e.run_traced(), fp);
                 self.counters.captures += 1;
-                (s, "capture")
+                (cap.summary.clone(), "capture")
             }
-            Some((cap, Some(tape), plan)) => {
-                let memo = self.store.layer_memo_mut(ck.clone());
+            Some((cap, Some(tape))) => {
                 let s = e
-                    .retime_tape_memoized_with(&cap, &tape, &plan, memo)
+                    .retime_tape_with(&cap, &tape)
                     .expect("tape indexed under this geometry fingerprint");
                 self.counters.tape_refits += 1;
                 (s, "tape-refit")
             }
-            Some((cap, None, _plan)) => {
+            Some((cap, None)) => {
                 let (s, tape) = e.retime_live_recording(&cap);
                 self.store.add_tape(&sk, fp, Arc::new(tape));
                 self.counters.live_replays += 1;
@@ -178,7 +168,6 @@ impl RetimeEngine {
             }
         };
         self.verify(e, &summary);
-        self.store.store_run(sk, ck, summary.clone());
         (summary, path)
     }
 
@@ -194,35 +183,25 @@ impl RetimeEngine {
             return e.run_stream(frames);
         }
         let sk = StreamKey::of(e);
-        let ck = ConfigKey::of(e);
-        if let Some(s) = self.store.stream_cached(&sk, frames, &ck) {
-            self.counters.run_memo_hits += 1;
-            self.verify_stream(e, frames, &s);
-            return s;
-        }
         let fp = mem_fingerprint(e);
-        let summary = match self.store.lookup_stream(&sk, frames, e.refit_geometry()) {
+        let summary = match self.store.lookup_stream(&sk, frames, &fp) {
             None => {
                 let cap = e.run_stream_traced(frames);
                 let s = cap.summary.clone();
-                self.store.insert_stream(sk.clone(), frames, cap, fp);
+                self.store.insert_stream(sk, frames, cap, fp);
                 self.counters.stream_captures += 1;
                 s
             }
-            Some((cap, tape_fp, plan)) => {
-                if tape_fp == fp {
-                    let memo = self.store.layer_memo_mut(ck.clone());
-                    self.counters.stream_refits += 1;
-                    e.retime_stream_tape_memoized(&cap, &plan, memo)
-                        .expect("fingerprint-matched stream tape")
-                } else {
-                    self.counters.stream_live_replays += 1;
-                    e.retime_stream_live(&cap)
-                }
+            Some((cap, true)) => {
+                self.counters.stream_refits += 1;
+                e.retime_stream_tape(&cap).expect("fingerprint-matched stream tape")
+            }
+            Some((cap, false)) => {
+                self.counters.stream_live_replays += 1;
+                e.retime_stream_live(&cap)
             }
         };
         self.verify_stream(e, frames, &summary);
-        self.store.store_stream_run(sk, frames, ck, summary.clone());
         summary
     }
 
@@ -245,19 +224,17 @@ impl RetimeEngine {
             return e.run_energy(model);
         }
         let sk = StreamKey::of(e);
-        let ck = ConfigKey::of(e);
         let fp = mem_fingerprint(e);
-        if self.store.lookup(&sk, &fp, e.refit_geometry()).is_none() {
-            let cap = e.run_traced();
-            self.store.insert_trace(sk.clone(), cap, fp.clone());
-            self.counters.captures += 1;
-        }
-        let (cap, _, _) =
-            self.store.lookup(&sk, &fp, e.refit_geometry()).expect("trace just ensured");
+        let cap = match self.store.lookup(&sk, &fp) {
+            Some((cap, _)) => cap,
+            None => {
+                self.counters.captures += 1;
+                self.store.insert_trace(sk, e.run_traced(), fp)
+            }
+        };
         let (summary, att) = e.retime_energy(&cap, model);
         self.counters.energy_retimes += 1;
         self.verify(e, &summary);
-        self.store.store_run(sk, ck, summary.clone());
         (summary, att)
     }
 
@@ -321,9 +298,6 @@ impl RetimeEngine {
     /// reports and the wallclock benchmark.
     pub fn report(&self) -> Json {
         let c = &self.counters;
-        let (configs, entries, hits, misses, bytes) = self.store.layer_memo_totals();
-        let looked = hits + misses;
-        let hit_rate = if looked == 0 { 0.0 } else { hits as f64 / looked as f64 };
         let mode = match self.mode {
             RetimeOpt::Off => "off",
             RetimeOpt::On => "on",
@@ -336,7 +310,6 @@ impl RetimeEngine {
                 Json::obj()
                     .field("full", c.full_runs)
                     .field("refused", c.refused_runs)
-                    .field("run_memo_hits", c.run_memo_hits)
                     .field("captures", c.captures)
                     .field("tape_refits", c.tape_refits)
                     .field("live_replays", c.live_replays)
@@ -345,22 +318,6 @@ impl RetimeEngine {
                     .field("stream_live_replays", c.stream_live_replays)
                     .field("energy_retimes", c.energy_retimes)
                     .field("verified", c.verified),
-            )
-            .field(
-                "run_memo",
-                Json::obj()
-                    .field("hits", self.store.run_hits)
-                    .field("misses", self.store.run_misses),
-            )
-            .field(
-                "layer_memo",
-                Json::obj()
-                    .field("configs", configs as u64)
-                    .field("entries", entries as u64)
-                    .field("hits", hits)
-                    .field("misses", misses)
-                    .field("hit_rate", hit_rate)
-                    .field("approx_bytes", bytes as u64),
             )
             .field(
                 "store",

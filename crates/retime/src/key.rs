@@ -1,4 +1,5 @@
-//! Memoization keys: which recordings and timings can be shared.
+//! Identity keys: which experiments share a recording, and which share
+//! a timing.
 //!
 //! The engine's soundness rests on two equivalences, each captured by a
 //! key type:
@@ -10,9 +11,9 @@
 //!   `IdealSpec` knobs (that independence is exactly what the
 //!   `lva-depgraph` certificates prove, and what `--retime=verify`
 //!   re-checks end to end).
-//! * [`ConfigKey`] — two runs share *timing* (and hence a layer memo) iff
-//!   they agree on every timing input: the full hardware point plus the
-//!   idealization spec.
+//! * [`ConfigKey`] — two runs have the same *timing* iff they agree on
+//!   every timing input: the full hardware point plus the idealization
+//!   spec.
 
 use lva_core::{Experiment, HwTarget};
 
@@ -41,10 +42,9 @@ impl StreamKey {
 }
 
 /// Identity of a timing configuration: the complete design point
-/// (including the axes [`StreamKey`] ignores) plus the `IdealSpec`.
-/// Layer memos are scoped per `ConfigKey` and shared across streams —
-/// sound because the layer `MemoKey` already folds the stream content
-/// (op signatures, tape slice, entry state) the effect depends on.
+/// (including the axes [`StreamKey`] ignores) plus the `IdealSpec`. The
+/// engine stores nothing per `ConfigKey`; sweeps use it to tell design
+/// points apart (two requests with equal keys would get equal results).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ConfigKey(String);
 

@@ -14,11 +14,9 @@
 //!    geometry matches a stored tape, a live replay (recording a fresh
 //!    tape for next time) when it does not — both bit-identical to the
 //!    full simulator.
-//! 3. **Memoize layers.** Repeated layers inside a run, across runs, and
-//!    across sweep grids hit the per-config [`lva_isa::LayerMemo`]: a
-//!    layer whose reduced op region, tape slice and relative entry state
-//!    were timed before is applied as a stored state delta (translation
-//!    invariance of the timing automaton; see `lva_isa::refit`).
+//!
+//! Results are not memoized: a sweep asks for each design point once, so
+//! the [`RetimeStore`] keeps recordings and their probe tapes only.
 //!
 //! Soundness is **certificate-gated**: retiming is only taken when every
 //! kernel in the `lva-check` registry holds a valid

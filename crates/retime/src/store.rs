@@ -1,35 +1,22 @@
-//! The memoizing retime store: recordings, per-geometry tapes and plans,
-//! run-level results, and per-config layer memos.
+//! The retime store: recordings and their per-geometry probe tapes.
 //!
-//! Three tiers, cheapest hit first:
+//! Per [`StreamKey`], the store holds the captured trace plus the probe
+//! tapes recorded for it, keyed by the memory-geometry fingerprint they
+//! were recorded at; per (`StreamKey`, frame count), a captured
+//! multi-frame stream with its capture tape. Nothing else is kept: a sweep
+//! asks for each design point once, so a stored result or layer timing
+//! would never be read again.
 //!
-//! 1. **Run memo** — `(StreamKey, ConfigKey) → RunSummary`. A design
-//!    point asked twice (sweep grids overlap; verification re-runs) is a
-//!    clone.
-//! 2. **Layer memo** — per [`ConfigKey`], the `lva_isa::LayerMemo` of
-//!    layer-region timing effects. Shared across streams at the same
-//!    config (the `MemoKey` folds all stream content the effect depends
-//!    on), so a repeated layer shape pays its timing once per config.
-//! 3. **Recordings** — per [`StreamKey`], the captured trace plus probe
-//!    tapes keyed by the memory-geometry fingerprint they were recorded
-//!    at, and refit plans keyed by [`RefitGeometry`].
-//!
-//! Recordings dominate the footprint, so the store enforces a byte budget
-//! over them with least-recently-used eviction; run and layer memos are
-//! orders of magnitude smaller and are never evicted (eviction-free
-//! determinism: a sweep's results are independent of hit/miss history).
+//! Recordings are large, so the store enforces a byte budget over them
+//! with least-recently-used eviction. An evicted stream is simply
+//! captured again, and every path is bit-identical, so a sweep's results
+//! do not depend on the budget.
 
-use crate::key::{ConfigKey, StreamKey};
+use crate::key::StreamKey;
 use lva_core::experiment::{CapturedRun, CapturedStream};
-use lva_core::{RunSummary, StreamSummary};
-use lva_isa::{LayerMemo, ProbeTape, RefitGeometry, RefitPlan};
+use lva_isa::ProbeTape;
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// What [`RetimeStore::lookup`] hands back for a refit: the capture, the
-/// stored tape matching the requested geometry fingerprint (if any), and
-/// the refit plan for the geometry (built on first use).
-pub type TraceLookup = (Arc<CapturedRun>, Option<Arc<ProbeTape>>, Arc<RefitPlan>);
 
 /// Default recording budget: generous for full sweeps at the benchmark
 /// scales while bounding a runaway grid on a small host.
@@ -43,8 +30,6 @@ pub struct TraceEntry {
     /// capture's own tape plus any recorded by live replays at other
     /// geometries.
     pub tapes: HashMap<String, Arc<ProbeTape>>,
-    /// Refit plans by probe-count geometry (line size × hw-prefetch).
-    pub plans: HashMap<RefitGeometry, Arc<RefitPlan>>,
     last_use: u64,
 }
 
@@ -62,7 +47,6 @@ pub struct StreamEntry {
     pub cap: Arc<CapturedStream>,
     /// Fingerprint of the geometry the capture tape is valid at.
     pub tape_fp: String,
-    pub plans: HashMap<RefitGeometry, Arc<RefitPlan>>,
     last_use: u64,
 }
 
@@ -72,22 +56,16 @@ impl StreamEntry {
     }
 }
 
-/// The engine's state. See the module docs for the tier structure.
+/// The engine's recordings. See the module docs.
 #[derive(Debug)]
 pub struct RetimeStore {
     traces: HashMap<StreamKey, TraceEntry>,
     /// Streaming captures, keyed by stream identity × frame count.
     streams: HashMap<(StreamKey, usize), StreamEntry>,
-    run_memo: HashMap<(StreamKey, ConfigKey), RunSummary>,
-    stream_memo: HashMap<(StreamKey, usize, ConfigKey), StreamSummary>,
-    layer_memos: HashMap<ConfigKey, LayerMemo>,
     capacity_bytes: usize,
     tick: u64,
     /// Recordings dropped to stay under the byte budget.
     pub evictions: u64,
-    /// Run-memo counters (layer-memo counters live on each [`LayerMemo`]).
-    pub run_hits: u64,
-    pub run_misses: u64,
 }
 
 impl RetimeStore {
@@ -100,14 +78,9 @@ impl RetimeStore {
         RetimeStore {
             traces: HashMap::new(),
             streams: HashMap::new(),
-            run_memo: HashMap::new(),
-            stream_memo: HashMap::new(),
-            layer_memos: HashMap::new(),
             capacity_bytes,
             tick: 0,
             evictions: 0,
-            run_hits: 0,
-            run_misses: 0,
         }
     }
 
@@ -116,7 +89,7 @@ impl RetimeStore {
         self.tick
     }
 
-    /// Approximate bytes held by recordings (the evictable tier).
+    /// Bytes held by recordings and their tapes.
     pub fn approx_bytes(&self) -> usize {
         self.traces.values().map(TraceEntry::approx_bytes).sum::<usize>()
             + self.streams.values().map(StreamEntry::approx_bytes).sum::<usize>()
@@ -130,89 +103,20 @@ impl RetimeStore {
         self.traces.len() + self.streams.len()
     }
 
-    // ---- run memo ----------------------------------------------------
-
-    pub fn run_cached(&mut self, sk: &StreamKey, ck: &ConfigKey) -> Option<RunSummary> {
-        let hit = self.run_memo.get(&(sk.clone(), ck.clone())).cloned();
-        if hit.is_some() {
-            self.run_hits += 1;
-        } else {
-            self.run_misses += 1;
-        }
-        hit
-    }
-
-    pub fn store_run(&mut self, sk: StreamKey, ck: ConfigKey, s: RunSummary) {
-        self.run_memo.insert((sk, ck), s);
-    }
-
-    pub fn stream_cached(
-        &mut self,
-        sk: &StreamKey,
-        frames: usize,
-        ck: &ConfigKey,
-    ) -> Option<StreamSummary> {
-        let hit = self.stream_memo.get(&(sk.clone(), frames, ck.clone())).cloned();
-        if hit.is_some() {
-            self.run_hits += 1;
-        } else {
-            self.run_misses += 1;
-        }
-        hit
-    }
-
-    pub fn store_stream_run(
+    /// Insert a fresh capture, its own tape indexed under `tape_fp`, and
+    /// hand it back.
+    pub fn insert_trace(
         &mut self,
         sk: StreamKey,
-        frames: usize,
-        ck: ConfigKey,
-        s: StreamSummary,
-    ) {
-        self.stream_memo.insert((sk, frames, ck), s);
-    }
-
-    // ---- layer memos -------------------------------------------------
-
-    pub fn layer_memo_mut(&mut self, ck: ConfigKey) -> &mut LayerMemo {
-        self.layer_memos.entry(ck).or_default()
-    }
-
-    /// Aggregate (configs, entries, hits, misses, bytes) over all layer
-    /// memos.
-    pub fn layer_memo_totals(&self) -> (usize, usize, u64, u64, usize) {
-        let mut entries = 0;
-        let mut hits = 0;
-        let mut misses = 0;
-        let mut bytes = 0;
-        for m in self.layer_memos.values() {
-            entries += m.len();
-            hits += m.hits;
-            misses += m.misses;
-            bytes += m.approx_bytes();
-        }
-        (self.layer_memos.len(), entries, hits, misses, bytes)
-    }
-
-    // ---- recordings --------------------------------------------------
-
-    pub fn has_trace(&self, sk: &StreamKey) -> bool {
-        self.traces.contains_key(sk)
-    }
-
-    pub fn has_stream(&self, sk: &StreamKey, frames: usize) -> bool {
-        self.streams.contains_key(&(sk.clone(), frames))
-    }
-
-    /// Insert a fresh capture; its own tape is indexed under `tape_fp`.
-    pub fn insert_trace(&mut self, sk: StreamKey, cap: CapturedRun, tape_fp: String) {
+        cap: CapturedRun,
+        tape_fp: String,
+    ) -> Arc<CapturedRun> {
         let tick = self.next_tick();
-        let mut tapes = HashMap::new();
-        tapes.insert(tape_fp, Arc::clone(&cap.tape));
-        self.traces.insert(
-            sk,
-            TraceEntry { cap: Arc::new(cap), tapes, plans: HashMap::new(), last_use: tick },
-        );
+        let cap = Arc::new(cap);
+        let tapes = HashMap::from([(tape_fp, Arc::clone(&cap.tape))]);
+        self.traces.insert(sk, TraceEntry { cap: Arc::clone(&cap), tapes, last_use: tick });
         self.enforce_budget();
+        cap
     }
 
     pub fn insert_stream(
@@ -223,39 +127,37 @@ impl RetimeStore {
         tape_fp: String,
     ) {
         let tick = self.next_tick();
-        self.streams.insert(
-            (sk, frames),
-            StreamEntry { cap: Arc::new(cap), tape_fp, plans: HashMap::new(), last_use: tick },
-        );
+        self.streams
+            .insert((sk, frames), StreamEntry { cap: Arc::new(cap), tape_fp, last_use: tick });
         self.enforce_budget();
     }
 
-    /// Look up a recording for a refit at geometry fingerprint `fp`:
-    /// returns the capture, the matching tape (if one is stored), and the
-    /// refit plan for `geom` (built on first use). Touches the LRU clock.
-    pub fn lookup(&mut self, sk: &StreamKey, fp: &str, geom: RefitGeometry) -> Option<TraceLookup> {
+    /// Look up a recording for a re-time at geometry fingerprint `fp`:
+    /// returns the capture and the tape recorded at `fp`, if one is stored.
+    /// Touches the LRU clock.
+    pub fn lookup(
+        &mut self,
+        sk: &StreamKey,
+        fp: &str,
+    ) -> Option<(Arc<CapturedRun>, Option<Arc<ProbeTape>>)> {
         let tick = self.next_tick();
         let e = self.traces.get_mut(sk)?;
         e.last_use = tick;
-        let plan = Arc::clone(
-            e.plans.entry(geom).or_insert_with(|| Arc::new(RefitPlan::build(&e.cap.trace, geom))),
-        );
-        Some((Arc::clone(&e.cap), e.tapes.get(fp).cloned(), plan))
+        Some((Arc::clone(&e.cap), e.tapes.get(fp).cloned()))
     }
 
+    /// Look up a multi-frame recording: returns the capture and whether its
+    /// tape was recorded at geometry fingerprint `fp`. Touches the LRU clock.
     pub fn lookup_stream(
         &mut self,
         sk: &StreamKey,
         frames: usize,
-        geom: RefitGeometry,
-    ) -> Option<(Arc<CapturedStream>, String, Arc<RefitPlan>)> {
+        fp: &str,
+    ) -> Option<(Arc<CapturedStream>, bool)> {
         let tick = self.next_tick();
         let e = self.streams.get_mut(&(sk.clone(), frames))?;
         e.last_use = tick;
-        let plan = Arc::clone(
-            e.plans.entry(geom).or_insert_with(|| Arc::new(RefitPlan::build(&e.cap.trace, geom))),
-        );
-        Some((Arc::clone(&e.cap), e.tape_fp.clone(), plan))
+        Some((Arc::clone(&e.cap), e.tape_fp == fp))
     }
 
     /// Index a tape recorded by a live replay at geometry `fp`.
@@ -298,6 +200,21 @@ impl RetimeStore {
             }
             self.evictions += 1;
         }
+    }
+}
+
+// ---- Shim for the host benchmark ----------------------------------------
+//
+// Kept only because the host benchmark (`benchmark/`), which changes
+// separately from the simulator, still calls it. Delete it together with
+// that call.
+
+impl RetimeStore {
+    /// All zeros: (configs, entries, hits, misses, bytes) of layer memos,
+    /// of which the store has none. Its only caller is the host benchmark
+    /// (`benchmark/`).
+    pub fn layer_memo_totals(&self) -> (usize, usize, u64, u64, usize) {
+        (0, 0, 0, 0, 0)
     }
 }
 

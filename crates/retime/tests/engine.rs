@@ -1,6 +1,6 @@
 //! End-to-end contracts of the retime engine: bit-identity against the
-//! full simulator across design points, memo determinism, and the
-//! certificate-gated fallback.
+//! full simulator across design points and dispatch paths, determinism,
+//! and the certificate-gated fallback.
 
 use lva_check::KernelCase;
 use lva_core::{
@@ -55,38 +55,37 @@ fn verify_mode_is_bit_identical_across_design_points() {
     assert_eq!(c.refused_runs, 0);
 }
 
-/// Eviction-free determinism: running the same sweep twice produces
-/// byte-identical reports, with the second pass served entirely from the
-/// run memo.
+/// Determinism: running the same sweep twice produces byte-identical
+/// reports. The first pass left a tape at every cache geometry it saw, so
+/// the second pass finds one for all seven points and re-times each by
+/// tape refit.
 #[test]
 fn second_pass_is_all_hits_and_byte_identical() {
     let mut engine = RetimeEngine::with_gate(RetimeOpt::On, CertGate::decided(Ok(())));
     let points = design_points();
-    let pass1: Vec<String> = points
-        .iter()
-        .map(|e| {
-            let s = engine.run(e);
-            lva_core::RunReport::new("t", e, &s).to_json().to_string_pretty()
-        })
-        .collect();
-    let hits_before = engine.counters().run_memo_hits;
-    assert_eq!(hits_before, 0, "first pass cannot hit the run memo");
-    let pass2: Vec<String> = points
-        .iter()
-        .map(|e| {
-            let s = engine.run(e);
-            lva_core::RunReport::new("t", e, &s).to_json().to_string_pretty()
-        })
-        .collect();
-    assert_eq!(pass1, pass2, "retimed sweep must be deterministic");
+    let pass = |engine: &mut RetimeEngine| -> Vec<(String, &'static str)> {
+        points
+            .iter()
+            .map(|e| {
+                let (s, path) = engine.run_explained(e);
+                (lva_core::RunReport::new("t", e, &s).to_json().to_string_pretty(), path)
+            })
+            .collect()
+    };
+    let pass1 = pass(&mut engine);
+    let c = engine.counters();
+    assert_eq!((c.captures, c.tape_refits, c.live_replays), (3, 3, 1));
+    let pass2 = pass(&mut engine);
+    for ((report1, _), (report2, path)) in pass1.iter().zip(&pass2) {
+        assert_eq!(report1, report2, "retimed sweep must be deterministic");
+        assert_eq!(*path, "tape-refit", "every point has a stored tape on the second pass");
+    }
+    let c = engine.counters();
     assert_eq!(
-        engine.counters().run_memo_hits,
-        points.len() as u64,
-        "second pass is 100% run-memo hits"
+        (c.captures, c.tape_refits, c.live_replays),
+        (3, 3 + points.len() as u64, 1),
+        "the second pass adds one tape refit per point and nothing else"
     );
-    // The layer memo observed real traffic and reports it.
-    let report = engine.report().to_string_pretty();
-    assert!(report.contains("layer_memo"), "report carries memo counters: {report}");
 }
 
 /// A kernel whose semantic stream depends on the design point (here: the
@@ -181,24 +180,24 @@ fn retimed_energy_attribution_is_bit_identical() {
     assert_eq!(engine.counters().energy_retimes, 1);
 }
 
-/// Streams through the engine: multi-frame capture, then a memoized
-/// stream refit at another timing-only point, both bit-identical to
-/// `run_stream`.
+/// Streams through the engine: a multi-frame capture, a stream refit at
+/// another timing-only point, and a live replay at a 4 MB L2 (the path
+/// `exp-serve --retime` takes across cache geometries), each
+/// bit-identical to `run_stream`.
 #[test]
 fn retimed_streams_match_run_stream() {
     let mut engine = RetimeEngine::with_gate(RetimeOpt::On, CertGate::decided(Ok(())));
     let a = exp(HwTarget::RvvGem5 { vlen_bits: 2048, lanes: 8, l2_bytes: 1 << 20 });
     let b = exp(HwTarget::RvvGem5 { vlen_bits: 2048, lanes: 4, l2_bytes: 1 << 20 });
-    for e in [&a, &b] {
+    let c = exp(HwTarget::RvvGem5 { vlen_bits: 2048, lanes: 8, l2_bytes: 4 << 20 });
+    for e in [&a, &b, &c] {
         let got = engine.run_stream(e, 2);
         let want = e.run_stream(2);
-        assert_eq!(got.per_frame_cycles, want.per_frame_cycles);
-        assert_eq!(got.steady.report, want.steady.report);
+        assert_eq!(got.per_frame_cycles, want.per_frame_cycles, "{}", e.hw.describe());
+        assert_eq!(got.steady.report, want.steady.report, "{}", e.hw.describe());
     }
-    let c = engine.counters();
-    assert_eq!(c.stream_captures, 1, "one capture per (stream, frames)");
-    assert_eq!(c.stream_refits, 1, "same-geometry point refits the stream tape");
-    // Asking again is a memo hit.
-    engine.run_stream(&a, 2);
-    assert_eq!(engine.counters().run_memo_hits, 1);
+    let n = engine.counters();
+    assert_eq!(n.stream_captures, 1, "one capture per (stream, frames)");
+    assert_eq!(n.stream_refits, 1, "same-geometry point refits the stream tape");
+    assert_eq!(n.stream_live_replays, 1, "a new cache geometry live-replays the stream");
 }
