@@ -23,11 +23,7 @@ use lva_bench::*;
 
 fn main() {
     let opts = Opts::parse(4, "Energy/EDP observatory across the RVV vector-length x L2 grid");
-    // --retime: per network and VL, one functional capture serves the
-    // whole L2 axis; output is bit-identical to the full-simulation grid.
-    let mut engine = retime_engine(&opts);
-    let j = energy_grid_json(opts.div, opts.layers, opts.jobs, engine.as_mut());
-    log_retime(engine.as_ref());
+    let j = energy_grid_json(opts.div, opts.layers, opts.jobs);
 
     let mut table = Table::new(
         "Energy per inference and EDP across the VL x L2 grid".to_string(),

@@ -73,7 +73,7 @@ fn retime_bench(specs: &[(String, Experiment)], full: &[SweepRun], serial_ms: f6
 /// `--jobs`, median of 3 passes each, plus the retime-vs-full section,
 /// and write `BENCH_sim_wallclock.json`. Per-run reports (with host
 /// timing attached) come from the last serial pass.
-fn wallclock_bench(specs: &[(String, Experiment)], opts: &Opts, engine: Option<&RetimeEngine>) {
+fn wallclock_bench(specs: &[(String, Experiment)], opts: &Opts) {
     let host_cpus = lva_core::default_jobs();
     let jobs = if opts.jobs > 1 { opts.jobs } else { host_cpus.max(2) };
     // The parallel executor cannot beat serial without a second CPU; its
@@ -104,11 +104,7 @@ fn wallclock_bench(specs: &[(String, Experiment)], opts: &Opts, engine: Option<&
         .iter()
         .zip(&runs)
         .map(|((name, e), r)| {
-            let mut report = RunReport::new(name.clone(), e, &r.summary).with_host(r.host_ms);
-            if let Some(eng) = engine {
-                report = report.with_retime(eng.report());
-            }
-            report.to_json()
+            RunReport::new(name.clone(), e, &r.summary).with_host(r.host_ms).to_json()
         })
         .collect();
     let mut j = Json::obj()
@@ -150,21 +146,10 @@ fn main() {
     let opts = Opts::parse(4, "Headline optimization speedups (§VI-A/§VI-C)");
     let specs = headline_specs(opts.div, opts.layers);
 
-    // --retime: the retime engine fronts every simulation
-    // below. --profile needs the real memory system live, so the table
-    // pass falls back to full simulation when both are requested.
-    let mut engine = retime_engine(&opts);
-    if engine.is_some() && opts.profile {
-        eprintln!("[--retime: --profile instruments the live memory system; table pass unretimed]");
-    }
-
     // The table pass. With --profile the memory profiler rides along
     // (timing unchanged) and its reuse-distance/3C report lands next to
     // the run. --jobs only changes who executes what when.
-    let results = match engine.as_mut() {
-        Some(eng) if !opts.profile => run_sweep_retimed(&specs, eng, false),
-        _ => run_sweep(&specs, opts.jobs, opts.profile, false),
-    };
+    let results = run_sweep(&specs, opts.jobs, opts.profile, false);
     let summary = |i: usize| -> &RunSummary { &results[i].summary };
     let runs: Vec<RunReport> = specs
         .iter()
@@ -177,12 +162,7 @@ fn main() {
                 // the file then legitimately differs from the knobs-off
                 // baseline.
                 eprintln!(".. whatif {} | {}", name, e.hw.describe());
-                let analysis = match engine.as_mut() {
-                    Some(eng) => {
-                        lva_whatif::analyze_counterfactuals_with(e, &r.summary, &mut |x| eng.run(x))
-                    }
-                    None => lva_whatif::analyze_counterfactuals(e, &r.summary, opts.jobs),
-                };
+                let analysis = lva_whatif::analyze_counterfactuals(e, &r.summary, opts.jobs);
                 report = report.with_whatif(analysis.to_json());
             }
             if opts.energy {
@@ -190,10 +170,7 @@ fn main() {
                 // attribution; cycles are bit-identical to the table pass.
                 eprintln!(".. energy {} | {}", name, e.hw.describe());
                 let model = lva_core::EnergyModel::default();
-                let (s, att) = match engine.as_mut() {
-                    Some(eng) => eng.run_energy(e, &model),
-                    None => e.run_energy(&model),
-                };
+                let (s, att) = e.run_energy(&model);
                 assert_eq!(s.cycles, r.summary.cycles, "{name}: energy probe changed timing");
                 report = report.with_energy(att.to_json());
             }
@@ -277,10 +254,8 @@ fn main() {
         observatory::publish(&j);
     }
 
-    log_retime(engine.as_ref());
-
     if opts.wallclock {
-        wallclock_bench(&specs, &opts, engine.as_ref());
+        wallclock_bench(&specs, &opts);
     }
 
     // The --json path above writes after emit()'s flush; make sure a

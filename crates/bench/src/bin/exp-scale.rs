@@ -29,12 +29,7 @@ fn main() {
         8,
         "Scale-out observatory: throughput-vs-cores curves over the shared-port SoC simulator",
     );
-    // --retime: the engine *refuses* multi-core records (certificates are
-    // single-core timing proofs) and the sweep falls back to full SoC
-    // simulation; output is bit-identical either way.
-    let mut engine = retime_engine(&opts);
-    let j = scaling_grid_json(opts.div, opts.layers, opts.jobs, engine.as_mut());
-    log_retime(engine.as_ref());
+    let j = scaling_grid_json(opts.div, opts.layers, opts.jobs);
 
     let mut table = Table::new(
         "SoC scale-out: throughput, contention share, and Mattson cross-check".to_string(),

@@ -25,7 +25,7 @@
 use lva_bench::*;
 
 fn main() {
-    let opts = Opts::parse(
+    let opts = Opts::parse_retime(
         8,
         "Serving observatory: latency/queue/SLO report over the batching inference tier",
     );

@@ -16,7 +16,7 @@
 use lva_bench::*;
 
 fn main() {
-    let opts = Opts::parse(8, "Counterfactual co-design advisor (lva-whatif)");
+    let opts = Opts::parse_retime(8, "Counterfactual co-design advisor (lva-whatif)");
     let specs = headline_specs(opts.div, opts.layers);
 
     let headline = std::fs::read_to_string("BENCH_headline.json")

@@ -77,35 +77,24 @@ fn edp_optimal(points: &[Point]) -> usize {
     best
 }
 
-/// Sweep one network over the VL × L2 grid (fanned over `jobs` threads,
-/// or serially through the retime engine when one is supplied: each VL
-/// captures once and the L2 axis re-times the recording) and return its
-/// record. Every point runs through the streaming probe and is gated on
-/// the sum-to-total invariant before it enters the report.
-fn network_json(
-    key: &str,
-    workload: Workload,
-    jobs: usize,
-    engine: Option<&mut lva_retime::RetimeEngine>,
-) -> Json {
+/// Sweep one network over the VL × L2 grid (fanned over `jobs` threads)
+/// and return its record. Every point runs through the streaming probe and
+/// is gated on the sum-to-total invariant before it enters the report.
+fn network_json(key: &str, workload: Workload, jobs: usize) -> Json {
     let policy = ConvPolicy::gemm_only(GemmVariant::opt3());
     let model = EnergyModel::default();
     let grid: Vec<(usize, usize)> = ENERGY_VLENS
         .into_iter()
         .flat_map(|v| crate::L2_SIZES.into_iter().map(move |l2| (v, l2)))
         .collect();
-    let experiment = |&(vlen, l2): &(usize, usize)| {
+    let points: Vec<Point> = parallel_map(&grid, jobs, |_, &(vlen, l2)| {
         let e = Experiment::new(
             HwTarget::RvvGem5 { vlen_bits: vlen, lanes: 8, l2_bytes: l2 },
             policy,
             workload,
         );
         eprintln!(".. energy {} | {}", e.hw.describe(), e.workload.describe());
-        e
-    };
-    let point = |&(vlen, l2): &(usize, usize),
-                 s: &lva_core::RunSummary,
-                 att: &lva_core::EnergyAttribution| {
+        let (s, att) = e.run_energy(&model);
         let err = att.reconciliation_rel_err();
         assert!(
             err < 1e-6,
@@ -139,25 +128,7 @@ fn network_json(
             edp_js: att.report.edp(),
             json,
         }
-    };
-    let points: Vec<Point> = match engine {
-        // The retime path is serial: the engine's recording store is shared
-        // mutable state, and re-timing a cell is far cheaper than the
-        // simulation it replaces.
-        Some(eng) => grid
-            .iter()
-            .map(|cell| {
-                let e = experiment(cell);
-                let (s, att) = eng.run_energy(&e, &model);
-                point(cell, &s, &att)
-            })
-            .collect(),
-        None => parallel_map(&grid, jobs, |_, cell| {
-            let e = experiment(cell);
-            let (s, att) = e.run_energy(&model);
-            point(cell, &s, &att)
-        }),
-    };
+    });
     let flags = pareto_flags(&points);
     let ci = cycles_optimal(&points);
     let ei = edp_optimal(&points);
@@ -176,15 +147,8 @@ fn network_json(
 /// Assemble the full `BENCH_energy.json` value: the VL × L2 grid for each
 /// headline network, per-point energy from the streaming probe, frontier
 /// flags, and both optima. Deterministic for fixed `(div, layers)` —
-/// independent of `jobs` and the host. With a retime engine (the
-/// `--retime` path), per network and VL one functional capture serves the
-/// entire L2 axis; the output is bit-identical to the full-simulation grid.
-pub fn energy_grid_json(
-    div: usize,
-    layers: Option<usize>,
-    jobs: usize,
-    mut engine: Option<&mut lva_retime::RetimeEngine>,
-) -> Json {
+/// independent of `jobs` and the host.
+pub fn energy_grid_json(div: usize, layers: Option<usize>, jobs: usize) -> Json {
     let networks = [
         (
             "yolov3",
@@ -216,12 +180,7 @@ pub fn energy_grid_json(
         .field("freq_ghz", m.freq_ghz);
     Json::obj().field("bench", "energy").field("div", div as u64).field("model", constants).field(
         "networks",
-        Json::Arr(
-            networks
-                .into_iter()
-                .map(|(k, w)| network_json(k, w, jobs, engine.as_deref_mut()))
-                .collect(),
-        ),
+        Json::Arr(networks.into_iter().map(|(k, w)| network_json(k, w, jobs)).collect()),
     )
 }
 
@@ -289,13 +248,13 @@ mod tests {
 
     fn tiny_grid() -> Json {
         // Reduced sweep: tiny div, few layers — the CI configuration.
-        energy_grid_json(8, Some(6), 2, None)
+        energy_grid_json(8, Some(6), 2)
     }
 
     #[test]
     fn energy_grid_is_deterministic_across_jobs() {
         let a = tiny_grid();
-        let b = energy_grid_json(8, Some(6), 1, None);
+        let b = energy_grid_json(8, Some(6), 1);
         assert_eq!(
             a.to_string_pretty(),
             b.to_string_pretty(),

@@ -22,7 +22,7 @@ pub use scaling_report::{
     scaling_chrome_trace, scaling_grid_json, scaling_markdown, SCALING_CORES,
 };
 pub use serving_report::{knee_chrome_trace, serving_grid_json, serving_markdown};
-pub use sweep::{median_ms, run_sweep, run_sweep_retimed, SweepRun};
+pub use sweep::{median_ms, run_sweep, SweepRun};
 pub use whatif_report::{codesign_markdown, whatif_json};
 
 pub use lva_core::report::{fmt_cycles, fmt_speedup};
@@ -40,8 +40,9 @@ pub const L2_SIZES: [usize; 6] = [1 << 20, 4 << 20, 16 << 20, 64 << 20, 128 << 2
 
 /// Common options for experiment binaries — the single shared parser in
 /// `lva_core::cli`, re-exported here so every `exp-*` bin keeps saying
-/// `lva_bench::Opts`. The `lint-*` tools use [`Opts::parse_tool`]
-/// (`lva_core::cli::Opts::parse_tool`) for the flag subset they accept.
+/// `lva_bench::Opts`. `exp-whatif` and `exp-serve` parse with
+/// [`Opts::parse_retime`], the only bins that take `--retime`; the
+/// `lint-*` tools use [`Opts::parse_tool`] for the flag subset they accept.
 pub use lva_core::cli::{Opts, RetimeOpt};
 pub use lva_retime::RetimeEngine;
 
@@ -111,8 +112,8 @@ pub fn emit(table: &Table, name: &str, opts: &Opts) {
     lva_trace::flush();
 }
 
-/// Build the retime engine an `exp-*` binary's `--retime` flag asks for
-/// (`None` when the flag is off).
+/// Build the retime engine the `--retime` flag asks for (`None` when the
+/// flag is off).
 pub fn retime_engine(opts: &Opts) -> Option<RetimeEngine> {
     opts.retime.enabled().then(|| RetimeEngine::new(opts.retime))
 }
@@ -126,14 +127,13 @@ pub fn log_retime(engine: Option<&RetimeEngine>) {
     let c = eng.counters();
     eprintln!(
         "[retime: {} captures, {} tape refits, {} live replays, {} stream captures, \
-         {} stream refits, {} stream live replays, {} energy retimes, {} verified]",
+         {} stream refits, {} stream live replays, {} verified]",
         c.captures,
         c.tape_refits,
         c.live_replays,
         c.stream_captures,
         c.stream_refits,
         c.stream_live_replays,
-        c.energy_retimes,
         c.verified
     );
     if let Some(reason) = eng.refusal() {
@@ -145,24 +145,11 @@ pub fn log_retime(engine: Option<&RetimeEngine>) {
 pub fn run_logged(e: &Experiment) -> RunSummary {
     eprintln!(".. {} | {}", e.hw.describe(), e.workload.describe());
     let s = e.run();
-    log_summary(&s);
-    s
-}
-
-/// Like [`run_logged`], with the `lva-prof` memory profiler attached
-/// (identical timing; the summary additionally carries 3C miss classes).
-pub fn run_logged_profiled(e: &Experiment) -> (RunSummary, MemProfile) {
-    eprintln!(".. {} | {} [profiled]", e.hw.describe(), e.workload.describe());
-    let (s, profile) = e.run_profiled();
-    log_summary(&s);
-    (s, profile)
-}
-
-fn log_summary(s: &RunSummary) {
     eprintln!(
         "   {} cycles, avg VL {:.0}b, L2 miss {:.1}%",
         fmt_cycles(s.cycles),
         s.avg_vlen_bits,
         100.0 * s.l2_miss_rate
     );
+    s
 }

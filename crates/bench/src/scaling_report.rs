@@ -253,22 +253,8 @@ fn cell_json(real: &SocResult, ideal: &SocResult) -> Json {
 }
 
 /// Assemble the full `BENCH_scaling.json` value. Deterministic for fixed
-/// `(div, layers)` — independent of `jobs` and the host. A retime engine
-/// (the `--retime` path) **refuses**: retime certificates are single-core
-/// timing proofs and say nothing about cross-core port interleaving, so it
-/// records [`lva_retime::CONTENTION_REFUSAL`] and this function runs the
-/// full SoC simulation — the output is byte-identical to the engineless
-/// path (pinned by test).
-pub fn scaling_grid_json(
-    div: usize,
-    layers: Option<usize>,
-    jobs: usize,
-    engine: Option<&mut lva_retime::RetimeEngine>,
-) -> Json {
-    if let Some(eng) = engine {
-        let reason = eng.refuse_contention();
-        eprintln!(".. retime declined for the scaling sweep: {reason}");
-    }
+/// `(div, layers)` — independent of `jobs` and the host.
+pub fn scaling_grid_json(div: usize, layers: Option<usize>, jobs: usize) -> Json {
     let nets = scaling_networks(div, layers);
     let points = scaling_design_points();
     let policy = ConvPolicy::gemm_only(GemmVariant::opt3());
@@ -523,7 +509,7 @@ mod tests {
     fn tiny_grid() -> Json {
         // Reduced sweep: tiny scale, short prefixes — the unit-test
         // configuration (CI runs the committed default separately).
-        scaling_grid_json(16, Some(4), 2, None)
+        scaling_grid_json(16, Some(4), 2)
     }
 
     fn cells_of<'a>(j: &'a Json, net: usize, point: usize, sharding: &str) -> &'a [Json] {
@@ -548,7 +534,7 @@ mod tests {
     #[test]
     fn scaling_grid_is_deterministic_across_jobs() {
         let a = tiny_grid();
-        let b = scaling_grid_json(16, Some(4), 1, None);
+        let b = scaling_grid_json(16, Some(4), 1);
         assert_eq!(
             a.to_string_pretty(),
             b.to_string_pretty(),
@@ -630,24 +616,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn retime_refuses_and_the_record_is_byte_identical() {
-        let mut engine = lva_retime::RetimeEngine::with_gate(
-            lva_core::RetimeOpt::On,
-            lva_retime::CertGate::decided(Ok(())),
-        );
-        let with = scaling_grid_json(16, Some(4), 2, Some(&mut engine));
-        let without = tiny_grid();
-        assert_eq!(
-            with.to_string_pretty(),
-            without.to_string_pretty(),
-            "--retime output must be byte-identical (full-sim fallback)"
-        );
-        assert_eq!(engine.refusal(), Some(lva_retime::CONTENTION_REFUSAL));
-        assert!(engine.counters().refused_runs >= 1);
-        assert_eq!(engine.counters().captures, 0, "no capture may happen under refusal");
     }
 
     #[test]

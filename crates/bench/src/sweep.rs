@@ -82,43 +82,6 @@ pub fn run_sweep(
     runs
 }
 
-/// Run named experiments through the retime engine's front door instead
-/// of the full simulator: the first visit to a semantic stream captures
-/// it, every later design point re-times the recording.
-///
-/// Always serial — the engine's recording store is one mutable
-/// structure, and re-timing is fast enough that thread fan-out would only
-/// buy back a fraction of the capture cost. Results are bit-identical to
-/// [`run_sweep`] at any `jobs` (the engine asserts this per run under
-/// `--retime=verify`), so `--jobs` changes nothing but wall-clock.
-pub fn run_sweep_retimed(
-    specs: &[(String, Experiment)],
-    engine: &mut lva_retime::RetimeEngine,
-    quiet: bool,
-) -> Vec<SweepRun> {
-    specs
-        .iter()
-        .map(|(name, e)| {
-            if !quiet {
-                eprintln!(".. {} | {} [{name}]", e.hw.describe(), e.workload.describe());
-            }
-            let t0 = Instant::now();
-            let (summary, path) = engine.run_explained(e);
-            let r = SweepRun { summary, profile: None, host_ms: t0.elapsed().as_secs_f64() * 1e3 };
-            if !quiet {
-                eprintln!(
-                    "   {name}: {} cycles, avg VL {:.0}b, L2 miss {:.1}% ({:.0} ms host, {path})",
-                    fmt_cycles(r.summary.cycles),
-                    r.summary.avg_vlen_bits,
-                    100.0 * r.summary.l2_miss_rate,
-                    r.host_ms,
-                );
-            }
-            r
-        })
-        .collect()
-}
-
 /// Median of a sample set (interpolating midpoint for even counts).
 pub fn median_ms(samples: &mut [f64]) -> f64 {
     assert!(!samples.is_empty());

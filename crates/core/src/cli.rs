@@ -4,13 +4,17 @@
 //! all speak the same flag dialect (`--jobs`, `--json`, `--trace`, …).
 //! Each bin used to re-implement the loop by hand and PR 5/6 had to patch
 //! them one at a time for flag parity; [`Opts`] is now the single
-//! implementation. Experiment bins call [`Opts::parse`] (the full dialect,
-//! re-exported as `lva_bench::Opts`); lint tools call [`Opts::parse_tool`]
-//! (the `--jobs/--json/--trace` subset). Both print `--help` and exit 0,
-//! and answer a malformed command line with one line naming the flag and
-//! exit 2 (the lint tools' "internal/usage error" code). The parsing
-//! itself is [`Opts::try_parse`] / [`Opts::try_parse_tool`], which take
-//! the arguments as an iterator and return a [`CliError`].
+//! implementation. Experiment bins call [`Opts::parse`] (the experiment
+//! dialect, re-exported as `lva_bench::Opts`), or [`Opts::parse_retime`]
+//! when the sweep also takes `--retime` (`exp-whatif` and `exp-serve`, the
+//! two whose retime engine path re-times recordings); lint tools call
+//! [`Opts::parse_tool`] (the `--jobs/--json/--trace` subset). All print
+//! `--help` and exit 0, and answer a malformed command line — including a
+//! flag the binary does not take — with one line naming the flag and exit
+//! 2 (the lint tools' "internal/usage error" code). The parsing itself is
+//! [`Opts::try_parse`] / [`Opts::try_parse_retime`] /
+//! [`Opts::try_parse_tool`], which take the arguments as an iterator and
+//! return a [`CliError`].
 
 use std::env;
 
@@ -48,12 +52,13 @@ pub struct Opts {
     pub energy: bool,
     /// Route runs through the `lva-retime` retime engine (`--retime`), or
     /// through it *and* the full simulator with a bit-identity assertion
-    /// per run (`--retime=verify`).
+    /// per run (`--retime=verify`). Always `Off` unless the binary parses
+    /// with [`Opts::parse_retime`].
     pub retime: RetimeOpt,
 }
 
-/// The `--retime` flag's three settings, shared by every experiment bin
-/// (the `lva-retime` engine consumes it as its mode).
+/// The `--retime` flag's three settings (the `lva-retime` engine consumes
+/// it as its mode).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RetimeOpt {
     /// Full simulation for every run (the default).
@@ -73,7 +78,18 @@ impl RetimeOpt {
     }
 }
 
-/// Why [`Opts::try_parse`] or [`Opts::try_parse_tool`] returned no options.
+/// Which flags a binary takes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Dialect {
+    /// The lint tools' subset: `--jobs`, `--json`, `--trace`.
+    Tool,
+    /// Every experiment flag except `--retime`.
+    Experiment,
+    /// Every experiment flag, `--retime` included.
+    Retime,
+}
+
+/// Why an `Opts::try_parse*` call returned no options.
 #[derive(Debug, PartialEq, Eq)]
 pub enum CliError {
     /// `--help` or `-h`: print the usage text and exit 0.
@@ -115,16 +131,23 @@ impl Opts {
         }
     }
 
-    /// Parse the full dialect from `std::env`; print the usage text and
-    /// exit 0 on `--help`, or print the error and exit 2 on a malformed
+    /// Parse the experiment dialect from `std::env`; print the usage text
+    /// and exit 0 on `--help`, or print the error and exit 2 on a malformed
     /// command line. `default_div` is the experiment's default scale.
     /// `--trace` installs a JSONL telemetry sink for the whole run.
     pub fn parse(default_div: usize, what: &str) -> Opts {
-        Self::try_parse(default_div, env::args().skip(1)).unwrap_or_else(|e| {
-            e.exit(&format!(
-                "{what}\n\nOptions:\n  --div N      input down-scale divisor (default {default_div}; 1 = paper size)\n  --layers N   layer prefix override\n  --csv/--no-csv  write results/<exp>.csv (default on)\n  --json       also write results/<exp>.json (machine-readable)\n  --profile    tap the cache hierarchy: reuse-distance histograms, 3C\n               miss classes, capacity curves (in the JSON output)\n  --chrome FILE  write a Chrome trace-event timeline (Perfetto) to FILE\n  --trace FILE stream JSONL telemetry spans to FILE\n  --jobs N     run independent design points on N threads (0 = all cores;\n               results and reports are identical to --jobs 1)\n  --wallclock  self-benchmark: time the sweep serial vs --jobs (median of\n               3 each) and write BENCH_sim_wallclock.json\n  --with-whatif  attach lva-whatif counterfactual analyses (bound\n               classification, cycles-saved-if-fixed) to the JSON reports\n  --with-energy  attach the lva-energy streamed attribution (per-layer\n               joules, EDP, energy roofline) to the JSON reports\n  --retime     trace each semantic stream once, re-time every other design\n               point from the recording (bit-identical; certificate-gated,\n               falls back to full simulation)\n  --retime=verify  retime AND fully simulate every run, asserting the\n               results are bit-identical"
-            ))
-        })
+        Self::parse_env(default_div, Dialect::Experiment, what)
+    }
+
+    /// [`Opts::parse`], also taking `--retime`, `--retime=verify` and
+    /// `--retime=off`.
+    pub fn parse_retime(default_div: usize, what: &str) -> Opts {
+        Self::parse_env(default_div, Dialect::Retime, what)
+    }
+
+    fn parse_env(default_div: usize, dialect: Dialect, what: &str) -> Opts {
+        Self::parse_args(default_div, dialect, env::args().skip(1))
+            .unwrap_or_else(|e| e.exit(&usage(default_div, dialect, what)))
     }
 
     /// Parse the lint-tool subset (`--jobs N`, `--json`, `--trace FILE`,
@@ -144,22 +167,32 @@ impl Opts {
         default_div: usize,
         args: impl IntoIterator<Item = String>,
     ) -> Result<Opts, CliError> {
-        Self::parse_args(default_div, false, args)
+        Self::parse_args(default_div, Dialect::Experiment, args)
+    }
+
+    /// [`Opts::parse_retime`] over explicit arguments (without the program
+    /// name).
+    pub fn try_parse_retime(
+        default_div: usize,
+        args: impl IntoIterator<Item = String>,
+    ) -> Result<Opts, CliError> {
+        Self::parse_args(default_div, Dialect::Retime, args)
     }
 
     /// [`Opts::parse_tool`] over explicit arguments (without the program
     /// name).
     pub fn try_parse_tool(args: impl IntoIterator<Item = String>) -> Result<Opts, CliError> {
-        Self::parse_args(1, true, args)
+        Self::parse_args(1, Dialect::Tool, args)
     }
 
-    /// The one parser: the lint tools' subset first, then (unless `tool`)
-    /// the experiment flags.
+    /// The one parser: the lint tools' subset first, then the experiment
+    /// flags, then `--retime`.
     fn parse_args(
         default_div: usize,
-        tool: bool,
+        dialect: Dialect,
         args: impl IntoIterator<Item = String>,
     ) -> Result<Opts, CliError> {
+        let (tool, retime) = (dialect == Dialect::Tool, dialect == Dialect::Retime);
         let mut opts = Opts::defaults(default_div);
         let mut args = args.into_iter();
         while let Some(a) = args.next() {
@@ -178,15 +211,28 @@ impl Opts {
                 "--wallclock" => opts.wallclock = true,
                 "--with-whatif" => opts.whatif = true,
                 "--with-energy" => opts.energy = true,
-                "--retime" => opts.retime = RetimeOpt::On,
-                "--retime=verify" => opts.retime = RetimeOpt::Verify,
-                "--retime=off" => opts.retime = RetimeOpt::Off,
+                "--retime" if retime => opts.retime = RetimeOpt::On,
+                "--retime=verify" if retime => opts.retime = RetimeOpt::Verify,
+                "--retime=off" if retime => opts.retime = RetimeOpt::Off,
                 "--chrome" => opts.chrome = Some(value(&mut args, "--chrome", "a file path")?),
                 other => return Err(CliError::Usage(format!("unknown option {other}"))),
             }
         }
         Ok(opts)
     }
+}
+
+/// The `--help` text of an experiment binary; the `--retime` lines appear
+/// only in the dialect that takes them.
+fn usage(default_div: usize, dialect: Dialect, what: &str) -> String {
+    let retime = if dialect == Dialect::Retime {
+        "\n  --retime     trace each semantic stream once, re-time every other design\n               point from the recording (bit-identical; certificate-gated,\n               falls back to full simulation)\n  --retime=verify  retime AND fully simulate every run, asserting the\n               results are bit-identical"
+    } else {
+        ""
+    };
+    format!(
+        "{what}\n\nOptions:\n  --div N      input down-scale divisor (default {default_div}; 1 = paper size)\n  --layers N   layer prefix override\n  --csv/--no-csv  write results/<exp>.csv (default on)\n  --json       also write results/<exp>.json (machine-readable)\n  --profile    tap the cache hierarchy: reuse-distance histograms, 3C\n               miss classes, capacity curves (in the JSON output)\n  --chrome FILE  write a Chrome trace-event timeline (Perfetto) to FILE\n  --trace FILE stream JSONL telemetry spans to FILE\n  --jobs N     run independent design points on N threads (0 = all cores;\n               results and reports are identical to --jobs 1)\n  --wallclock  self-benchmark: time the sweep serial vs --jobs (median of\n               3 each) and write BENCH_sim_wallclock.json\n  --with-whatif  attach lva-whatif counterfactual analyses (bound\n               classification, cycles-saved-if-fixed) to the JSON reports\n  --with-energy  attach the lva-energy streamed attribution (per-layer\n               joules, EDP, energy roofline) to the JSON reports{retime}"
+    )
 }
 
 /// The value after `flag`, or a usage error saying what it `needs`.
@@ -236,10 +282,10 @@ mod tests {
 
     #[test]
     fn well_formed_flags_parse() {
-        let o = Opts::try_parse(4, args("--div 8 --layers 0 --no-csv --jobs 3 --retime=verify"))
+        let o = Opts::try_parse(4, args("--div 8 --layers 0 --no-csv --jobs 3"))
             .expect("valid command line");
         assert_eq!((o.div, o.layers, o.csv, o.jobs), (8, Some(0), false, 3));
-        assert_eq!(o.retime, RetimeOpt::Verify);
+        assert_eq!(o.retime, RetimeOpt::Off);
         assert_eq!(Opts::try_parse(4, args("")).expect("defaults").div, 4);
         assert_eq!(Opts::try_parse_tool(args("--jobs 2 --json")).expect("tool subset").jobs, 2);
         assert_eq!(Opts::try_parse(4, args("-h")).unwrap_err(), CliError::Help);
@@ -269,5 +315,26 @@ mod tests {
             };
             assert!(msg.contains(flag) && !msg.contains('\n'), "`{line}`: {msg}");
         }
+    }
+
+    #[test]
+    fn retime_parses_only_in_the_retime_dialect() {
+        for (flag, mode) in [
+            ("--retime", RetimeOpt::On),
+            ("--retime=verify", RetimeOpt::Verify),
+            ("--retime=off", RetimeOpt::Off),
+        ] {
+            let o = Opts::try_parse_retime(8, args(&format!("--layers 6 {flag}")))
+                .expect("the retime dialect takes the flag");
+            assert_eq!((o.layers, o.retime), (Some(6), mode), "{flag}");
+            for parsed in [Opts::try_parse(8, args(flag)), Opts::try_parse_tool(args(flag))] {
+                let Err(CliError::Usage(msg)) = parsed else {
+                    panic!("`{flag}` must be an unknown option outside the retime dialect");
+                };
+                assert_eq!(msg, format!("unknown option {flag}"));
+            }
+        }
+        assert!(usage(8, Dialect::Retime, "x").contains("--retime=verify"));
+        assert!(!usage(8, Dialect::Experiment, "x").contains("--retime"));
     }
 }

@@ -155,42 +155,29 @@ impl RunSummary {
 }
 
 /// One experiment executed once under the semantic recorder: the op stream
-/// every timing decision depends on, the probe tape (per-probe serving
-/// levels at the capture geometry), and the summary the capture run itself
-/// produced. Capture costs one full simulation; the stream can then be
-/// re-timed at arbitrarily many design points without re-executing kernels.
+/// every timing decision depends on (setup plus every frame,
+/// `ResetTiming`-delimited), the probe tape (per-probe serving levels at
+/// the capture geometry), and what the capture run itself measured. A run
+/// is a one-frame recording. Capture costs one full simulation; the stream
+/// can then be re-timed at arbitrarily many design points without
+/// re-executing kernels.
 #[derive(Debug, Clone)]
 pub struct CapturedRun {
     pub trace: Arc<ReplayTrace>,
     pub tape: Arc<ProbeTape>,
-    /// The summary at the capture configuration — bit-identical to what
-    /// [`Experiment::run`] returns, and the source of the static per-layer
-    /// metadata (flops, GEMM dims, algorithm, shapes) that re-timed
-    /// summaries inherit.
+    /// Cycles per captured frame, in order (one entry for a run).
+    pub per_frame_cycles: Vec<u64>,
+    /// The last frame's summary at the capture configuration —
+    /// bit-identical to what [`Experiment::run`] returns for a run, and the
+    /// source of the static per-layer metadata (flops, GEMM dims,
+    /// algorithm, shapes) that re-timed summaries inherit.
     pub summary: RunSummary,
 }
 
 impl CapturedRun {
-    /// Approximate captured-state footprint in bytes (trace + tape).
-    pub fn approx_bytes(&self) -> usize {
-        self.trace.approx_bytes() + self.tape.approx_bytes()
-    }
-}
-
-/// A streaming experiment executed once under the semantic recorder: the
-/// multi-frame op stream (setup + every frame, `ResetTiming`-delimited),
-/// the probe tape, and the stream summary the capture itself produced.
-#[derive(Debug, Clone)]
-pub struct CapturedStream {
-    pub trace: Arc<ReplayTrace>,
-    pub tape: Arc<ProbeTape>,
-    pub summary: StreamSummary,
-}
-
-impl CapturedStream {
-    /// Approximate captured-state footprint in bytes (trace + tape).
-    pub fn approx_bytes(&self) -> usize {
-        self.trace.approx_bytes() + self.tape.approx_bytes()
+    /// Number of captured frames.
+    pub fn frames(&self) -> usize {
+        self.per_frame_cycles.len()
     }
 }
 
@@ -229,11 +216,7 @@ impl Experiment {
         self
     }
 
-    fn build(&self) -> (Machine, Network, lva_tensor::Shape) {
-        self.build_inner(false)
-    }
-
-    fn build_inner(&self, capture: bool) -> (Machine, Network, lva_tensor::Shape) {
+    fn build(&self, capture: bool) -> (Machine, Network, lva_tensor::Shape) {
         let (specs, shape) = self.workload.model.build(self.workload.input_hw);
         let specs = match self.workload.layer_limit {
             Some(n) => specs[..n.min(specs.len())].to_vec(),
@@ -267,13 +250,10 @@ impl Experiment {
     }
 
     /// Build the machine and network, run one inference, return summary.
+    /// Setup is excluded, like the paper: a run is the one-frame
+    /// [`Experiment::run_stream`].
     pub fn run(&self) -> RunSummary {
-        let (mut m, mut net, shape) = self.build();
-        // Exclude setup, like the paper.
-        m.reset_timing();
-        let image = host_random(shape.len(), self.seed ^ 0x1533);
-        let report = net.run(&mut m, &image);
-        Self::summarize(&m, report)
+        self.run_stream(1).steady
     }
 
     /// Like [`Experiment::run`], with an `lva-prof` memory profiler tapped
@@ -285,7 +265,7 @@ impl Experiment {
     /// and per-layer/per-phase attribution. Profiling is pure observation:
     /// cycle counts are identical to an unprofiled run.
     pub fn run_profiled(&self) -> (RunSummary, lva_prof::MemProfile) {
-        let (mut m, mut net, shape) = self.build();
+        let (mut m, mut net, shape) = self.build(false);
         m.reset_timing();
         let handle = lva_prof::attach(&mut m.sys);
         let image = host_random(shape.len(), self.seed ^ 0x1533);
@@ -309,7 +289,7 @@ impl Experiment {
         &self,
         model: &lva_energy::EnergyModel,
     ) -> (RunSummary, lva_energy::EnergyAttribution) {
-        let (mut m, mut net, shape) = self.build();
+        let (mut m, mut net, shape) = self.build(false);
         m.reset_timing();
         let probe = lva_energy::attach(&mut m);
         let image = host_random(shape.len(), self.seed ^ 0x1533);
@@ -322,7 +302,7 @@ impl Experiment {
     /// Chrome trace-event timeline (layers, kernel phases, and attributed
     /// stall intervals as parallel tracks over simulated cycles).
     pub fn run_timeline(&self) -> (RunSummary, lva_trace::ChromeTrace) {
-        let (mut m, mut net, shape) = self.build();
+        let (mut m, mut net, shape) = self.build(false);
         m.reset_timing();
         m.record_pipe_events();
         let image = host_random(shape.len(), self.seed ^ 0x1533);
@@ -353,16 +333,26 @@ impl Experiment {
     /// # Panics
     /// Panics if `frames == 0`.
     pub fn run_stream(&self, frames: usize) -> StreamSummary {
+        let (mut m, mut net, shape) = self.build(false);
+        self.run_frames(&mut m, &mut net, shape, frames)
+    }
+
+    fn run_frames(
+        &self,
+        m: &mut Machine,
+        net: &mut Network,
+        shape: lva_tensor::Shape,
+        frames: usize,
+    ) -> StreamSummary {
         assert!(frames > 0, "need at least one frame");
-        let (mut m, mut net, shape) = self.build();
         let mut per_frame = Vec::with_capacity(frames);
         let mut last = None;
         for f in 0..frames {
             m.reset_timing();
             let image = host_random(shape.len(), self.seed ^ (0x1533 + f as u64));
-            let report = net.run(&mut m, &image);
+            let report = net.run(m, &image);
             per_frame.push(report.cycles);
-            last = Some(Self::summarize(&m, report));
+            last = Some(Self::summarize(m, report));
         }
         StreamSummary { per_frame_cycles: per_frame, steady: last.expect("frames > 0") }
     }
@@ -372,37 +362,24 @@ impl Experiment {
     /// number of [`Experiment::retime_live`] / [`Experiment::retime_tape`]
     /// calls at other design points.
     pub fn run_traced(&self) -> CapturedRun {
-        let (mut m, mut net, shape) = self.build_inner(true);
-        m.reset_timing();
-        let image = host_random(shape.len(), self.seed ^ 0x1533);
-        let report = net.run(&mut m, &image);
-        let summary = Self::summarize(&m, report);
-        let (trace, tape) = m.finish_capture().expect("capture started in build_inner");
-        CapturedRun { trace: Arc::new(trace), tape: Arc::new(tape), summary }
+        self.run_stream_traced(1)
     }
 
     /// [`Experiment::run_stream`] under the semantic recorder: one capture
-    /// of the whole multi-frame stream (setup plus `frames` inferences),
-    /// re-timeable at other design points like a [`CapturedRun`].
+    /// of setup plus `frames` inferences.
     ///
     /// # Panics
     /// Panics if `frames == 0`.
-    pub fn run_stream_traced(&self, frames: usize) -> CapturedStream {
-        assert!(frames > 0, "need at least one frame");
-        let (mut m, mut net, shape) = self.build_inner(true);
-        let mut per_frame = Vec::with_capacity(frames);
-        let mut last = None;
-        for f in 0..frames {
-            m.reset_timing();
-            let image = host_random(shape.len(), self.seed ^ (0x1533 + f as u64));
-            let report = net.run(&mut m, &image);
-            per_frame.push(report.cycles);
-            last = Some(Self::summarize(&m, report));
+    pub fn run_stream_traced(&self, frames: usize) -> CapturedRun {
+        let (mut m, mut net, shape) = self.build(true);
+        let s = self.run_frames(&mut m, &mut net, shape, frames);
+        let (trace, tape) = m.finish_capture().expect("capture started in build");
+        CapturedRun {
+            trace: Arc::new(trace),
+            tape: Arc::new(tape),
+            per_frame_cycles: s.per_frame_cycles,
+            summary: s.steady,
         }
-        let summary =
-            StreamSummary { per_frame_cycles: per_frame, steady: last.expect("frames > 0") };
-        let (trace, tape) = m.finish_capture().expect("capture started in build_inner");
-        CapturedStream { trace: Arc::new(trace), tape: Arc::new(tape), summary }
     }
 
     /// A machine for re-timing a captured stream at this experiment's
@@ -415,124 +392,67 @@ impl Experiment {
         Machine::new(cfg)
     }
 
-    /// Re-time a captured stream at this experiment's design point by
+    /// Re-time a captured run at this experiment's design point by
     /// re-driving the full memory hierarchy with the recorded addresses
     /// (live replay). Exact on every configuration axis — including cache
     /// geometry changes the probe tape cannot absorb — at the cost of
     /// simulating the hierarchy again.
     pub fn retime_live(&self, cap: &CapturedRun) -> RunSummary {
-        let mut m = self.replay_machine();
-        let segs = m.replay(&cap.trace);
-        Self::reconstruct(cap, segs)
+        self.replay_live(cap, false).0.steady
     }
 
-    /// [`Experiment::retime_live`], additionally recording a fresh probe
-    /// tape at this configuration's geometry so later timing-only variations
-    /// can use the (much faster) [`Experiment::retime_tape`] path.
-    pub fn retime_live_recording(&self, cap: &CapturedRun) -> (RunSummary, ProbeTape) {
+    /// [`Experiment::retime_live`] for every frame of a recording. With
+    /// `record_tape`, also records a fresh probe tape at this
+    /// configuration's geometry, so later timing-only variations can take
+    /// the (much faster) [`Experiment::replay_tape`] path.
+    pub fn replay_live(
+        &self,
+        cap: &CapturedRun,
+        record_tape: bool,
+    ) -> (StreamSummary, Option<ProbeTape>) {
         let mut m = self.replay_machine();
-        m.record_probe_tape();
+        if record_tape {
+            m.record_probe_tape();
+        }
         let segs = m.replay(&cap.trace);
-        let tape = m.take_probe_tape().expect("tape recording was on");
+        let tape = m.take_probe_tape();
         (Self::reconstruct(cap, segs), tape)
     }
 
-    /// Re-time a captured stream by replaying the probe tape: each memory
+    /// Re-time a captured run by replaying its probe tape: each memory
     /// probe's serving level is read back instead of re-simulated, so the
     /// hierarchy state machine never runs. Exact for every timing-only axis
     /// (latency constants, lanes, core CPI, `IdealSpec`); refuses with an
     /// error if this configuration changes the hierarchy's *state* geometry
     /// (capacities, associativity, line size, prefetcher).
     pub fn retime_tape(&self, cap: &CapturedRun) -> Result<RunSummary, String> {
-        self.retime_tape_with(cap, &cap.tape)
+        self.replay_tape(cap, &cap.tape).map(|s| s.steady)
     }
 
-    /// [`Experiment::retime_tape`] with an explicit tape — e.g. one recorded
-    /// by [`Experiment::retime_live_recording`] at a different geometry than
-    /// the original capture.
-    pub fn retime_tape_with(
+    /// [`Experiment::retime_tape`] for every frame of a recording, with an
+    /// explicit tape — e.g. one recorded by [`Experiment::replay_live`] at
+    /// a different geometry than the original capture.
+    pub fn replay_tape(
         &self,
         cap: &CapturedRun,
         tape: &Arc<ProbeTape>,
-    ) -> Result<RunSummary, String> {
+    ) -> Result<StreamSummary, String> {
         let mut m = self.replay_machine();
         m.play_probe_tape(Arc::clone(tape))?;
         let segs = m.replay(&cap.trace);
         Ok(Self::reconstruct(cap, segs))
     }
 
-    /// Re-time a captured multi-frame stream through its probe tape,
-    /// reconstructing the per-frame cycle series and the steady-state
-    /// summary. Bit-identical to [`Experiment::run_stream`] at this design
-    /// point (stream-equivalence permitting, as certified by
-    /// `lva-depgraph`); refuses like [`Experiment::retime_tape`] when the
-    /// cache geometry differs from the capture's.
-    pub fn retime_stream_tape(&self, cap: &CapturedStream) -> Result<StreamSummary, String> {
-        let mut m = self.replay_machine();
-        m.play_probe_tape(Arc::clone(&cap.tape))?;
-        let segs = m.replay(&cap.trace);
-        Ok(Self::reconstruct_stream(cap, segs))
-    }
-
-    /// Re-time a captured multi-frame stream by re-driving the memory
-    /// hierarchy with the recorded addresses (live replay) — exact on every
-    /// configuration axis, including cache-geometry changes.
-    pub fn retime_stream_live(&self, cap: &CapturedStream) -> StreamSummary {
-        let mut m = self.replay_machine();
-        let segs = m.replay(&cap.trace);
-        Self::reconstruct_stream(cap, segs)
-    }
-
-    /// Re-time a captured stream *with the energy probe attached*: live
-    /// replay (the probe's memory tap needs the real hierarchy) split at
-    /// the setup boundary so the probe observes exactly what it would on
-    /// [`Experiment::run_energy`] — attached after setup, before the
-    /// measured inference. Functional execution and kernel planning are
-    /// skipped; the attribution is bit-identical.
-    pub fn retime_energy(
-        &self,
-        cap: &CapturedRun,
-        model: &lva_energy::EnergyModel,
-    ) -> (RunSummary, lva_energy::EnergyAttribution) {
-        let mut m = self.replay_machine();
-        let start = m.replay_setup(&cap.trace);
-        let probe = lva_energy::attach(&mut m);
-        let segs = m.replay_from(&cap.trace, start);
-        assert_eq!(segs.len(), 1, "captured run has exactly one measured segment");
-        let summary = Self::reconstruct(cap, segs);
-        let att = probe.finish(&mut m, &summary.report, model, self.hw.l2_bytes());
-        (summary, att)
-    }
-
-    /// Rebuild a [`RunSummary`] from the measured segment of a replay,
-    /// grafting the capture run's static per-layer metadata (flops, GEMM
-    /// dims, algorithm, output shapes) onto the re-timed dynamics.
-    fn reconstruct(cap: &CapturedRun, mut segs: Vec<SegmentReplay>) -> RunSummary {
-        // `replay` sees both the setup and measured segments;
-        // `replay_from` (after `replay_setup`) sees only the measured one.
-        assert!(!segs.is_empty(), "captured stream produced no segments");
-        let seg = segs.pop().expect("non-empty");
-        Self::reconstruct_seg(&cap.summary.report.layers, seg)
-    }
-
-    /// Rebuild a [`StreamSummary`] from a multi-frame replay: segment 0 is
-    /// setup, segments 1.. are the frames, and the last frame reconstructs
-    /// the steady-state summary.
-    fn reconstruct_stream(cap: &CapturedStream, mut segs: Vec<SegmentReplay>) -> StreamSummary {
-        let frames = cap.summary.per_frame_cycles.len();
-        assert_eq!(segs.len(), frames + 1, "frame count drifted across replay");
-        let steady_seg = segs.pop().expect("at least one frame");
-        let per_frame_cycles: Vec<u64> = segs
-            .iter()
-            .skip(1)
-            .map(|s| s.cycles)
-            .chain(std::iter::once(steady_seg.cycles))
-            .collect();
-        let steady = Self::reconstruct_seg(&cap.summary.steady.report.layers, steady_seg);
-        StreamSummary { per_frame_cycles, steady }
-    }
-
-    fn reconstruct_seg(stat_layers: &[LayerReport], seg: SegmentReplay) -> RunSummary {
+    /// Rebuild what a replay measured: segment 0 is setup and segments 1..
+    /// are the frames. The last frame's summary grafts the capture's static
+    /// per-layer metadata (flops, GEMM dims, algorithm, output shapes) onto
+    /// the re-timed dynamics.
+    fn reconstruct(cap: &CapturedRun, mut segs: Vec<SegmentReplay>) -> StreamSummary {
+        assert_eq!(segs.len(), cap.frames() + 1, "frame count drifted across replay");
+        let seg = segs.pop().expect("at least one frame");
+        let per_frame_cycles: Vec<u64> =
+            segs[1..].iter().map(|s| s.cycles).chain(std::iter::once(seg.cycles)).collect();
+        let stat_layers = &cap.summary.report.layers;
         assert_eq!(seg.layers.len(), stat_layers.len(), "layer count drifted across replay");
         let layers: Vec<LayerReport> = seg
             .layers
@@ -566,14 +486,15 @@ impl Experiment {
             mem: seg.mem,
             stalls: seg.stalls,
         };
-        RunSummary {
+        let steady = RunSummary {
             cycles: seg.cycles,
             flops: report.flops(),
             avg_vlen_bits,
             l1_miss_rate,
             l2_miss_rate,
             report,
-        }
+        };
+        StreamSummary { per_frame_cycles, steady }
     }
 }
 

@@ -20,8 +20,7 @@ pub mod run_report;
 
 pub use cli::{Opts, RetimeOpt};
 pub use experiment::{
-    scaled_input, CapturedRun, CapturedStream, Experiment, HwTarget, RunSummary, StreamSummary,
-    Workload,
+    scaled_input, CapturedRun, Experiment, HwTarget, RunSummary, StreamSummary, Workload,
 };
 pub use lva_energy::{EnergyAttribution, EnergyBreakdown, EnergyCounts, EnergyModel, EnergyReport};
 pub use par::{default_jobs, parallel_map};

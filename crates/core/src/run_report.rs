@@ -49,10 +49,6 @@ pub struct RunReport {
     /// this run; `None` (the default) omits the section. See
     /// [`Self::with_serving`].
     pub serving: Option<Json>,
-    /// Retime-engine provenance (`lva-retime`: which path produced this
-    /// result, path counters, refusals); `None` (the default) omits the
-    /// section. See [`Self::with_retime`].
-    pub retime: Option<Json>,
     /// Multi-core scaling observatory (`lva-scale`: per-core contention
     /// attribution, shared-port counters, throughput-vs-cores); `None`
     /// (the default) omits the section. See [`Self::with_scaling`].
@@ -140,7 +136,6 @@ impl RunReport {
             whatif: None,
             energy: None,
             serving: None,
-            retime: None,
             scaling: None,
         }
     }
@@ -168,15 +163,6 @@ impl RunReport {
     #[must_use]
     pub fn with_energy(mut self, energy: Json) -> Self {
         self.energy = Some(energy);
-        self
-    }
-
-    /// Attach retime-engine provenance (produced by `lva-retime`'s
-    /// `RetimeEngine::report()`); [`Self::to_json`] then emits it verbatim
-    /// as a `retime` section.
-    #[must_use]
-    pub fn with_retime(mut self, retime: Json) -> Self {
-        self.retime = Some(retime);
         self
     }
 
@@ -261,7 +247,6 @@ impl RunReport {
             ("whatif", self.whatif.clone()),
             ("energy", self.energy.clone()),
             ("serving", self.serving.clone()),
-            ("retime", self.retime.clone()),
             ("scaling", self.scaling.clone()),
         ] {
             if let Some(sec) = section {
@@ -337,7 +322,7 @@ mod tests {
     fn optional_sections_only_when_attached() {
         let (e, s) = small_run();
         let plain = RunReport::new("t", &e, &s).to_json();
-        for key in ["host", "whatif", "energy", "serving", "retime", "scaling"] {
+        for key in ["host", "whatif", "energy", "serving", "scaling"] {
             assert!(plain.get(key).is_none(), "optional section {key} present by default");
         }
         let timed = RunReport::new("t", &e, &s).with_host(250.0).to_json();

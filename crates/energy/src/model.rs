@@ -119,10 +119,6 @@ impl EnergyCounts {
         self.l1_prefetch_fills += o.l1_prefetch_fills;
         self.l2_prefetch_fills += o.l2_prefetch_fills;
     }
-
-    pub fn is_zero(&self) -> bool {
-        *self == EnergyCounts::default()
-    }
 }
 
 /// Joules of one attribution scope, one field per bucket. Every simulated

@@ -227,11 +227,6 @@ impl Machine {
         self.sink.take()
     }
 
-    /// Whether a streaming event sink is installed.
-    pub fn has_event_sink(&self) -> bool {
-        self.sink.is_some()
-    }
-
     /// Feed an event to the recorder and/or sink. The closure only runs
     /// when at least one observer is active, so the disabled path costs
     /// two branches.
@@ -307,11 +302,6 @@ impl Machine {
         self.tape_rec = Some(TapeRecorder {
             tape: ProbeTape { geometry: self.cfg.mem.state_fingerprint(), ..ProbeTape::default() },
         });
-    }
-
-    /// Whether a semantic capture is active.
-    pub fn is_capturing(&self) -> bool {
-        self.rlog.is_some()
     }
 
     /// Stop capturing and return the semantic trace plus the probe tape
@@ -1909,23 +1899,58 @@ impl Machine {
     /// machine's real memory hierarchy (optionally recording a fresh tape
     /// via [`Self::record_probe_tape`]).
     pub fn replay(&mut self, trace: &ReplayTrace) -> Vec<SegmentReplay> {
-        self.replay_span(trace, 0, false).0
-    }
-
-    /// Replay only the setup prologue — everything up to and including the
-    /// first `ResetTiming` — and return the index of the first measured op.
-    /// Lets a caller install observers (e.g. the energy probe) *between*
-    /// setup and the measured segment, exactly where a full run attaches
-    /// them, before finishing with [`Self::replay_from`].
-    pub fn replay_setup(&mut self, trace: &ReplayTrace) -> usize {
-        self.replay_span(trace, 0, true).1
-    }
-
-    /// Replay from op index `start` (as returned by [`Self::replay_setup`])
-    /// to the end of the trace, returning one [`SegmentReplay`] per
-    /// remaining segment.
-    pub fn replay_from(&mut self, trace: &ReplayTrace, start: usize) -> Vec<SegmentReplay> {
-        self.replay_span(trace, start, false).0
+        let mut segments = Vec::new();
+        // (phase, cycles at open) — mirrors the call stack of `phase()`.
+        let mut phase_stack: Vec<(KernelPhase, u64)> = Vec::new();
+        // Open layer: (index, desc, cycles/stalls/instr/elem snapshots).
+        let mut layer_open: Option<(usize, u32, u64, StallBreakdown, u64, u64)> = None;
+        let mut layers: Vec<LayerReplay> = Vec::new();
+        for &op in &trace.ops {
+            if self.replay_op(trace, op) {
+                continue;
+            }
+            match op {
+                ReplayOp::PhaseBegin { phase } => self.replay_phase_begin(phase, &mut phase_stack),
+                ReplayOp::PhaseEnd { phase } => self.replay_phase_end(phase, &mut phase_stack),
+                ReplayOp::LayerBegin { index, desc } => {
+                    self.sys.tap_scope(TapScope::LayerBegin {
+                        index: index as usize,
+                        desc: &trace.descs[desc as usize],
+                    });
+                    layer_open = Some((
+                        index as usize,
+                        desc,
+                        self.cycles(),
+                        self.stalls,
+                        self.stats.vec_instrs,
+                        self.stats.active_elems,
+                    ));
+                }
+                ReplayOp::LayerEnd => {
+                    self.sys.tap_scope(TapScope::LayerEnd);
+                    let (index, desc, t0, stalls0, instrs0, elems0) =
+                        layer_open.take().expect("replay: LayerEnd without open layer");
+                    layers.push(LayerReplay {
+                        index,
+                        desc: trace.descs[desc as usize].clone(),
+                        cycles: self.cycles() - t0,
+                        stalls: self.stalls.since(&stalls0),
+                        d_instrs: self.stats.vec_instrs - instrs0,
+                        d_elems: self.stats.active_elems - elems0,
+                    });
+                }
+                ReplayOp::ResetTiming => {
+                    segments.push(self.segment_snapshot(std::mem::take(&mut layers)));
+                    if let Some(tp) = self.tape_play.as_mut() {
+                        tp.next_segment();
+                    }
+                    self.reset_timing();
+                }
+                _ => unreachable!("replay: timing op {op:?} reached the boundary arms"),
+            }
+        }
+        segments.push(self.segment_snapshot(layers));
+        segments
     }
 
     /// Execute the recorded op under `cur` and advance the cursor; `false`
@@ -1936,7 +1961,7 @@ impl Machine {
     /// recorded op at a time, publishing the core's clock to the shared
     /// memory port before every step. Op-for-op it runs exactly the `tl_*`
     /// timing functions the batch executor runs, so a cursor walked start to
-    /// end is bit-identical to [`Self::replay_from`] over the same range.
+    /// end is bit-identical to [`Self::replay`] over the same range.
     /// Segment boundaries stay with the caller: a [`ReplayOp::ResetTiming`]
     /// inside the range is a contract violation (panics) — the SoC loop owns
     /// its barrier protocol and slices cursors between boundaries.
@@ -2045,73 +2070,6 @@ impl Machine {
     pub fn advance_to(&mut self, t: u64) {
         self.commit_scalar();
         self.now = self.now.max(t);
-    }
-
-    /// The replay executor: run ops from `start`, optionally stopping right
-    /// after the first `ResetTiming` boundary; returns the completed
-    /// segments and the index of the next unexecuted op.
-    fn replay_span(
-        &mut self,
-        trace: &ReplayTrace,
-        start: usize,
-        stop_after_reset: bool,
-    ) -> (Vec<SegmentReplay>, usize) {
-        let mut segments = Vec::new();
-        // (phase, cycles at open) — mirrors the call stack of `phase()`.
-        let mut phase_stack: Vec<(KernelPhase, u64)> = Vec::new();
-        // Open layer: (index, desc, cycles/stalls/instr/elem snapshots).
-        let mut layer_open: Option<(usize, u32, u64, StallBreakdown, u64, u64)> = None;
-        let mut layers: Vec<LayerReplay> = Vec::new();
-        for (i, &op) in trace.ops.iter().enumerate().skip(start) {
-            if self.replay_op(trace, op) {
-                continue;
-            }
-            match op {
-                ReplayOp::PhaseBegin { phase } => self.replay_phase_begin(phase, &mut phase_stack),
-                ReplayOp::PhaseEnd { phase } => self.replay_phase_end(phase, &mut phase_stack),
-                ReplayOp::LayerBegin { index, desc } => {
-                    self.sys.tap_scope(TapScope::LayerBegin {
-                        index: index as usize,
-                        desc: &trace.descs[desc as usize],
-                    });
-                    layer_open = Some((
-                        index as usize,
-                        desc,
-                        self.cycles(),
-                        self.stalls,
-                        self.stats.vec_instrs,
-                        self.stats.active_elems,
-                    ));
-                }
-                ReplayOp::LayerEnd => {
-                    self.sys.tap_scope(TapScope::LayerEnd);
-                    let (index, desc, t0, stalls0, instrs0, elems0) =
-                        layer_open.take().expect("replay: LayerEnd without open layer");
-                    layers.push(LayerReplay {
-                        index,
-                        desc: trace.descs[desc as usize].clone(),
-                        cycles: self.cycles() - t0,
-                        stalls: self.stalls.since(&stalls0),
-                        d_instrs: self.stats.vec_instrs - instrs0,
-                        d_elems: self.stats.active_elems - elems0,
-                    });
-                }
-                ReplayOp::ResetTiming => {
-                    segments.push(self.segment_snapshot(std::mem::take(&mut layers)));
-                    if let Some(tp) = self.tape_play.as_mut() {
-                        tp.next_segment();
-                    }
-                    self.reset_timing();
-                    if stop_after_reset {
-                        return (segments, i + 1);
-                    }
-                }
-                _ => unreachable!("replay: timing op {op:?} reached the boundary arms"),
-            }
-        }
-        assert!(!stop_after_reset, "replay_setup: trace has no ResetTiming boundary");
-        segments.push(self.segment_snapshot(layers));
-        (segments, trace.ops.len())
     }
 
     /// The current segment's complete timing results (cache statistics from

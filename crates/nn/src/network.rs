@@ -151,23 +151,48 @@ fn he_scaled(n: usize, fan_in: usize, seed: u64) -> Vec<f32> {
     w
 }
 
-/// Resolve a Darknet route/shortcut index (negative = relative).
-fn resolve(idx: isize, current: usize) -> usize {
+/// Resolve a Darknet route/shortcut index (negative = relative) against
+/// the `current` layers before it.
+fn resolve(idx: isize, current: usize) -> Result<usize, String> {
     let abs = if idx < 0 { current as isize + idx } else { idx };
-    assert!(
-        abs >= 0 && (abs as usize) < current,
-        "layer reference {idx} out of range at {current}"
-    );
-    abs as usize
+    usize::try_from(abs)
+        .ok()
+        .filter(|&a| a < current)
+        .ok_or_else(|| format!("reference {idx} names no earlier layer"))
 }
 
 /// Static shape walk over a spec list: output shape per layer.
+///
+/// # Panics
+/// Panics on a spec list [`check_shapes`] rejects.
 pub fn walk_shapes(specs: &[LayerSpec], input: Shape) -> Vec<Shape> {
+    check_shapes(specs, input).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`walk_shapes`], or an error naming the first layer whose geometry is
+/// impossible: a zero kernel size or stride, an empty output, a route or
+/// shortcut reference to no earlier layer, or joined shapes that differ.
+/// A Darknet cfg can say all of these and still parse.
+///
+/// # Errors
+/// Returns `layer N (description): problem` for the first such layer.
+pub fn check_shapes(specs: &[LayerSpec], input: Shape) -> Result<Vec<Shape>, String> {
     let mut shapes: Vec<Shape> = Vec::with_capacity(specs.len());
     for (i, spec) in specs.iter().enumerate() {
         let prev = if i == 0 { input } else { shapes[i - 1] };
+        let layer_err = |problem: String| format!("layer {i} ({}): {problem}", spec.describe());
+        let window = |size: usize, stride: usize| {
+            if size == 0 || stride == 0 {
+                Err(layer_err("kernel size and stride must be at least 1".into()))
+            } else if prev.is_empty() {
+                Err(layer_err(format!("input {}x{}x{} is empty", prev.c, prev.h, prev.w)))
+            } else {
+                Ok(())
+            }
+        };
         let s = match spec {
             LayerSpec::Conv { filters, size, stride, .. } => {
+                window(*size, *stride)?;
                 let p = ConvParams {
                     in_c: prev.c,
                     in_h: prev.h,
@@ -181,25 +206,38 @@ pub fn walk_shapes(specs: &[LayerSpec], input: Shape) -> Vec<Shape> {
                 Shape::new(*filters, oh, ow)
             }
             LayerSpec::Depthwise { size, stride, .. } => {
+                window(*size, *stride)?;
                 let p = depthwise_params(prev.c, prev.h, prev.w, *size, *stride);
                 let (oh, ow) = p.out_hw();
                 Shape::new(prev.c, oh, ow)
             }
             LayerSpec::Maxpool { size, stride } => {
+                window(*size, *stride)?;
                 let p = PoolParams::darknet(*size, *stride);
                 let (oh, ow) = p.out_hw(prev.h, prev.w);
                 Shape::new(prev.c, oh, ow)
             }
             LayerSpec::Upsample => Shape::new(prev.c, 2 * prev.h, 2 * prev.w),
             LayerSpec::Route { layers } => {
-                let srcs: Vec<Shape> = layers.iter().map(|&x| shapes[resolve(x, i)]).collect();
+                let srcs = layers
+                    .iter()
+                    .map(|&x| resolve(x, i).map(|j| shapes[j]))
+                    .collect::<Result<Vec<Shape>, String>>()
+                    .map_err(layer_err)?;
                 let (h, w) = (srcs[0].h, srcs[0].w);
-                assert!(srcs.iter().all(|s| s.h == h && s.w == w), "route spatial mismatch");
+                if srcs.iter().any(|s| s.h != h || s.w != w) {
+                    return Err(layer_err("routed layers differ in spatial size".into()));
+                }
                 Shape::new(srcs.iter().map(|s| s.c).sum(), h, w)
             }
             LayerSpec::Shortcut { from, .. } => {
-                let f = shapes[resolve(*from, i)];
-                assert_eq!(f, prev, "shortcut shape mismatch");
+                let f = shapes[resolve(*from, i).map_err(layer_err)?];
+                if f != prev {
+                    return Err(layer_err(format!(
+                        "shortcut source {}x{}x{} differs from its input {}x{}x{}",
+                        f.c, f.h, f.w, prev.c, prev.h, prev.w
+                    )));
+                }
                 prev
             }
             LayerSpec::Yolo | LayerSpec::Dropout | LayerSpec::Cost => prev,
@@ -207,9 +245,12 @@ pub fn walk_shapes(specs: &[LayerSpec], input: Shape) -> Vec<Shape> {
             LayerSpec::Connected { outputs, .. } => Shape::new(*outputs, 1, 1),
             LayerSpec::Softmax => prev,
         };
+        if s.is_empty() {
+            return Err(layer_err("output is empty".into()));
+        }
         shapes.push(s);
     }
-    shapes
+    Ok(shapes)
 }
 
 /// All convolutional layers' geometry (used for Table IV, scratch sizing
@@ -420,10 +461,12 @@ impl Network {
                 }
                 LayerSpec::Upsample => LayerKind::Upsample,
                 LayerSpec::Route { layers: ls } => {
-                    LayerKind::Route(ls.iter().map(|&x| resolve(x, i)).collect())
+                    let src = |&x: &isize| resolve(x, i).expect("walk_shapes checked it");
+                    LayerKind::Route(ls.iter().map(src).collect())
                 }
                 LayerSpec::Shortcut { from, activation } => {
-                    LayerKind::Shortcut(resolve(*from, i), *activation)
+                    let src = resolve(*from, i).expect("walk_shapes checked it");
+                    LayerKind::Shortcut(src, *activation)
                 }
                 LayerSpec::Yolo => LayerKind::Yolo,
                 LayerSpec::Connected { outputs, activation } => {
@@ -749,12 +792,12 @@ mod tests {
                 LayerSpec::Route { layers } => {
                     let mut v = Vec::new();
                     for &x in layers {
-                        v.extend_from_slice(&outs[resolve(x, i)]);
+                        v.extend_from_slice(&outs[resolve(x, i).unwrap()]);
                     }
                     v
                 }
                 LayerSpec::Shortcut { from, activation } => {
-                    let f = &outs[resolve(*from, i)];
+                    let f = &outs[resolve(*from, i).unwrap()];
                     let mut x: Vec<f32> = prev.iter().zip(f).map(|(a, b)| a + b).collect();
                     href::activate_ref(&mut x, *activation);
                     x

@@ -243,12 +243,6 @@ impl LevelProfile {
         }
     }
 
-    /// Predicted hit rate at an alternative capacity in bytes (power of
-    /// two, ≥ one line).
-    pub fn predicted_hit_rate_at_bytes(&self, bytes: u64) -> f64 {
-        self.hist.predicted_hit_rate((bytes / self.line_bytes).max(1))
-    }
-
     /// Hit-rate-vs-capacity curve as `(capacity_bytes, hit_rate)`.
     pub fn curve_bytes(&self) -> Vec<(u64, f64)> {
         self.hist.curve().into_iter().map(|(lines, hr)| (lines * self.line_bytes, hr)).collect()

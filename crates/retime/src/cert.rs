@@ -17,16 +17,6 @@ use lva_check::{registered_kernels, sweep_configs, KernelCase};
 use lva_depgraph::certify_kernel;
 use std::time::Instant;
 
-/// The refusal reason recorded when a caller asks the engine to retime a
-/// *multi-core* (shared-port) simulation. Certificates prove stream
-/// invariance under single-core timing perturbations; they say nothing
-/// about cross-core interleaving, so the gate refuses categorically
-/// rather than per-kernel ([`crate::RetimeEngine::refuse_contention`]).
-pub const CONTENTION_REFUSAL: &str =
-    "retime certificates are single-core timing proofs: under shared-port contention a core's \
-     timing depends on every other core's interleaved traffic, which no per-kernel certificate \
-     covers; falling back to full SoC simulation";
-
 /// Lazily-evaluated certification verdict over a set of kernel cases.
 pub struct CertGate {
     cases: Vec<KernelCase>,

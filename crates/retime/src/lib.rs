@@ -8,7 +8,8 @@
 //!
 //! 1. **Trace once.** Each distinct semantic stream — (platform class,
 //!    vector length, policy, workload, seed) — is executed functionally a
-//!    single time under the semantic recorder ([`lva_core::CapturedRun`]).
+//!    single time under the semantic recorder ([`lva_core::CapturedRun`];
+//!    a run is a one-frame recording, a serving stream a multi-frame one).
 //! 2. **Retime many.** Every further design point of the same stream is
 //!    re-timed from the recording: a probe-tape refit when the cache
 //!    geometry matches a stored tape, a live replay (recording a fresh
@@ -37,7 +38,7 @@ pub mod engine;
 pub mod key;
 pub mod store;
 
-pub use cert::{CertGate, CONTENTION_REFUSAL};
+pub use cert::CertGate;
 pub use engine::RetimeEngine;
 pub use key::{ConfigKey, StreamKey};
 pub use lva_core::RetimeOpt as RetimeMode;

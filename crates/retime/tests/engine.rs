@@ -3,11 +3,9 @@
 //! and the certificate-gated fallback.
 
 use lva_check::KernelCase;
-use lva_core::{
-    ConvPolicy, EnergyModel, Experiment, GemmVariant, HwTarget, ModelId, RetimeOpt, Workload,
-};
+use lva_core::{ConvPolicy, Experiment, GemmVariant, HwTarget, ModelId, RetimeOpt, Workload};
 use lva_kernels::aux::fill_vec;
-use lva_retime::{CertGate, RetimeEngine};
+use lva_retime::{CertGate, RetimeEngine, RetimeStore};
 use lva_sim::IdealKnob;
 
 fn workload() -> Workload {
@@ -55,6 +53,11 @@ fn verify_mode_is_bit_identical_across_design_points() {
     assert_eq!(c.refused_runs, 0);
 }
 
+/// The byte-exact run report a sweep would write for `s`.
+fn report(e: &Experiment, s: &lva_core::RunSummary) -> String {
+    lva_core::RunReport::new("t", e, s).to_json().to_string_pretty()
+}
+
 /// Determinism: running the same sweep twice produces byte-identical
 /// reports. The first pass left a tape at every cache geometry it saw, so
 /// the second pass finds one for all seven points and re-times each by
@@ -68,7 +71,7 @@ fn second_pass_is_all_hits_and_byte_identical() {
             .iter()
             .map(|e| {
                 let (s, path) = engine.run_explained(e);
-                (lva_core::RunReport::new("t", e, &s).to_json().to_string_pretty(), path)
+                (report(e, &s), path)
             })
             .collect()
     };
@@ -90,8 +93,8 @@ fn second_pass_is_all_hits_and_byte_identical() {
 
 /// A kernel whose semantic stream depends on the design point (here: the
 /// L2 capacity steers the op count) must fail certification; the engine
-/// refuses retiming, falls back to full simulation, and surfaces the
-/// reason in its JSON report.
+/// refuses retiming, falls back to full simulation, and records the
+/// reason.
 fn run_config_varying(m: &mut lva_isa::Machine) {
     let n = if m.config().mem.l2.bytes >= (4 << 20) { 100 } else { 60 };
     let x = m.mem.alloc_named("x", 128);
@@ -117,32 +120,6 @@ fn config_varying_kernel_is_refused_and_falls_back() {
     assert_eq!(engine.counters().captures, 0, "no capture may happen under refusal");
     let reason = engine.refusal().expect("refusal reason recorded");
     assert!(reason.contains("config_varying"), "reason names the kernel: {reason}");
-    let json = engine.report().to_string_pretty();
-    assert!(json.contains("refusal"), "refusal surfaces in --json: {json}");
-    assert!(json.contains("config_varying"), "kernel named in --json: {json}");
-}
-
-/// Multi-core refusal: the engine categorically declines to retime a
-/// shared-port simulation — certificates are single-core timing proofs —
-/// records the named reason, and surfaces it in the JSON report. The
-/// caller (exp-scale --retime) then runs the full SoC simulation, so the
-/// output stays byte-identical to the unretimed path (pinned again on the
-/// whole scaling record in `lva-bench`).
-#[test]
-fn shared_port_contention_is_refused_with_a_named_reason() {
-    let mut engine = RetimeEngine::with_gate(RetimeOpt::On, CertGate::decided(Ok(())));
-    let reason = engine.refuse_contention();
-    assert_eq!(reason, lva_retime::CONTENTION_REFUSAL);
-    assert!(reason.contains("single-core timing proofs"), "reason names the limit: {reason}");
-    assert!(reason.contains("falling back to full SoC simulation"), "names the fallback: {reason}");
-    assert_eq!(engine.refusal(), Some(lva_retime::CONTENTION_REFUSAL));
-    assert_eq!(engine.counters().refused_runs, 1);
-    let json = engine.report().to_string_pretty();
-    assert!(json.contains("single-core timing proofs"), "refusal surfaces in --json: {json}");
-    // A second refusal bumps the counter but keeps the first reason.
-    engine.refuse_contention();
-    assert_eq!(engine.counters().refused_runs, 2);
-    assert_eq!(engine.refusal(), Some(lva_retime::CONTENTION_REFUSAL));
 }
 
 /// The positive gate: a well-behaved registry kernel certifies, and the
@@ -157,27 +134,6 @@ fn certified_kernel_gate_allows_retiming() {
     let (_, path) = engine.run_explained(&e);
     assert_eq!(path, "capture", "certified gate admits the retime path");
     assert!(engine.refusal().is_none());
-}
-
-/// Energy through the engine: live replay with the probe attached at the
-/// setup boundary reproduces the full probed run bit-for-bit — summary,
-/// per-layer attribution, and the streamed total.
-#[test]
-fn retimed_energy_attribution_is_bit_identical() {
-    let mut engine = RetimeEngine::with_gate(RetimeOpt::On, CertGate::decided(Ok(())));
-    let model = EnergyModel::default();
-    let e = exp(HwTarget::RvvGem5 { vlen_bits: 2048, lanes: 8, l2_bytes: 1 << 20 });
-    let (s_full, a_full) = e.run_energy(&model);
-    let (s_rt, a_rt) = engine.run_energy(&e, &model);
-    assert_eq!(s_rt.cycles, s_full.cycles);
-    assert_eq!(s_rt.report, s_full.report);
-    assert_eq!(a_rt.total.total_j().to_bits(), a_full.total.total_j().to_bits());
-    assert_eq!(a_rt.layers.len(), a_full.layers.len());
-    for (l, r) in a_rt.layers.iter().zip(&a_full.layers) {
-        assert_eq!(l.counts, r.counts, "layer {} counts diverged", l.index);
-        assert_eq!(l.breakdown.total_j().to_bits(), r.breakdown.total_j().to_bits());
-    }
-    assert_eq!(engine.counters().energy_retimes, 1);
 }
 
 /// Streams through the engine: a multi-frame capture, a stream refit at
@@ -200,4 +156,35 @@ fn retimed_streams_match_run_stream() {
     assert_eq!(n.stream_captures, 1, "one capture per (stream, frames)");
     assert_eq!(n.stream_refits, 1, "same-geometry point refits the stream tape");
     assert_eq!(n.stream_live_replays, 1, "a new cache geometry live-replays the stream");
+}
+
+/// The store's LRU byte budget: with room for one recording but not two,
+/// each new stream evicts the least recently used one, so the second pass
+/// over the grid captures every stream again. Every report is still
+/// byte-identical to an unbounded engine's.
+#[test]
+fn a_one_recording_budget_evicts_and_recaptures_byte_identically() {
+    let points = design_points();
+    let mut unbounded = RetimeEngine::with_gate(RetimeOpt::On, CertGate::decided(Ok(())));
+    let mut largest = 0;
+    let mut want = Vec::new();
+    for e in &points {
+        let before = unbounded.store().approx_bytes();
+        let (s, path) = unbounded.run_explained(e);
+        if path == "capture" {
+            largest = largest.max(unbounded.store().approx_bytes() - before);
+        }
+        want.push(report(e, &s));
+    }
+    // Any two recordings together outweigh the largest one alone.
+    let mut engine = RetimeEngine::with_gate(RetimeOpt::On, CertGate::decided(Ok(())))
+        .with_store(RetimeStore::with_capacity(largest));
+    for _ in 0..2 {
+        for (e, want) in points.iter().zip(&want) {
+            assert_eq!(&report(e, &engine.run(e)), want, "{}", e.hw.describe());
+        }
+    }
+    assert!(engine.store().evictions > 0, "a one-recording budget must evict");
+    assert!(engine.counters().captures > 3, "an evicted stream is captured again");
+    assert_eq!(unbounded.store().evictions, 0);
 }

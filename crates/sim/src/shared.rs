@@ -171,11 +171,6 @@ impl SharedPort {
         self.observer = Some(obs);
     }
 
-    /// Remove and return the installed observer, if any.
-    pub fn take_observer(&mut self) -> Option<Box<dyn PortObserver>> {
-        self.observer.take()
-    }
-
     /// Arbitrate one transaction issued by `core` at its local cycle `now`
     /// for `service` port cycles; returns (wait, queue depth at issue).
     fn arbitrate(&mut self, core: usize, now: u64, service: u64) -> (u64, u32) {

@@ -10,8 +10,8 @@
 //!    tracked per thread; each span gets a process-unique id and records its
 //!    parent so the JSONL stream can be re-assembled into a tree.
 //! 3. **Machine-readable.** Events are emitted as JSON Lines — one compact
-//!    object per line — to whatever sink was installed (a file, stderr, or
-//!    an in-memory buffer for tests).
+//!    object per line — to whatever sink was installed (a file, or an
+//!    in-memory buffer for tests).
 //!
 //! ## Event shapes
 //!
@@ -43,7 +43,6 @@ static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 
 enum Sink {
     File(BufWriter<File>),
-    Stderr,
     Memory(Vec<String>),
 }
 
@@ -77,13 +76,6 @@ pub fn enable_to_file(path: impl AsRef<Path>) -> io::Result<()> {
     epoch();
     ENABLED.store(true, Ordering::Relaxed);
     Ok(())
-}
-
-/// Route events to stderr, then enable tracing.
-pub fn enable_to_stderr() {
-    *SINK.lock().unwrap() = Some(Sink::Stderr);
-    epoch();
-    ENABLED.store(true, Ordering::Relaxed);
 }
 
 /// Route events to an in-memory buffer (drain with [`take_memory`]).
@@ -137,7 +129,6 @@ fn emit_line(line: String) {
         Some(Sink::File(w)) => {
             let _ = writeln!(w, "{line}");
         }
-        Some(Sink::Stderr) => eprintln!("{line}"),
         Some(Sink::Memory(lines)) => lines.push(line),
         None => {}
     }

@@ -538,20 +538,6 @@ pub fn analyze_counterfactuals(
     WhatifAnalysis::from_runs(e, factual, &cf)
 }
 
-/// [`analyze_counterfactuals`] through a caller-supplied serial runner
-/// (see [`analyze_experiment_with`]).
-pub fn analyze_counterfactuals_with(
-    e: &Experiment,
-    factual: &RunSummary,
-    run: &mut dyn FnMut(&Experiment) -> RunSummary,
-) -> WhatifAnalysis {
-    let cf: Vec<(IdealKnob, RunSummary)> = IdealKnob::ALL
-        .into_iter()
-        .map(|knob| (knob, run(&e.clone().with_ideal(knob.spec()))))
-        .collect();
-    WhatifAnalysis::from_runs(e, factual, &cf)
-}
-
 /// Counterfactual verdict for one `lva-check` registry kernel at one design
 /// point (no layer structure — the kernel is the unit).
 #[derive(Debug, Clone)]

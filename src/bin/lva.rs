@@ -300,6 +300,10 @@ fn cmd_cfg(cli: &Cli) {
         eprintln!("{e}");
         exit(1)
     });
+    if let Err(e) = longvec_cnn::nn::network::check_shapes(&specs, shape) {
+        eprintln!("cfg shape error at {e}");
+        exit(1)
+    }
     println!("parsed {} layers, input {}x{}x{}\n", specs.len(), shape.c, shape.h, shape.w);
     // Run it on the requested machine.
     use longvec_cnn::nn::network::estimate_arena_words;

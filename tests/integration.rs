@@ -175,3 +175,38 @@ fn naive_baseline_is_much_slower_end_to_end() {
     // paper-scale 14x measured by exp-headline; just require a wide margin.
     assert!(speedup > 3.0, "§VI-A order of magnitude: got {speedup:.1}x");
 }
+
+/// `lva cfg` on a cfg that parses — `parse_cfg` checks syntax only — but
+/// describes an impossible network (a zero stride or pool size, a route or
+/// shortcut to no earlier layer) exits 1 with one line naming the
+/// offending layer, like a syntax error.
+#[test]
+fn lva_cfg_rejects_malformed_networks_naming_the_layer() {
+    let dir = std::env::temp_dir().join(format!("lva-cfg-errors-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let conv = "[convolutional]\nfilters=4\nsize=3\n";
+    for (i, (body, layer)) in [
+        (format!("{conv}stride=0\n"), 0),
+        ("[maxpool]\nsize=0\n".to_string(), 0),
+        (format!("{conv}[route]\nlayers=-9\n"), 1),
+        (format!("{conv}{conv}[route]\nlayers=5\n"), 2),
+        (format!("{conv}[shortcut]\nfrom=-9\n"), 1),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let path = dir.join(format!("bad{i}.cfg"));
+        std::fs::write(&path, format!("[net]\nheight=32\nwidth=32\n{body}")).expect("write cfg");
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_lva"))
+            .arg("cfg")
+            .arg(&path)
+            .output()
+            .expect("lva runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "case {i}: {err}");
+        assert_eq!(err.lines().count(), 1, "case {i}: {err}");
+        let want = format!("cfg shape error at layer {layer} (");
+        assert!(err.starts_with(&want), "case {i}: {err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
