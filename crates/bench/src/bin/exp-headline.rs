@@ -156,15 +156,6 @@ fn main() {
         .zip(&results)
         .map(|((name, e), r)| {
             let mut report = RunReport::new(name.clone(), e, &r.summary);
-            if opts.whatif {
-                // --with-whatif: five idealized re-runs per design point
-                // merge the counterfactual analysis into this report. Note
-                // the file then legitimately differs from the knobs-off
-                // baseline.
-                eprintln!(".. whatif {} | {}", name, e.hw.describe());
-                let analysis = lva_whatif::analyze_counterfactuals(e, &r.summary, opts.jobs);
-                report = report.with_whatif(analysis.to_json());
-            }
             if opts.energy {
                 // --with-energy: one probed re-run streams the per-layer
                 // attribution; cycles are bit-identical to the table pass.

@@ -2,8 +2,9 @@
 //! parsing (`--div`, `--layers`, `--csv`, `--json`, `--trace`) and common
 //! sweep axes.
 //!
-//! Every binary regenerates one table or figure of the paper; see
-//! EXPERIMENTS.md at the workspace root for the full index and the
+//! Every binary regenerates one table or figure of the paper, except
+//! `exp-paper`, which prints the eleven figures of [`paper`] from one grid;
+//! see EXPERIMENTS.md at the workspace root for the full index and the
 //! paper-vs-measured record.
 
 #![forbid(unsafe_code)]
@@ -12,6 +13,7 @@ pub mod diff;
 pub mod energy_report;
 pub mod microbench;
 pub mod observatory;
+pub mod paper;
 pub mod scaling_report;
 pub mod serving_report;
 pub mod sweep;
@@ -139,17 +141,4 @@ pub fn log_retime(engine: Option<&RetimeEngine>) {
     if let Some(reason) = eng.refusal() {
         eprintln!("[retime refused: {reason}]");
     }
-}
-
-/// Run an experiment, logging the design point to stderr.
-pub fn run_logged(e: &Experiment) -> RunSummary {
-    eprintln!(".. {} | {}", e.hw.describe(), e.workload.describe());
-    let s = e.run();
-    eprintln!(
-        "   {} cycles, avg VL {:.0}b, L2 miss {:.1}%",
-        fmt_cycles(s.cycles),
-        s.avg_vlen_bits,
-        100.0 * s.l2_miss_rate
-    );
-    s
 }

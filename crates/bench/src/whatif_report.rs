@@ -3,10 +3,9 @@
 //! machine-readable record (`BENCH_whatif.json`) and renders the
 //! human-readable `results/CODESIGN_REPORT.md` from it.
 //!
-//! Both the `exp-whatif` and `report` binaries and the
-//! `exp-headline --with-whatif` path go through these two functions, so
-//! every consumer produces byte-identical output for the same inputs (CI
-//! gates on exactly that).
+//! Both the `exp-whatif` and `report` binaries go through these two
+//! functions, so every consumer produces byte-identical output for the
+//! same inputs (CI gates on exactly that).
 
 use crate::{Experiment, Json, RunReport};
 use lva_isa::IdealKnob;
@@ -272,7 +271,7 @@ pub fn codesign_markdown(j: &Json) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{headline_specs, Opts};
+    use crate::headline_specs;
 
     fn tiny_whatif_json() -> Json {
         // One cheap spec: the tiny network, 2 layers, small input.
@@ -306,26 +305,5 @@ mod tests {
         // Round-trips through serialization (the report bin's path).
         let reparsed = Json::parse(&a.to_string_pretty()).expect("parses");
         assert_eq!(codesign_markdown(&reparsed), md);
-    }
-
-    #[test]
-    fn with_whatif_flag_parses() {
-        // Opts::parse reads the process args, so test the field default
-        // directly: the flag must be opt-in.
-        let opts = Opts {
-            div: 8,
-            layers: None,
-            csv: false,
-            json: true,
-            profile: false,
-            chrome: None,
-            jobs: 1,
-            wallclock: false,
-            whatif: false,
-            energy: false,
-            retime: lva_core::RetimeOpt::Off,
-        };
-        assert!(!opts.whatif);
-        assert!(!opts.energy);
     }
 }

@@ -14,7 +14,6 @@ fn opts() -> Opts {
         chrome: None,
         jobs: 1,
         wallclock: false,
-        whatif: false,
         energy: false,
         retime: lva_core::RetimeOpt::Off,
     }

@@ -42,10 +42,6 @@ pub struct Opts {
     /// sweep serially and with `--jobs`, median-of-3 each, and write a
     /// `BENCH_sim_wallclock.json` report.
     pub wallclock: bool,
-    /// Attach an `lva-whatif` counterfactual analysis to every run's JSON
-    /// report (`--with-whatif`): five extra idealized simulations per design
-    /// point. Off by default — the plain reports stay byte-identical.
-    pub whatif: bool,
     /// Attach the `lva-energy` streamed attribution to every run's JSON
     /// report (`--with-energy`): one probed re-run per design point, cycle
     /// counts unchanged. Off by default.
@@ -125,7 +121,6 @@ impl Opts {
             chrome: None,
             jobs: 1,
             wallclock: false,
-            whatif: false,
             energy: false,
             retime: RetimeOpt::Off,
         }
@@ -209,7 +204,6 @@ impl Opts {
                 "--no-json" => opts.json = false,
                 "--profile" => opts.profile = true,
                 "--wallclock" => opts.wallclock = true,
-                "--with-whatif" => opts.whatif = true,
                 "--with-energy" => opts.energy = true,
                 "--retime" if retime => opts.retime = RetimeOpt::On,
                 "--retime=verify" if retime => opts.retime = RetimeOpt::Verify,
@@ -231,7 +225,7 @@ fn usage(default_div: usize, dialect: Dialect, what: &str) -> String {
         ""
     };
     format!(
-        "{what}\n\nOptions:\n  --div N      input down-scale divisor (default {default_div}; 1 = paper size)\n  --layers N   layer prefix override\n  --csv/--no-csv  write results/<exp>.csv (default on)\n  --json       also write results/<exp>.json (machine-readable)\n  --profile    tap the cache hierarchy: reuse-distance histograms, 3C\n               miss classes, capacity curves (in the JSON output)\n  --chrome FILE  write a Chrome trace-event timeline (Perfetto) to FILE\n  --trace FILE stream JSONL telemetry spans to FILE\n  --jobs N     run independent design points on N threads (0 = all cores;\n               results and reports are identical to --jobs 1)\n  --wallclock  self-benchmark: time the sweep serial vs --jobs (median of\n               3 each) and write BENCH_sim_wallclock.json\n  --with-whatif  attach lva-whatif counterfactual analyses (bound\n               classification, cycles-saved-if-fixed) to the JSON reports\n  --with-energy  attach the lva-energy streamed attribution (per-layer\n               joules, EDP, energy roofline) to the JSON reports{retime}"
+        "{what}\n\nOptions:\n  --div N      input down-scale divisor (default {default_div}; 1 = paper size)\n  --layers N   layer prefix override\n  --csv/--no-csv  write results/<exp>.csv (default on)\n  --json       also write results/<exp>.json (machine-readable)\n  --profile    tap the cache hierarchy: reuse-distance histograms, 3C\n               miss classes, capacity curves (in the JSON output)\n  --chrome FILE  write a Chrome trace-event timeline (Perfetto) to FILE\n  --trace FILE stream JSONL telemetry spans to FILE\n  --jobs N     run independent design points on N threads (0 = all cores;\n               results and reports are identical to --jobs 1)\n  --wallclock  self-benchmark: time the sweep serial vs --jobs (median of\n               3 each) and write BENCH_sim_wallclock.json\n  --with-energy  attach the lva-energy streamed attribution (per-layer\n               joules, EDP, energy roofline) to the JSON reports{retime}"
     )
 }
 

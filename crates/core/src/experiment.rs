@@ -64,7 +64,7 @@ pub fn fmt_bytes(b: usize) -> String {
 }
 
 /// The network (prefix) an experiment runs.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Workload {
     pub model: ModelId,
     /// Square input resolution. Use [`scaled_input`] for the paper's sizes
@@ -97,7 +97,7 @@ pub fn scaled_input(model: ModelId, div: usize) -> usize {
 }
 
 /// One co-design experiment: hardware point x software setup x workload.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Experiment {
     pub hw: HwTarget,
     pub policy: ConvPolicy,

@@ -30,6 +30,20 @@ impl IsaKind {
             IsaKind::Sve => 2048,
         }
     }
+
+    /// Why `vlen_bits` cannot be a hardware vector length of this ISA, if
+    /// it cannot.
+    pub fn check_vlen(self, vlen_bits: usize) -> Result<(), String> {
+        if !vlen_bits.is_power_of_two() {
+            Err("vector length must be a power of two".into())
+        } else if vlen_bits < 128 {
+            Err("vector length below 128 bits".into())
+        } else if vlen_bits > self.max_vlen_bits() {
+            Err(format!("vlen {vlen_bits} exceeds MVL {} of {self:?}", self.max_vlen_bits()))
+        } else {
+            Ok(())
+        }
+    }
 }
 
 /// Vector processing unit parameters.
@@ -79,17 +93,19 @@ impl VpuConfig {
         n.div_ceil(self.lanes).max(1) as u64
     }
 
+    /// Why `lanes` cannot be a vector unit's lane count, if it cannot.
+    pub fn check_lanes(lanes: usize) -> Result<(), String> {
+        if (1..=64).contains(&lanes) {
+            Ok(())
+        } else {
+            Err("lane count out of range 1..=64".into())
+        }
+    }
+
     fn validate(&self) {
-        assert!(self.vlen_bits.is_power_of_two(), "vector length must be a power of two");
-        assert!(self.vlen_bits >= 128, "vector length below 128 bits");
-        assert!(
-            self.vlen_bits <= self.isa.max_vlen_bits(),
-            "vlen {} exceeds MVL {} of {:?}",
-            self.vlen_bits,
-            self.isa.max_vlen_bits(),
-            self.isa
-        );
-        assert!(self.lanes >= 1 && self.lanes <= 64, "lane count out of range");
+        if let Err(e) = self.isa.check_vlen(self.vlen_bits).and(Self::check_lanes(self.lanes)) {
+            panic!("{e}");
+        }
         assert!(self.mlp >= 1);
     }
 }

@@ -101,7 +101,7 @@ pub enum ConvAlgo {
 /// Winograd for all convolutional layers with 3x3 kernel sizes and stride 1,
 /// and default to our optimized im2col+GEMM implementation for all other
 /// cases").
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConvPolicy {
     /// GEMM implementation for the im2col+GEMM path.
     pub gemm: GemmVariant,

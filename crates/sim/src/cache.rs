@@ -30,18 +30,29 @@ pub struct CacheConfig {
 
 impl CacheConfig {
     /// Number of sets implied by the geometry.
+    ///
+    /// # Panics
+    /// Panics when [`CacheConfig::try_sets`] rejects the geometry.
     pub fn sets(&self) -> usize {
+        self.try_sets().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Number of sets implied by the geometry, or why it implies none: a
+    /// capacity below one set or not a whole number of sets, or a set count
+    /// or line size that is not a power of two.
+    pub fn try_sets(&self) -> Result<usize, String> {
         let sets = self.bytes / (self.line_bytes * self.assoc);
-        assert!(sets > 0, "{}: capacity smaller than one set", self.name);
-        assert!(
-            sets * self.line_bytes * self.assoc == self.bytes,
-            "{}: capacity {} not divisible by line*assoc",
-            self.name,
-            self.bytes
-        );
-        assert!(sets.is_power_of_two(), "{}: set count {} not a power of two", self.name, sets);
-        assert!(self.line_bytes.is_power_of_two());
-        sets
+        if sets == 0 {
+            Err(format!("{}: capacity smaller than one set", self.name))
+        } else if sets * self.line_bytes * self.assoc != self.bytes {
+            Err(format!("{}: capacity {} not divisible by line*assoc", self.name, self.bytes))
+        } else if !sets.is_power_of_two() {
+            Err(format!("{}: set count {sets} not a power of two", self.name))
+        } else if !self.line_bytes.is_power_of_two() {
+            Err(format!("{}: line size {} not a power of two", self.name, self.line_bytes))
+        } else {
+            Ok(sets)
+        }
     }
 }
 

@@ -524,20 +524,6 @@ pub fn analyze_experiment_with(
     (factual, analysis)
 }
 
-/// Like [`analyze_experiment`] but reusing an already-measured factual run
-/// (five counterfactual simulations instead of six) — the
-/// `exp-headline --with-whatif` path.
-pub fn analyze_counterfactuals(
-    e: &Experiment,
-    factual: &RunSummary,
-    jobs: usize,
-) -> WhatifAnalysis {
-    let knobs: Vec<IdealKnob> = IdealKnob::ALL.to_vec();
-    let runs = parallel_map(&knobs, jobs, |_, knob| e.clone().with_ideal(knob.spec()).run());
-    let cf: Vec<(IdealKnob, RunSummary)> = knobs.into_iter().zip(runs).collect();
-    WhatifAnalysis::from_runs(e, factual, &cf)
-}
-
 /// Counterfactual verdict for one `lva-check` registry kernel at one design
 /// point (no layer structure — the kernel is the unit).
 #[derive(Debug, Clone)]

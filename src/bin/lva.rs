@@ -15,7 +15,10 @@
 
 use longvec_cnn::core::report::fmt_cycles;
 use longvec_cnn::core::EnergyModel;
+use longvec_cnn::isa::VpuConfig;
 use longvec_cnn::prelude::*;
+use std::fmt::Display;
+use std::num::NonZeroUsize;
 use std::process::exit;
 
 fn usage() -> ! {
@@ -94,6 +97,15 @@ fn parse_model(s: &str) -> ModelId {
     }
 }
 
+/// The value `rule` accepts, or exit 2 with one line naming `flag`, its
+/// value and the rule it breaks.
+fn check<T>(flag: &str, value: impl Display, rule: Result<T, impl Display>) -> T {
+    rule.unwrap_or_else(|e| {
+        eprintln!("{flag} {value}: {e}");
+        exit(2)
+    })
+}
+
 fn parse_args(args: &[String]) -> Cli {
     let mut cli = Cli::default();
     let mut it = args.iter();
@@ -121,7 +133,10 @@ fn parse_args(args: &[String]) -> Cli {
                 }
             }
             "--winograd" => cli.winograd = true,
-            "--div" => cli.div = need(&mut it, "--div").parse().unwrap_or_else(|_| usage()),
+            "--div" => {
+                let v = need(&mut it, "--div");
+                cli.div = check("--div", &v, v.parse::<NonZeroUsize>()).get();
+            }
             "--layers" => {
                 cli.layers = Some(need(&mut it, "--layers").parse().unwrap_or_else(|_| usage()));
             }
@@ -146,19 +161,29 @@ fn parse_args(args: &[String]) -> Cli {
     cli
 }
 
+/// The design point the flags name; exits 2 naming the flag when the
+/// simulator's own rules reject its vector length, lanes or L2 size.
 fn hw_target(cli: &Cli) -> HwTarget {
     let l2 = cli.l2_mb << 20;
-    match cli.platform.as_str() {
+    let hw = match cli.platform.as_str() {
         "rvv" | "riscv" => {
+            check("--vlen", cli.vlen, IsaKind::Rvv.check_vlen(cli.vlen));
+            check("--lanes", cli.lanes, VpuConfig::check_lanes(cli.lanes));
             HwTarget::RvvGem5 { vlen_bits: cli.vlen, lanes: cli.lanes, l2_bytes: l2 }
         }
-        "sve" | "arm" => HwTarget::SveGem5 { vlen_bits: cli.vlen.min(2048), l2_bytes: l2 },
-        "a64fx" => HwTarget::A64fx,
+        "sve" | "arm" => {
+            let vlen_bits = cli.vlen.min(IsaKind::Sve.max_vlen_bits());
+            check("--vlen", cli.vlen, IsaKind::Sve.check_vlen(vlen_bits));
+            HwTarget::SveGem5 { vlen_bits, l2_bytes: l2 }
+        }
+        "a64fx" => return HwTarget::A64fx,
         other => {
             eprintln!("unknown platform `{other}` (rvv | sve | a64fx)");
             exit(2)
         }
-    }
+    };
+    check("--l2", cli.l2_mb, hw.machine_config().mem.l2.try_sets());
+    hw
 }
 
 fn policy(cli: &Cli) -> ConvPolicy {

@@ -210,3 +210,43 @@ fn lva_cfg_rejects_malformed_networks_naming_the_layer() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `lva` answers a hardware or scale flag the simulator cannot be built
+/// with (a zero divisor, a vector length that is not a power of two, below
+/// 128 bits or above the ISA's maximum, lanes outside 1..=64, an L2 whose
+/// set count is zero or not a power of two) with one line naming the flag
+/// and exit 2, not a panic. `lva cfg` takes the flags through the same path.
+#[test]
+fn lva_rejects_out_of_range_hardware_flags_naming_the_flag() {
+    let dir = std::env::temp_dir().join(format!("lva-flag-errors-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let cfg = dir.join("ok.cfg");
+    std::fs::write(&cfg, "[net]\nheight=32\nwidth=32\n[convolutional]\nfilters=4\nsize=3\n")
+        .expect("write cfg");
+    let cfg = cfg.to_str().expect("utf-8 temp path");
+    for (line, flag) in [
+        ("run --div 0", "--div"),
+        ("run --vlen 0", "--vlen"),
+        ("run --vlen 96", "--vlen"),
+        ("run --vlen 32768", "--vlen"),
+        ("run --platform sve --vlen 64", "--vlen"),
+        ("run --lanes 0", "--lanes"),
+        ("run --lanes 65", "--lanes"),
+        ("run --l2 0", "--l2"),
+        ("run --l2 3", "--l2"),
+        ("sweep --axis vlen --div 0", "--div"),
+        ("sweep --axis l2 --lanes 0", "--lanes"),
+        (&format!("cfg {cfg} --vlen 96"), "--vlen"),
+        (&format!("cfg {cfg} --l2 3"), "--l2"),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_lva"))
+            .args(line.split_whitespace())
+            .output()
+            .expect("lva runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "`lva {line}`: {err}");
+        assert_eq!(err.lines().count(), 1, "`lva {line}`: {err}");
+        assert!(err.starts_with(&format!("{flag} ")), "`lva {line}`: {err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
