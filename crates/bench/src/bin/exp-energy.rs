@@ -3,7 +3,7 @@
 //! The paper motivates long-vector CPUs by energy efficiency (§I) and notes
 //! that large caches "occupy significant die area" (§V), but evaluates
 //! performance only. This experiment re-runs the Fig. 6/7 grid under the
-//! `lva-energy` streaming event-energy model (DESIGN.md §14): longer
+//! `lva-energy` per-layer event-energy model (DESIGN.md §14): longer
 //! vectors save instruction-issue energy; ever-larger caches keep saving
 //! DRAM energy but eventually lose on access energy (√capacity) and
 //! leakage, so the EDP-optimal cache is *finite* even though performance

@@ -157,12 +157,13 @@ fn main() {
         .map(|((name, e), r)| {
             let mut report = RunReport::new(name.clone(), e, &r.summary);
             if opts.energy {
-                // --with-energy: one probed re-run streams the per-layer
-                // attribution; cycles are bit-identical to the table pass.
+                // --with-energy: one re-run records layer counters for the
+                // per-layer attribution; cycles are bit-identical to the
+                // table pass.
                 eprintln!(".. energy {} | {}", name, e.hw.describe());
                 let model = lva_core::EnergyModel::default();
                 let (s, att) = e.run_energy(&model);
-                assert_eq!(s.cycles, r.summary.cycles, "{name}: energy probe changed timing");
+                assert_eq!(s.cycles, r.summary.cycles, "{name}: energy accounting changed timing");
                 report = report.with_energy(att.to_json());
             }
             report

@@ -25,15 +25,11 @@
 use lva_bench::*;
 
 fn main() {
-    let opts = Opts::parse_retime(
+    let opts = Opts::parse(
         8,
         "Serving observatory: latency/queue/SLO report over the batching inference tier",
     );
-    // --retime: ladder calibration through the retime engine (one capture
-    // per tenant stream, re-timed per rung); output is bit-identical.
-    let mut engine = retime_engine(&opts);
-    let j = serving_grid_json(opts.div, opts.layers, opts.jobs, engine.as_mut());
-    log_retime(engine.as_ref());
+    let j = serving_grid_json(opts.div, opts.layers, opts.jobs);
 
     let mut table = Table::new(
         "Serving tier under load: latency percentiles and queue telemetry".to_string(),

@@ -1,6 +1,6 @@
 //! The energy observatory: sweeps the VL × L2 co-design grid through the
-//! `lva-energy` streaming probe and assembles `BENCH_energy.json` plus the
-//! committed `results/PARETO.md`.
+//! `lva-energy` per-layer attribution and assembles `BENCH_energy.json`
+//! plus the committed `results/PARETO.md`.
 //!
 //! The paper's performance story (Figs. 6/7) keeps (weakly) improving all
 //! the way to the 256 MB L2; the energy view disagrees: larger arrays cost
@@ -78,8 +78,8 @@ fn edp_optimal(points: &[Point]) -> usize {
 }
 
 /// Sweep one network over the VL × L2 grid (fanned over `jobs` threads)
-/// and return its record. Every point runs through the streaming probe and
-/// is gated on the sum-to-total invariant before it enters the report.
+/// and return its record. Every point's energy is attributed per layer and
+/// gated on the sum-to-total invariant before it enters the report.
 fn network_json(key: &str, workload: Workload, jobs: usize) -> Json {
     let policy = ConvPolicy::gemm_only(GemmVariant::opt3());
     let model = EnergyModel::default();
@@ -98,7 +98,7 @@ fn network_json(key: &str, workload: Workload, jobs: usize) -> Json {
         let err = att.reconciliation_rel_err();
         assert!(
             err < 1e-6,
-            "sum-to-total violated at vlen={vlen} l2={l2}: streamed {} J vs aggregate {} J",
+            "sum-to-total violated at vlen={vlen} l2={l2}: attributed {} J vs aggregate {} J",
             att.total.total_j(),
             att.report.total_j()
         );
@@ -145,7 +145,7 @@ fn network_json(key: &str, workload: Workload, jobs: usize) -> Json {
 }
 
 /// Assemble the full `BENCH_energy.json` value: the VL × L2 grid for each
-/// headline network, per-point energy from the streaming probe, frontier
+/// headline network, per-point energy from the per-layer attribution, frontier
 /// flags, and both optima. Deterministic for fixed `(div, layers)` —
 /// independent of `jobs` and the host.
 pub fn energy_grid_json(div: usize, layers: Option<usize>, jobs: usize) -> Json {

@@ -42,9 +42,9 @@ pub const L2_SIZES: [usize; 6] = [1 << 20, 4 << 20, 16 << 20, 64 << 20, 128 << 2
 
 /// Common options for experiment binaries — the single shared parser in
 /// `lva_core::cli`, re-exported here so every `exp-*` bin keeps saying
-/// `lva_bench::Opts`. `exp-whatif` and `exp-serve` parse with
-/// [`Opts::parse_retime`], the only bins that take `--retime`; the
-/// `lint-*` tools use [`Opts::parse_tool`] for the flag subset they accept.
+/// `lva_bench::Opts`. `exp-whatif` parses with [`Opts::parse_retime`], the
+/// only bin that takes `--retime`; the `lint-*` tools use
+/// [`Opts::parse_tool`] for the flag subset they accept.
 pub use lva_core::cli::{Opts, RetimeOpt};
 pub use lva_retime::RetimeEngine;
 
@@ -128,15 +128,8 @@ pub fn log_retime(engine: Option<&RetimeEngine>) {
     let Some(eng) = engine else { return };
     let c = eng.counters();
     eprintln!(
-        "[retime: {} captures, {} tape refits, {} live replays, {} stream captures, \
-         {} stream refits, {} stream live replays, {} verified]",
-        c.captures,
-        c.tape_refits,
-        c.live_replays,
-        c.stream_captures,
-        c.stream_refits,
-        c.stream_live_replays,
-        c.verified
+        "[retime: {} captures, {} tape refits, {} live replays, {} verified]",
+        c.captures, c.tape_refits, c.live_replays, c.verified
     );
     if let Some(reason) = eng.refusal() {
         eprintln!("[retime refused: {reason}]");

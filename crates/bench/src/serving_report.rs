@@ -104,38 +104,19 @@ fn calibrate(
     div: usize,
     layers: Option<usize>,
     jobs: usize,
-    engine: Option<&mut lva_retime::RetimeEngine>,
 ) -> Vec<PointCalibration> {
     let policy = ConvPolicy::gemm_only(GemmVariant::opt3());
     let grid: Vec<(usize, usize)> =
         (0..points.len()).flat_map(|p| (0..mix.len()).map(move |t| (p, t))).collect();
-    let cell = |s: lva_core::StreamSummary| {
-        let profile =
-            TenantProfile { cold_cycles: s.cold_cycles(), steady_cycles: s.steady_cycles() };
-        (profile, s.steady)
-    };
-    let cells: Vec<(Experiment, TenantProfile, lva_core::RunSummary)> = match engine {
-        // Serial through the engine: each tenant workload's two-frame
-        // stream is captured once, and every other ladder rung in the
-        // same ISA class re-times that recording.
-        Some(eng) => grid
-            .iter()
-            .map(|&(p, t)| {
-                let e = Experiment::new(points[p].1, policy, tenant_workload(&mix[t], div, layers));
-                eprintln!(".. calibrate {} | {}", e.hw.describe(), e.workload.describe());
-                let s = eng.run_stream(&e, 2);
-                let (profile, steady) = cell(s);
-                (e, profile, steady)
-            })
-            .collect(),
-        None => parallel_map(&grid, jobs, |_, &(p, t)| {
+    let cells: Vec<(Experiment, TenantProfile, lva_core::RunSummary)> =
+        parallel_map(&grid, jobs, |_, &(p, t)| {
             let e = Experiment::new(points[p].1, policy, tenant_workload(&mix[t], div, layers));
             eprintln!(".. calibrate {} | {}", e.hw.describe(), e.workload.describe());
             let s = e.run_stream(2);
-            let (profile, steady) = cell(s);
-            (e, profile, steady)
-        }),
-    };
+            let profile =
+                TenantProfile { cold_cycles: s.cold_cycles(), steady_cycles: s.steady_cycles() };
+            (e, profile, s.steady)
+        });
     points
         .iter()
         .enumerate()
@@ -233,21 +214,12 @@ fn cell_json(
 
 /// Assemble the full `BENCH_serving.json` value. Deterministic for fixed
 /// `(div, layers)` — independent of `jobs` and the host; the simulated
-/// cycle clock is the only time source anywhere in the pipeline. With a
-/// retime engine (the `--retime` path), the ladder calibration — the only
-/// place the cycle-approximate machine runs — goes through the engine, so
-/// each tenant stream is captured once and re-timed per rung. Output is
-/// bit-identical.
-pub fn serving_grid_json(
-    div: usize,
-    layers: Option<usize>,
-    jobs: usize,
-    engine: Option<&mut lva_retime::RetimeEngine>,
-) -> Json {
+/// cycle clock is the only time source anywhere in the pipeline.
+pub fn serving_grid_json(div: usize, layers: Option<usize>, jobs: usize) -> Json {
     let freq_ghz = EnergyModel::default().freq_ghz;
     let mix = default_mix();
     let points = serving_design_points();
-    let cal = calibrate(&points, &mix, div, layers, jobs, engine);
+    let cal = calibrate(&points, &mix, div, layers, jobs);
     let reference = &cal.last().expect("non-empty ladder").profiles;
 
     let mut tenants_j = Json::Arr(Vec::new());
@@ -363,7 +335,7 @@ pub fn knee_chrome_trace(div: usize, layers: Option<usize>, jobs: usize) -> Chro
     let mix = default_mix();
     let points = serving_design_points();
     let reference_point = vec![points.last().expect("non-empty ladder").clone()];
-    let cal = calibrate(&reference_point, &mix, div, layers, jobs, None);
+    let cal = calibrate(&reference_point, &mix, div, layers, jobs);
     let reference = &cal[0].profiles;
     let knee_idx = SERVING_INTENSITIES.len() - 1;
     let arrivals = offered_arrivals(&mix, reference, SERVING_INTENSITIES[knee_idx], knee_idx);
@@ -547,7 +519,7 @@ mod tests {
     fn tiny_grid() -> Json {
         // Reduced sweep: tiny scale, short prefixes — the unit-test
         // configuration (CI runs the committed default separately).
-        serving_grid_json(16, Some(4), 2, None)
+        serving_grid_json(16, Some(4), 2)
     }
 
     #[test]
@@ -563,7 +535,7 @@ mod tests {
     #[test]
     fn serving_grid_is_deterministic_across_jobs() {
         let a = tiny_grid();
-        let b = serving_grid_json(16, Some(4), 1, None);
+        let b = serving_grid_json(16, Some(4), 1);
         assert_eq!(
             a.to_string_pretty(),
             b.to_string_pretty(),

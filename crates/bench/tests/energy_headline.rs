@@ -1,9 +1,8 @@
 //! The energy contract at experiment granularity, over the real headline
-//! suite: on every §VI design point, (a) attaching the streaming energy
-//! probe leaves the cycle count bit-identical to a plain run, and (b) the
-//! streamed per-layer attribution reconciles with the aggregate
-//! `EnergyModel` estimate within 1e-6 relative — the sum-to-total
-//! invariant the ISSUE gates on "every headline-suite run".
+//! suite: on every §VI design point, (a) recording layer counters leaves
+//! the cycle count bit-identical to a plain run, and (b) the per-layer
+//! attribution reconciles with the aggregate `EnergyModel` estimate within
+//! 1e-6 relative — the sum-to-total invariant, on every headline-suite run.
 
 use lva_bench::headline_specs;
 use lva_core::EnergyModel;
@@ -21,7 +20,7 @@ fn headline_suite_reconciles_and_stays_timing_neutral() {
         let err = att.reconciliation_rel_err();
         assert!(
             err < 1e-6,
-            "{name}: streamed {} J vs aggregate {} J (rel err {err:e})",
+            "{name}: attributed {} J vs aggregate {} J (rel err {err:e})",
             att.total.total_j(),
             att.report.total_j()
         );

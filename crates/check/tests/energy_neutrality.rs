@@ -1,11 +1,11 @@
-//! The energy-accounting contract at kernel granularity: attaching the
-//! `lva-energy` streaming probe (event sink + memory tap) must leave cycle
-//! counts bit-identical, and the counts it streams must equal the
-//! machine's own aggregate counters — per kernel, per Table II design
-//! point.
+//! The energy-accounting contract at kernel granularity: the machine's
+//! layer-counter recorder must leave cycle counts and every counter
+//! bit-identical, and the attribution of a run that opens no layer must
+//! put the machine's aggregate counts in its `outside` bucket — per
+//! kernel, per Table II design point.
 
 use lva_check::registered_kernels;
-use lva_energy::{EnergyCounts, EnergyModel};
+use lva_energy::{EnergyAttribution, EnergyCounts, EnergyModel};
 use lva_isa::{Machine, MachineConfig};
 
 /// Three Table II design points: RVV at the short and long ends of the
@@ -19,66 +19,44 @@ fn design_points() -> Vec<(&'static str, MachineConfig)> {
     ]
 }
 
-/// Counts a finished machine reports, shaped like the probe's tally.
-fn aggregate_counts(m: &Machine) -> EnergyCounts {
-    let v = &m.stats;
-    let s = m.sys.stats();
-    EnergyCounts {
-        vec_flops: v.vec_flops,
-        vec_instrs: v.vec_instrs,
-        scalar_ops: v.scalar_ops + v.scalar_flops,
-        l1_accesses: s.l1.accesses + s.vcache.accesses,
-        l2_accesses: s.l2.accesses,
-        dram_transfers: s.dram_reads + s.dram_writes,
-        l1_prefetch_fills: s.l1.prefetch_fills + s.vcache.prefetch_fills,
-        l2_prefetch_fills: s.l2.prefetch_fills,
-    }
-}
-
 #[test]
-fn energy_probe_is_timing_neutral_for_every_kernel_and_design_point() {
+fn layer_counter_recorder_is_timing_neutral_for_every_kernel_and_design_point() {
     for (profile, cfg) in design_points() {
         for case in registered_kernels().iter().filter(|c| c.supports(cfg.vpu.isa)) {
             let mut plain = Machine::new(cfg.clone());
             (case.run)(&mut plain);
-            let mut probed = Machine::new(cfg.clone());
-            let probe = lva_energy::attach(&mut probed);
-            (case.run)(&mut probed);
+            let mut recorded = Machine::new(cfg.clone());
+            recorded.record_layer_counters();
+            (case.run)(&mut recorded);
+            let layers = recorded.take_layer_counters();
+            let what = format!("{} on {profile}", case.name);
+            assert_eq!(plain.cycles(), recorded.cycles(), "recorder changed the cycles of {what}");
+            assert_eq!(plain.stats, recorded.stats, "recorder changed VPU counters of {what}");
             assert_eq!(
-                plain.cycles(),
-                probed.cycles(),
-                "energy accounting changed the cycle count of {} on {profile}",
-                case.name
+                plain.sys.stats(),
+                recorded.sys.stats(),
+                "recorder changed memory-system counters of {what}"
             );
-            assert_eq!(
-                plain.stats, probed.stats,
-                "energy accounting changed VPU counters of {} on {profile}",
-                case.name
-            );
-            // The streamed counts must equal the machine's own aggregates —
-            // the integer half of the sum-to-total invariant. Kernels run
-            // outside any layer scope, so everything lands in `outside`.
+            assert!(layers.is_empty(), "{what}: kernels open no layer scope");
+
             let report = lva_nn::NetReport {
                 layers: Vec::new(),
-                cycles: probed.cycles(),
-                phases: probed.phases.clone(),
-                vpu: probed.stats,
-                mem: probed.sys.stats(),
-                stalls: probed.stalls,
+                cycles: recorded.cycles(),
+                phases: recorded.phases.clone(),
+                vpu: recorded.stats,
+                mem: recorded.sys.stats(),
+                stalls: recorded.stalls,
             };
-            let want = aggregate_counts(&probed);
-            let att = probe.finish(&mut probed, &report, &EnergyModel::default(), 1 << 20);
-            assert!(att.layers.is_empty(), "no layer scopes in a bare kernel run");
-            assert!(att.reconciliation_rel_err().is_finite());
+            let att = EnergyAttribution::new(&report, &layers, &EnergyModel::default(), 1 << 20);
+            assert!(att.layers.is_empty(), "{what}: no layer scopes in a bare kernel run");
+            let aggregate = EnergyCounts::from_stats(&recorded.stats, &recorded.sys.stats());
+            assert_eq!(att.outside_counts, aggregate, "{what}");
             assert!(
                 att.reconciliation_rel_err() < 1e-6,
-                "{} on {profile}: streamed {} J vs aggregate {} J",
-                case.name,
+                "{what}: attributed {} J vs aggregate {} J",
                 att.total.total_j(),
                 att.report.total_j()
             );
-            // White-box: the outside bucket carries exactly the aggregates.
-            assert_eq!(att.outside_counts, want, "{} on {profile}", case.name);
         }
     }
 }

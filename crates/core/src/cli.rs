@@ -6,8 +6,8 @@
 //! them one at a time for flag parity; [`Opts`] is now the single
 //! implementation. Experiment bins call [`Opts::parse`] (the experiment
 //! dialect, re-exported as `lva_bench::Opts`), or [`Opts::parse_retime`]
-//! when the sweep also takes `--retime` (`exp-whatif` and `exp-serve`, the
-//! two whose retime engine path re-times recordings); lint tools call
+//! when the sweep also takes `--retime` (only `exp-whatif`, the one sweep
+//! whose retime engine path pays for its recordings); lint tools call
 //! [`Opts::parse_tool`] (the `--jobs/--json/--trace` subset). All print
 //! `--help` and exit 0, and answer a malformed command line — including a
 //! flag the binary does not take — with one line naming the flag and exit
@@ -42,9 +42,9 @@ pub struct Opts {
     /// sweep serially and with `--jobs`, median-of-3 each, and write a
     /// `BENCH_sim_wallclock.json` report.
     pub wallclock: bool,
-    /// Attach the `lva-energy` streamed attribution to every run's JSON
-    /// report (`--with-energy`): one probed re-run per design point, cycle
-    /// counts unchanged. Off by default.
+    /// Attach the `lva-energy` per-layer attribution to every run's JSON
+    /// report (`--with-energy`): one re-run per design point with layer
+    /// counters recorded, cycle counts unchanged. Off by default.
     pub energy: bool,
     /// Route runs through the `lva-retime` retime engine (`--retime`), or
     /// through it *and* the full simulator with a bit-identity assertion
@@ -135,7 +135,8 @@ impl Opts {
     }
 
     /// [`Opts::parse`], also taking `--retime`, `--retime=verify` and
-    /// `--retime=off`.
+    /// `--retime=off`: the dialect of `exp-whatif`, the one sweep whose
+    /// engine path pays.
     pub fn parse_retime(default_div: usize, what: &str) -> Opts {
         Self::parse_env(default_div, Dialect::Retime, what)
     }
@@ -225,7 +226,7 @@ fn usage(default_div: usize, dialect: Dialect, what: &str) -> String {
         ""
     };
     format!(
-        "{what}\n\nOptions:\n  --div N      input down-scale divisor (default {default_div}; 1 = paper size)\n  --layers N   layer prefix override\n  --csv/--no-csv  write results/<exp>.csv (default on)\n  --json       also write results/<exp>.json (machine-readable)\n  --profile    tap the cache hierarchy: reuse-distance histograms, 3C\n               miss classes, capacity curves (in the JSON output)\n  --chrome FILE  write a Chrome trace-event timeline (Perfetto) to FILE\n  --trace FILE stream JSONL telemetry spans to FILE\n  --jobs N     run independent design points on N threads (0 = all cores;\n               results and reports are identical to --jobs 1)\n  --wallclock  self-benchmark: time the sweep serial vs --jobs (median of\n               3 each) and write BENCH_sim_wallclock.json\n  --with-energy  attach the lva-energy streamed attribution (per-layer\n               joules, EDP, energy roofline) to the JSON reports{retime}"
+        "{what}\n\nOptions:\n  --div N      input down-scale divisor (default {default_div}; 1 = paper size)\n  --layers N   layer prefix override\n  --csv/--no-csv  write results/<exp>.csv (default on)\n  --json       also write results/<exp>.json (machine-readable)\n  --profile    tap the cache hierarchy: reuse-distance histograms, 3C\n               miss classes, capacity curves (in the JSON output)\n  --chrome FILE  write a Chrome trace-event timeline (Perfetto) to FILE\n  --trace FILE stream JSONL telemetry spans to FILE\n  --jobs N     run independent design points on N threads (0 = all cores;\n               results and reports are identical to --jobs 1)\n  --wallclock  self-benchmark: time the sweep serial vs --jobs (median of\n               3 each) and write BENCH_sim_wallclock.json\n  --with-energy  attach the lva-energy attribution (per-layer\n               joules, EDP, energy roofline) to the JSON reports{retime}"
     )
 }
 

@@ -124,8 +124,9 @@ pub struct RunSummary {
 }
 
 impl RunSummary {
-    /// gem5-`stats.txt`-flavoured dump of the run's counters (the same
-    /// format as `Machine::dump_stats`, reconstructed from the summary).
+    /// gem5-`stats.txt`-flavoured dump of the run's counters: cycle count,
+    /// instruction mix, consumed vector length, stall causes and per-level
+    /// cache statistics, one `name value` pair per line (`lva run --stats`).
     pub fn dump_stats(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -276,25 +277,24 @@ impl Experiment {
         (Self::summarize(&m, report), profile)
     }
 
-    /// Like [`Experiment::run`], with the `lva-energy` streaming probe
-    /// attached for the duration of the inference: every vector op, scalar
-    /// charge, cache access, DRAM transfer, and prefetch fill is charged
-    /// to the layer that caused it.
+    /// Like [`Experiment::run`], with the machine snapshotting its counters
+    /// at every layer boundary: each layer's vector ops, scalar charges,
+    /// cache accesses, DRAM transfers and prefetch fills are charged to it.
     ///
     /// Returns the summary plus the per-layer [`lva_energy::EnergyAttribution`],
-    /// whose streamed total reconciles with `model.estimate(...)` on the
-    /// same run. Pure observation: cycle counts are identical to an
-    /// unprobed run.
+    /// whose total reconciles with `model.estimate(...)` on the same run.
+    /// Pure observation: cycle counts are identical to a plain run.
     pub fn run_energy(
         &self,
         model: &lva_energy::EnergyModel,
     ) -> (RunSummary, lva_energy::EnergyAttribution) {
         let (mut m, mut net, shape) = self.build(false);
         m.reset_timing();
-        let probe = lva_energy::attach(&mut m);
+        m.record_layer_counters();
         let image = host_random(shape.len(), self.seed ^ 0x1533);
         let report = net.run(&mut m, &image);
-        let att = probe.finish(&mut m, &report, model, self.hw.l2_bytes());
+        let layers = m.take_layer_counters();
+        let att = lva_energy::EnergyAttribution::new(&report, &layers, model, self.hw.l2_bytes());
         (Self::summarize(&m, report), att)
     }
 

@@ -42,7 +42,7 @@ pub struct RunReport {
     /// Counterfactual (`lva-whatif`) analysis for this run; `None` (the
     /// default) omits the section. See [`Self::with_whatif`].
     pub whatif: Option<Json>,
-    /// Streaming energy attribution (`lva-energy`) for this run; `None`
+    /// Per-layer energy attribution (`lva-energy`) for this run; `None`
     /// (the default) omits the section. See [`Self::with_energy`].
     pub energy: Option<Json>,
     /// Serving-tier observability (`lva-serve` latency/queue/SLO stats) for
@@ -157,7 +157,7 @@ impl RunReport {
         self
     }
 
-    /// Attach a streaming energy attribution (produced by `lva-energy`,
+    /// Attach a per-layer energy attribution (produced by `lva-energy`,
     /// typically `EnergyAttribution::to_json()`); [`Self::to_json`] then
     /// emits it verbatim as an `energy` section.
     #[must_use]
@@ -385,7 +385,7 @@ mod tests {
         );
     }
 
-    /// A real streamed energy section survives the JSON round trip and
+    /// A real energy section survives the JSON round trip and
     /// carries one entry per layer plus the headline totals.
     #[test]
     fn energy_section_round_trips() {

@@ -1,5 +1,5 @@
-//! Experiment-level energy tests: the `lva-energy` model and its streaming
-//! probe driven through [`Experiment`]. They live here, downstream of both
+//! Experiment-level energy tests: the `lva-energy` model and its per-layer
+//! attribution driven through [`Experiment`]. They live here, downstream of both
 //! crates, because `lva-energy` cannot depend on the experiment API.
 
 use lva_core::{
@@ -48,35 +48,37 @@ fn longer_vectors_save_issue_energy() {
     assert!(el.compute_j < es.compute_j, "{} !< {}", el.compute_j, es.compute_j);
 }
 
-/// The streaming attribution (run through the probe) must reconcile
-/// with the aggregate estimate — the sum-to-total invariant — and the
-/// per-layer counts must sum to the run's aggregate counters exactly.
+/// The per-layer attribution must reconcile with the aggregate estimate —
+/// the sum-to-total invariant: the layers' counts plus `outside_counts`
+/// are the run's aggregate counts, and on a network run, where every op
+/// runs inside a layer, `outside_counts` is zero.
 #[test]
-fn streamed_attribution_reconciles_with_aggregate() {
+fn layer_attribution_reconciles_with_aggregate() {
     let model = EnergyModel::default();
     let (s, att) = experiment(4 << 20, 1024).run_energy(&model);
     assert!(
         att.reconciliation_rel_err() < 1e-6,
-        "streamed {} vs aggregate {}",
+        "attributed {} vs aggregate {}",
         att.total.total_j(),
         att.report.total_j()
     );
-    let mut streamed = EnergyCounts::default();
+    assert_eq!(att.layers.len(), 4, "one entry per layer");
+    let mut counts = att.outside_counts;
     for l in &att.layers {
-        streamed.add(&l.counts);
+        counts.add(&l.counts);
     }
-    assert_eq!(streamed, EnergyCounts::from_report(&s.report), "integer counts must match");
-    assert!(att.layers.len() == 4, "one entry per layer");
-    assert!(att.outside.total_j() < 1e-3 * att.total.total_j(), "outside bucket near-empty");
+    assert_eq!(counts, EnergyCounts::from_report(&s.report), "integer counts must match");
+    assert_eq!(att.outside_counts, EnergyCounts::default(), "no op runs outside a layer");
+    assert_eq!(att.outside.total_j(), 0.0, "layers cover every cycle");
 }
 
-/// Attaching the probe must not change timing (the timing-neutrality
-/// contract of the hooks it rides on).
+/// Recording layer counters must not change timing.
 #[test]
 fn energy_accounting_is_timing_neutral() {
     let e = experiment(1 << 20, 2048);
     let plain = e.run();
-    let (probed, _) = e.run_energy(&EnergyModel::default());
-    assert_eq!(plain.cycles, probed.cycles, "cycles bit-identical probe on/off");
-    assert_eq!(plain.report.vpu, probed.report.vpu);
+    let (recorded, _) = e.run_energy(&EnergyModel::default());
+    assert_eq!(plain.cycles, recorded.cycles, "cycles bit-identical recorder on/off");
+    assert_eq!(plain.report.vpu, recorded.report.vpu);
+    assert_eq!(plain.report.mem, recorded.report.mem);
 }

@@ -1,4 +1,4 @@
-//! lva-energy: streaming energy attribution for the co-design study.
+//! lva-energy: per-layer energy attribution for the co-design study.
 //!
 //! The paper motivates long-vector CPUs by energy efficiency (§I) and
 //! warns that large caches occupy significant die area (§V), but evaluates
@@ -8,15 +8,14 @@
 //! * [`EnergyModel`] — documented event energies (pJ per vector flop,
 //!   scalar op, issue, cache access, DRAM transfer) plus static power, with
 //!   sqrt-capacity scaling of the L2 access energy.
-//! * [`attach`]/[`EnergyProbe`] — a probe on the existing timing-neutral
-//!   hooks (the `VecEvent` recorder path and the `AccessSink` tap) that
-//!   streams every simulated event into exactly one bucket of a per-layer
-//!   [`EnergyBreakdown`]. Cycle counts are bit-identical with the probe on
-//!   or off.
-//! * [`EnergyAttribution`] — the finished per-layer view, which reconciles
-//!   with the aggregate [`EnergyModel::estimate`] to within 1e-6 relative
-//!   (the sum-to-total invariant; both paths multiply the same integer
-//!   counts by the same constants).
+//! * [`EnergyAttribution`] — per-layer joules from the counter snapshots
+//!   the machine takes at layer boundaries
+//!   (`lva_isa::Machine::record_layer_counters`): each layer's counter
+//!   delta is charged into one [`EnergyBreakdown`], and the layers plus the
+//!   `outside` bucket sum to the run's aggregate counts by construction, so
+//!   the total reconciles with [`EnergyModel::estimate`] to float rounding
+//!   (pinned at 1e-6 relative). Cycle counts are bit-identical with the
+//!   recorder on or off.
 //!
 //! Consumers: `lva-core` re-exports the model for `RunReport`'s optional
 //! `energy` section, `lva-whatif` derives energy counterfactuals and an
@@ -25,8 +24,8 @@
 
 #![forbid(unsafe_code)]
 
+mod attribution;
 mod model;
-mod probe;
 
+pub use attribution::{EnergyAttribution, LayerEnergy};
 pub use model::{EnergyBreakdown, EnergyCounts, EnergyModel, EnergyReport};
-pub use probe::{attach, flops_per_elem, EnergyAttribution, EnergyProbe, LayerEnergy};

@@ -17,15 +17,18 @@
 //! * the **aggregate** path ([`EnergyModel::estimate`]) folds a finished
 //!   run's counters ([`EnergyCounts::from_report`]) into one
 //!   [`EnergyBreakdown`];
-//! * the **streaming** path (`crate::probe`) accumulates the same integer
-//!   counts per layer as events arrive and charges each layer separately.
+//! * the **per-layer** path (`crate::attribution`) takes the same integer
+//!   counts as differences of counter snapshots at layer boundaries and
+//!   charges each layer separately.
 //!
 //! Because both paths multiply the *same integer counts* by the *same
-//! constants*, the streamed per-layer total reconciles with the aggregate
-//! estimate to float-rounding precision — the sum-to-total invariant the
-//! tests pin at 1e-6 relative.
+//! constants*, the per-layer total reconciles with the aggregate estimate
+//! to float-rounding precision — the sum-to-total invariant the tests pin
+//! at 1e-6 relative.
 
+use lva_isa::VpuStats;
 use lva_nn::NetReport;
+use lva_sim::MemSystemStats;
 
 /// Event energies and static power of a simulated design point.
 #[derive(Debug, Clone, Copy)]
@@ -67,9 +70,8 @@ impl Default for EnergyModel {
 }
 
 /// Integer event counts of one attribution scope (a layer, or a whole run).
-/// The accumulation unit of the streaming probe: counts are exact, and the
-/// model constants are applied only when a scope is charged, so streamed
-/// and aggregate joules agree to float rounding.
+/// Counts are exact, and the model constants are applied only when a scope
+/// is charged, so per-layer and aggregate joules agree to float rounding.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EnergyCounts {
     /// Vector flops executed (scaled by granted vl and the op's
@@ -93,10 +95,14 @@ pub struct EnergyCounts {
 
 impl EnergyCounts {
     /// The counts of a completed run, from its aggregate counters — the
-    /// reference the streamed per-layer counts must sum to.
+    /// reference the per-layer counts sum to.
     pub fn from_report(report: &NetReport) -> EnergyCounts {
-        let v = &report.vpu;
-        let m = &report.mem;
+        Self::from_stats(&report.vpu, &report.mem)
+    }
+
+    /// The counts behind a snapshot of a machine's VPU and memory-system
+    /// counters.
+    pub fn from_stats(v: &VpuStats, m: &MemSystemStats) -> EnergyCounts {
         EnergyCounts {
             vec_flops: v.vec_flops,
             vec_instrs: v.vec_instrs,
@@ -118,6 +124,20 @@ impl EnergyCounts {
         self.dram_transfers += o.dram_transfers;
         self.l1_prefetch_fills += o.l1_prefetch_fills;
         self.l2_prefetch_fills += o.l2_prefetch_fills;
+    }
+
+    /// The counts accrued since the snapshot `earlier` (`self` is later).
+    pub fn since(&self, earlier: &EnergyCounts) -> EnergyCounts {
+        EnergyCounts {
+            vec_flops: self.vec_flops - earlier.vec_flops,
+            vec_instrs: self.vec_instrs - earlier.vec_instrs,
+            scalar_ops: self.scalar_ops - earlier.scalar_ops,
+            l1_accesses: self.l1_accesses - earlier.l1_accesses,
+            l2_accesses: self.l2_accesses - earlier.l2_accesses,
+            dram_transfers: self.dram_transfers - earlier.dram_transfers,
+            l1_prefetch_fills: self.l1_prefetch_fills - earlier.l1_prefetch_fills,
+            l2_prefetch_fills: self.l2_prefetch_fills - earlier.l2_prefetch_fills,
+        }
     }
 }
 
@@ -275,7 +295,7 @@ impl EnergyModel {
 
     /// Charge one scope's integer counts plus its cycles (for static
     /// energy) into joules per bucket. The single multiplication point both
-    /// the streaming and the aggregate paths go through.
+    /// the per-layer and the aggregate paths go through.
     pub fn charge(&self, c: &EnergyCounts, cycles: u64, l2_bytes: usize) -> EnergyBreakdown {
         const PJ: f64 = 1e-12;
         let l2_pj = self.pj_per_l2_access(l2_bytes);

@@ -181,11 +181,6 @@ impl FftConvPlan {
             acc_im: m.mem.alloc(n2),
         }
     }
-
-    /// Arena words held by this plan (reporting).
-    pub fn footprint_words(&self) -> usize {
-        self.xhat_re.words * 2 + self.what_re.words * 2 + self.acc_re.words * 2
-    }
 }
 
 /// One radix-2 stage applied to every row (or column) of a `P x P`

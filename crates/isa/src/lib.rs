@@ -37,9 +37,9 @@ pub use config::{
     CoreConfig, IsaKind, MachineConfig, Platform, VpuConfig, A64FX_L2_BYTES, DEFAULT_L1_BYTES,
     DEFAULT_L2_BYTES,
 };
-pub use machine::{Machine, PipeEvent, ReplayCursor, VReg, NUM_VREGS};
+pub use machine::{LayerCounters, Machine, PipeEvent, ReplayCursor, VReg, NUM_VREGS};
 pub use pred::Pred;
-pub use record::{stream_hash, EventKind, EventSink, StreamHasher, VecEvent};
+pub use record::{stream_hash, EventKind, StreamHasher, VecEvent};
 pub use replay::{
     LayerReplay, ProbeTape, ReplayOp, ReplayTrace, SegmentReplay, TapeSegment, VArithOp,
 };

@@ -23,13 +23,15 @@
 
 use crate::config::{IsaKind, MachineConfig};
 use crate::pred::Pred;
-use crate::record::{EventSink, VecEvent};
+use crate::record::VecEvent;
 use crate::replay::{
     r32, ArithShape, IndexedOp, LayerReplay, ProbeTape, ReduceOp, ReplayOp, ReplayTrace,
     SegmentReplay, TapePlayer, TapeRecorder, VArithOp,
 };
 use crate::stats::{KernelPhase, PhaseTimer, StallBreakdown, StallCause, VpuStats};
-use lva_sim::{AccessKind, IdealSpec, MemSystem, Memory, PrefetchTarget, TapScope, VpuPath};
+use lva_sim::{
+    AccessKind, IdealSpec, MemSystem, MemSystemStats, Memory, PrefetchTarget, TapScope, VpuPath,
+};
 use std::sync::Arc;
 
 /// Number of architectural vector registers (both RVV and SVE have 32).
@@ -48,6 +50,19 @@ pub enum PipeEvent {
     /// Intervals on the same cause never overlap and appear in
     /// non-decreasing start order (asserted by the exporter's validator).
     Stall { cause: StallCause, start: u64, end: u64 },
+}
+
+/// One network layer's counters at its two boundaries, captured by the
+/// opt-in recorder behind [`Machine::record_layer_counters`]. The layer's
+/// own counts are `end` minus `begin`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LayerCounters {
+    pub index: usize,
+    pub desc: String,
+    /// VPU and memory-system counters when the layer opened.
+    pub begin: (VpuStats, MemSystemStats),
+    /// The same counters when it closed (`begin` while it is still open).
+    pub end: (VpuStats, MemSystemStats),
 }
 
 /// A vector register name (0..32).
@@ -98,11 +113,10 @@ pub struct Machine {
     /// [`VecEvent`]. Pure observation — the timing model never reads it, so
     /// cycle counts are bit-identical with recording on or off.
     rec: Option<Vec<VecEvent>>,
-    /// Opt-in streaming event sink (the `lva-energy` probe). Unlike `rec`,
-    /// which buffers events for post-hoc analysis, the sink consumes each
-    /// [`VecEvent`] as it happens plus the scalar-op charges the recorder
-    /// never sees. Pure observation under the same contract as `rec`.
-    sink: Option<Box<dyn EventSink>>,
+    /// Opt-in layer-boundary recorder (the `lva-energy` attribution): the
+    /// VPU and memory-system counters at every [`Self::layer_begin`] and
+    /// [`Self::layer_end`]. Pure observation, exactly like `rec`.
+    layer_counters: Option<Vec<LayerCounters>>,
     /// Opt-in pipeline-interval recorder for the timeline exporter
     /// (`lva-prof`): kernel-phase boundaries and per-cause stall intervals
     /// in simulated cycles. Pure observation, exactly like `rec`.
@@ -155,7 +169,7 @@ impl Machine {
             phases: PhaseTimer::default(),
             stalls: StallBreakdown::default(),
             rec: None,
-            sink: None,
+            layer_counters: None,
             pipe: None,
             pipe_dropped: 0,
             ref_model: false,
@@ -213,35 +227,29 @@ impl Machine {
         self.rec.take().unwrap_or_default()
     }
 
-    /// Install a streaming [`EventSink`] (replacing any previous one). The
-    /// sink sees the same [`VecEvent`]s the recorder would buffer, plus
-    /// scalar-op charges, as they happen. Pure observation: the timing
-    /// model never reads sink state, so cycle counts are bit-identical
-    /// with a sink installed or not.
-    pub fn set_event_sink(&mut self, sink: Box<dyn EventSink>) {
-        self.sink = Some(sink);
-    }
-
-    /// Remove and return the installed event sink, if any.
-    pub fn take_event_sink(&mut self) -> Option<Box<dyn EventSink>> {
-        self.sink.take()
-    }
-
-    /// Feed an event to the recorder and/or sink. The closure only runs
-    /// when at least one observer is active, so the disabled path costs
-    /// two branches.
+    /// Append an event if recording is on (closure only runs when enabled;
+    /// one branch otherwise).
     #[inline]
     fn rec(&mut self, f: impl FnOnce() -> VecEvent) {
-        if self.rec.is_none() && self.sink.is_none() {
-            return;
-        }
-        let e = f();
-        if let Some(sink) = self.sink.as_mut() {
-            sink.event(&e);
-        }
         if let Some(events) = self.rec.as_mut() {
-            events.push(e);
+            events.push(f());
         }
+    }
+
+    // ------------------------------------------------------------------
+    // Layer-boundary counters (the `lva-energy` hook)
+    // ------------------------------------------------------------------
+
+    /// Start snapshotting the VPU and memory-system counters at every layer
+    /// boundary (clears any previous recording). Live runs only: the replay
+    /// executor forwards layer scopes to the tap but takes no snapshots.
+    pub fn record_layer_counters(&mut self) {
+        self.layer_counters = Some(Vec::new());
+    }
+
+    /// Stop recording and return one entry per layer opened since.
+    pub fn take_layer_counters(&mut self) -> Vec<LayerCounters> {
+        self.layer_counters.take().unwrap_or_default()
     }
 
     // ------------------------------------------------------------------
@@ -474,10 +482,14 @@ impl Machine {
 
     /// Mark the start of network layer `index` (`lva-nn` calls this around
     /// each layer's kernels): forwards the boundary to the address-stream
-    /// tap and the replay log.
+    /// tap, the replay log and the layer-counter recorder.
     pub fn layer_begin(&mut self, index: usize, desc: &str) {
         if let Some(log) = self.rlog.as_mut() {
             log.push_layer_begin(index, desc);
+        }
+        if let Some(layers) = self.layer_counters.as_mut() {
+            let now = (self.stats, self.sys.stats());
+            layers.push(LayerCounters { index, desc: desc.to_string(), begin: now, end: now });
         }
         self.sys.tap_scope(TapScope::LayerBegin { index, desc });
     }
@@ -485,6 +497,9 @@ impl Machine {
     /// Mark the end of the innermost open network layer.
     pub fn layer_end(&mut self) {
         self.rlog(|| ReplayOp::LayerEnd);
+        if let Some(layer) = self.layer_counters.as_mut().and_then(|v| v.last_mut()) {
+            layer.end = (self.stats, self.sys.stats());
+        }
         self.sys.tap_scope(TapScope::LayerEnd);
     }
 
@@ -880,12 +895,6 @@ impl Machine {
         let p = Pred::whilelt(0, rem, self.vlen_elems);
         self.rec(|| VecEvent::grant("whilelt", rem, p.active));
         p
-    }
-
-    /// SVE `svcntw`: number of 32-bit lanes (Fig. 4 line 3).
-    #[inline]
-    pub fn svcntw(&self) -> usize {
-        self.vlen_elems
     }
 
     // ------------------------------------------------------------------
@@ -1698,50 +1707,6 @@ impl Machine {
         self.stats.spills += 1;
     }
 
-    /// A gem5-`stats.txt`-flavoured dump of the machine state: cycle count,
-    /// instruction mix, consumed vector length, and per-level cache
-    /// statistics. One `name value` pair per line, suitable for diffing
-    /// across design points.
-    pub fn dump_stats(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        let st = self.sys.stats();
-        let mut line = |k: &str, v: String| {
-            let _ = writeln!(out, "{k:<48} {v}");
-        };
-        line("sim_cycles", self.cycles().to_string());
-        line("system.cpu.vpu.vec_instrs", self.stats.vec_instrs.to_string());
-        line("system.cpu.vpu.vec_mem_instrs", self.stats.vec_mem_instrs.to_string());
-        line("system.cpu.vpu.vec_flops", self.stats.vec_flops.to_string());
-        line("system.cpu.vpu.avg_vlen_bits", format!("{:.1}", self.stats.avg_vlen_bits()));
-        line("system.cpu.vpu.sw_prefetches", self.stats.sw_prefetches.to_string());
-        line("system.cpu.vpu.register_spills", self.stats.spills.to_string());
-        line("system.cpu.scalar_ops", self.stats.scalar_ops.to_string());
-        line("system.cpu.scalar_flops", self.stats.scalar_flops.to_string());
-        line("system.cpu.vpu.stall_cycles_total", self.stalls.total().to_string());
-        for cause in StallCause::ALL {
-            line(
-                &format!("system.cpu.vpu.stall_cycles.{}", cause.name()),
-                self.stalls.get(cause).to_string(),
-            );
-        }
-        for (name, c) in [("l1d", &st.l1), ("l2", &st.l2), ("vcache", &st.vcache)] {
-            if c.accesses == 0 && c.prefetch_fills == 0 {
-                continue;
-            }
-            line(&format!("system.{name}.overall_accesses"), c.accesses.to_string());
-            line(&format!("system.{name}.overall_hits"), c.hits.to_string());
-            line(&format!("system.{name}.overall_misses"), c.misses.to_string());
-            line(&format!("system.{name}.overall_miss_rate"), format!("{:.6}", c.miss_rate()));
-            line(&format!("system.{name}.writebacks"), c.writebacks.to_string());
-            line(&format!("system.{name}.prefetch_fills"), c.prefetch_fills.to_string());
-            line(&format!("system.{name}.prefetch_hits"), c.prefetch_hits.to_string());
-        }
-        line("system.mem.reads", st.dram_reads.to_string());
-        line("system.mem.writes", st.dram_writes.to_string());
-        out
-    }
-
     // ------------------------------------------------------------------
     // Scalar side
     // ------------------------------------------------------------------
@@ -1761,9 +1726,6 @@ impl Machine {
     #[inline]
     fn scalar_ops_tl(&mut self, n: u64) {
         self.stats.scalar_ops += n;
-        if let Some(sink) = self.sink.as_mut() {
-            sink.scalar_ops(n);
-        }
         self.scalar_frac += n as f64 * self.cfg.core.scalar_cpi;
         self.commit_scalar();
     }
@@ -1779,9 +1741,6 @@ impl Machine {
     #[inline]
     fn scalar_flops_tl(&mut self, n: u64) {
         self.stats.scalar_flops += n;
-        if let Some(sink) = self.sink.as_mut() {
-            sink.scalar_ops(n);
-        }
         self.scalar_frac += n as f64 * self.cfg.core.scalar_cpi;
         self.commit_scalar();
     }
@@ -2450,26 +2409,6 @@ mod tests {
         m.vgather(0, a.base, &[], 0);
         assert_eq!(m.cycles(), c0);
         assert_eq!(m.stats.vec_instrs, 0);
-    }
-
-    #[test]
-    fn stats_dump_is_parseable_and_complete() {
-        let mut m = machine();
-        let a = m.mem.alloc(64);
-        m.vle(0, a.addr(0), 16);
-        m.vfmacc_vf(1, 2.0, 0, 16);
-        let dump = m.dump_stats();
-        assert!(dump.contains("sim_cycles"));
-        assert!(dump.contains("system.cpu.vpu.vec_instrs"));
-        assert!(dump.contains("system.vcache.overall_accesses"), "RVV has a vector cache");
-        assert!(!dump.contains("system.l1d."), "no scalar traffic yet");
-        // Every line is `key value` with a numeric value.
-        for l in dump.lines() {
-            let mut parts = l.split_whitespace();
-            let _key = parts.next().expect("key");
-            let val = parts.next().expect("value");
-            assert!(val.parse::<f64>().is_ok(), "unparseable value in: {l}");
-        }
     }
 
     #[test]

@@ -71,32 +71,6 @@ pub struct VecEvent {
     pub phase: Option<KernelPhase>,
 }
 
-/// Streaming observer of the machine's event flow, installed with
-/// [`crate::Machine::set_event_sink`].
-///
-/// Where the buffering recorder captures [`VecEvent`]s for post-hoc
-/// analysis, a sink consumes the same stream as it happens and additionally
-/// hears about bulk scalar-op charges (address arithmetic, loop control),
-/// which carry energy but no architectural vector state. Same discipline as
-/// the recorder: pure observation, timing-neutral, one branch when absent.
-pub trait EventSink {
-    /// One vector-op event, in program order — identical to what the
-    /// recorder would buffer.
-    fn event(&mut self, e: &VecEvent);
-
-    /// `n` scalar operation units were charged (ops or scalar flops).
-    /// Default: ignored.
-    fn scalar_ops(&mut self, n: u64) {
-        let _ = n;
-    }
-}
-
-impl std::fmt::Debug for dyn EventSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("dyn EventSink")
-    }
-}
-
 impl VecEvent {
     fn blank(kind: EventKind, op: &'static str) -> Self {
         VecEvent {

@@ -35,11 +35,6 @@ impl VpuStats {
         }
     }
 
-    /// Total floating-point operations (vector + scalar).
-    pub fn total_flops(&self) -> u64 {
-        self.vec_flops + self.scalar_flops
-    }
-
     /// Merge counters from another stats block.
     pub fn merge(&mut self, o: &VpuStats) {
         self.vec_instrs += o.vec_instrs;
@@ -366,6 +361,6 @@ mod tests {
         let b = VpuStats { vec_instrs: 2, scalar_flops: 5, ..Default::default() };
         a.merge(&b);
         assert_eq!(a.vec_instrs, 3);
-        assert_eq!(a.total_flops(), 15);
+        assert_eq!((a.vec_flops, a.scalar_flops), (10, 5));
     }
 }

@@ -59,12 +59,6 @@ impl ConvParams {
     }
 }
 
-/// Output shape helper for building networks.
-pub fn conv_output_shape(p: &ConvParams) -> lva_tensor::Shape {
-    let (oh, ow) = p.out_hw();
-    lva_tensor::Shape::new(p.out_c, oh, ow)
-}
-
 /// Forward convolution via im2col+GEMM, Darknet style.
 ///
 /// * `weights`: `out_c x (in_c*k*k)` row-major (Darknet layout flattened);

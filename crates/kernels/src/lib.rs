@@ -40,7 +40,7 @@ pub mod im2col;
 pub mod pool;
 pub mod reference;
 
-pub use conv::{conv_im2col_gemm, conv_output_shape, ConvParams};
+pub use conv::{conv_im2col_gemm, ConvParams};
 pub use depthwise::conv_depthwise_vec;
 pub use direct::conv_direct_vec;
 pub use gemm::{BlockSizes, GemmVariant, DEFAULT_UNROLL};

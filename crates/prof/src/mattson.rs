@@ -34,11 +34,6 @@ impl StackDistance {
         Self::default()
     }
 
-    /// Number of distinct lines ever observed (the live LRU stack depth).
-    pub fn live_lines(&self) -> usize {
-        self.slot_of.len()
-    }
-
     fn bit_add(&mut self, mut i: usize, delta: i64) {
         while i < self.bit.len() {
             self.bit[i] += delta;
@@ -236,7 +231,6 @@ mod tests {
         assert_eq!(t.access(1), Some(2)); // c, a
         assert_eq!(t.access(1), Some(0)); // immediate reuse
         assert_eq!(t.access(0), Some(1)); // b
-        assert_eq!(t.live_lines(), 3);
     }
 
     #[test]

@@ -136,26 +136,31 @@ fn certified_kernel_gate_allows_retiming() {
     assert!(engine.refusal().is_none());
 }
 
-/// Streams through the engine: a multi-frame capture, a stream refit at
-/// another timing-only point, and a live replay at a 4 MB L2 (the path
-/// `exp-serve --retime` takes across cache geometries), each
-/// bit-identical to `run_stream`.
+/// Streams through the engine, each bit-identical to `run_stream`: on RVV
+/// a multi-frame capture, a stream refit at another timing-only point and
+/// a live replay at a 4 MB L2; on SVE-512 a capture at 1 MB and a live
+/// replay at 4 MB (the host benchmark's serving-ladder rungs, which drive
+/// this path across cache geometries).
 #[test]
 fn retimed_streams_match_run_stream() {
     let mut engine = RetimeEngine::with_gate(RetimeOpt::On, CertGate::decided(Ok(())));
-    let a = exp(HwTarget::RvvGem5 { vlen_bits: 2048, lanes: 8, l2_bytes: 1 << 20 });
-    let b = exp(HwTarget::RvvGem5 { vlen_bits: 2048, lanes: 4, l2_bytes: 1 << 20 });
-    let c = exp(HwTarget::RvvGem5 { vlen_bits: 2048, lanes: 8, l2_bytes: 4 << 20 });
-    for e in [&a, &b, &c] {
+    let points = [
+        exp(HwTarget::RvvGem5 { vlen_bits: 2048, lanes: 8, l2_bytes: 1 << 20 }),
+        exp(HwTarget::RvvGem5 { vlen_bits: 2048, lanes: 4, l2_bytes: 1 << 20 }),
+        exp(HwTarget::RvvGem5 { vlen_bits: 2048, lanes: 8, l2_bytes: 4 << 20 }),
+        exp(HwTarget::SveGem5 { vlen_bits: 512, l2_bytes: 1 << 20 }),
+        exp(HwTarget::SveGem5 { vlen_bits: 512, l2_bytes: 4 << 20 }),
+    ];
+    for e in &points {
         let got = engine.run_stream(e, 2);
         let want = e.run_stream(2);
         assert_eq!(got.per_frame_cycles, want.per_frame_cycles, "{}", e.hw.describe());
         assert_eq!(got.steady.report, want.steady.report, "{}", e.hw.describe());
     }
     let n = engine.counters();
-    assert_eq!(n.stream_captures, 1, "one capture per (stream, frames)");
+    assert_eq!(n.stream_captures, 2, "one capture per (stream, frames)");
     assert_eq!(n.stream_refits, 1, "same-geometry point refits the stream tape");
-    assert_eq!(n.stream_live_replays, 1, "a new cache geometry live-replays the stream");
+    assert_eq!(n.stream_live_replays, 2, "a new cache geometry live-replays the stream");
 }
 
 /// The store's LRU byte budget: with room for one recording but not two,

@@ -88,8 +88,6 @@ pub struct Memory {
     data: Vec<f32>,
     /// Next free word offset.
     next: usize,
-    /// High-water mark of words ever allocated (for reporting).
-    peak: usize,
     /// Registry of live allocations, in address order (bump allocator).
     allocs: Vec<AllocRecord>,
 }
@@ -97,7 +95,7 @@ pub struct Memory {
 impl Memory {
     /// Create an arena able to hold `capacity_words` `f32` elements.
     pub fn new(capacity_words: usize) -> Self {
-        Memory { data: vec![0.0; capacity_words], next: 0, peak: 0, allocs: Vec::new() }
+        Memory { data: vec![0.0; capacity_words], next: 0, allocs: Vec::new() }
     }
 
     /// Create an arena sized in mebibytes.
@@ -131,7 +129,6 @@ impl Memory {
             self.data.len()
         );
         self.next += padded;
-        self.peak = self.peak.max(self.next);
         // Bump allocation over a zeroed arena: fresh region, already zero
         // unless `reset` reused it.
         for w in &mut self.data[base_word..base_word + words] {
@@ -203,11 +200,6 @@ impl Memory {
     /// Words currently allocated.
     pub fn used_words(&self) -> usize {
         self.next
-    }
-
-    /// High-water mark in words.
-    pub fn peak_words(&self) -> usize {
-        self.peak
     }
 
     /// Total capacity in words.
@@ -404,12 +396,14 @@ mod tests {
     }
 
     #[test]
-    fn peak_tracks_high_water() {
+    fn reset_rewinds_the_allocator() {
         let mut m = Memory::new(1024);
-        let _ = m.alloc(100);
+        let a = m.alloc(100);
+        m.slice_mut(a).fill(1.0);
         m.reset();
-        let _ = m.alloc(10);
-        assert!(m.peak_words() >= 100);
+        let b = m.alloc(10);
+        assert_eq!(b.base, a.base, "the arena is reused from its start");
         assert!(m.used_words() < 100);
+        assert!(m.slice(b).iter().all(|&w| w == 0.0), "reused words are zeroed");
     }
 }

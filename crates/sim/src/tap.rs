@@ -74,16 +74,6 @@ pub trait AccessSink {
         let _ = (level, line);
     }
 
-    /// One line crossed the DRAM interface: a fetch on an L2 miss
-    /// (`AccessKind::Read`) or a dirty-victim writeback
-    /// (`AccessKind::Write`). Fires exactly once per counted
-    /// `dram_reads`/`dram_writes` transfer, which is what makes streamed
-    /// energy attribution reconcile with the aggregate counters.
-    /// Default: ignored.
-    fn dram_transfer(&mut self, kind: AccessKind) {
-        let _ = kind;
-    }
-
     /// A layer/phase boundary. Default: ignored.
     fn scope(&mut self, scope: TapScope<'_>) {
         let _ = scope;

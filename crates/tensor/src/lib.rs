@@ -135,15 +135,6 @@ pub fn host_random(n: usize, seed: u64) -> Vec<f32> {
     Rng::new(seed).f32_vec(n)
 }
 
-/// Maximum absolute difference between two slices.
-///
-/// # Panics
-/// Panics if lengths differ.
-pub fn max_abs_diff(a: &[f32], b: &[f32]) -> f32 {
-    assert_eq!(a.len(), b.len(), "length mismatch");
-    a.iter().zip(b).map(|(x, y)| (x - y).abs()).fold(0.0, f32::max)
-}
-
 /// Relative error comparison suitable for reassociated float kernels:
 /// `|a-b| <= atol + rtol * max(|a|,|b|)` element-wise.
 pub fn approx_eq(a: &[f32], b: &[f32], rtol: f32, atol: f32) -> bool {
@@ -206,7 +197,8 @@ mod tests {
     }
 
     #[test]
-    fn max_abs_diff_works() {
-        assert_eq!(max_abs_diff(&[1.0, 5.0], &[2.0, 5.5]), 1.0);
+    fn approx_eq_atol_bounds_the_largest_difference() {
+        assert!(approx_eq(&[1.0, 5.0], &[2.0, 5.5], 0.0, 1.0));
+        assert!(!approx_eq(&[1.0, 5.0], &[2.0, 5.5], 0.0, 0.99));
     }
 }

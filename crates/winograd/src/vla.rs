@@ -275,16 +275,6 @@ impl WinogradPlan {
             owns_u: false,
         }
     }
-
-    /// Arena words this plan's buffers occupy (reporting).
-    pub fn footprint_words(&self) -> usize {
-        self.padded.words
-            + self.u.words
-            + self.v_all.words
-            + self.m_all.words
-            + self.scratch.words
-            + self.dense.map_or(0, |d| d.words)
-    }
 }
 
 /// Apply a packed row transform: `out_row[i] = sum_r coeffs[i*8+r] * in_row[r]`
