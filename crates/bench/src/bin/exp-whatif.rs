@@ -1,6 +1,7 @@
 //! The co-design advisor pipeline: counterfactually profile every §VI
-//! headline design point (factual + five idealized re-simulations each),
-//! cross-check against `BENCH_headline.json` if present, and write
+//! headline design point (one captured factual run, re-timed under five
+//! idealizations by tape refit), cross-check against `BENCH_headline.json`
+//! if present, and write
 //!
 //! * `BENCH_whatif.json` — the machine-readable merged record (whatif
 //!   analyses + roofline positions per run), at the repo root next to
@@ -10,13 +11,14 @@
 //! Both outputs are deterministic: no timestamps, no host data. CI runs the
 //! pipeline twice on a reduced layer set and byte-compares.
 //!
-//! `--jobs N` fans the six runs of each design point over N threads;
-//! `--layers N` trims the layer prefix (CI), `--div N` rescales inputs.
+//! `--jobs N` spreads the design points over N threads, so at most N
+//! captures are in memory at once; `--layers N` trims the layer prefix
+//! (CI), `--div N` rescales inputs.
 
 use lva_bench::*;
 
 fn main() {
-    let opts = Opts::parse_retime(8, "Counterfactual co-design advisor (lva-whatif)");
+    let opts = Opts::parse(8, "Counterfactual co-design advisor (lva-whatif)");
     let specs = headline_specs(opts.div, opts.layers);
 
     let headline = std::fs::read_to_string("BENCH_headline.json")
@@ -26,12 +28,7 @@ fn main() {
         eprintln!("[no BENCH_headline.json to cross-check against; skipping]");
     }
 
-    // --retime: each design point captures once and its five idealized
-    // counterfactuals re-time the recording; output is bit-identical.
-    let mut engine = retime_engine(&opts);
-    let j = whatif_json(&specs, opts.div, opts.jobs, headline.as_ref(), engine.as_mut());
-    log_retime(engine.as_ref());
-
+    let j = whatif_json(&specs, opts.div, opts.jobs, headline.as_ref());
     observatory::publish(&j);
 
     lva_trace::flush();

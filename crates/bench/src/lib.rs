@@ -42,11 +42,9 @@ pub const L2_SIZES: [usize; 6] = [1 << 20, 4 << 20, 16 << 20, 64 << 20, 128 << 2
 
 /// Common options for experiment binaries — the single shared parser in
 /// `lva_core::cli`, re-exported here so every `exp-*` bin keeps saying
-/// `lva_bench::Opts`. `exp-whatif` parses with [`Opts::parse_retime`], the
-/// only bin that takes `--retime`; the `lint-*` tools use
-/// [`Opts::parse_tool`] for the flag subset they accept.
-pub use lva_core::cli::{Opts, RetimeOpt};
-pub use lva_retime::RetimeEngine;
+/// `lva_bench::Opts`; the `lint-*` tools use [`Opts::parse_tool`] for the
+/// flag subset they accept.
+pub use lva_core::cli::Opts;
 
 /// The nine named headline design points of §VI (exp-headline's sweep), in
 /// report order. Shared with `exp-whatif` and the co-design advisor so every
@@ -112,26 +110,4 @@ pub fn emit(table: &Table, name: &str, opts: &Opts) {
         }
     }
     lva_trace::flush();
-}
-
-/// Build the retime engine the `--retime` flag asks for (`None` when the
-/// flag is off).
-pub fn retime_engine(opts: &Opts) -> Option<RetimeEngine> {
-    opts.retime.enabled().then(|| RetimeEngine::new(opts.retime))
-}
-
-/// Log the retime engine's provenance to stderr after a sweep: path
-/// counts and the refusal reason if certification failed.
-/// Stderr only — the machine-readable records stay byte-identical to
-/// their full-simulation counterparts so CI can compare them directly.
-pub fn log_retime(engine: Option<&RetimeEngine>) {
-    let Some(eng) = engine else { return };
-    let c = eng.counters();
-    eprintln!(
-        "[retime: {} captures, {} tape refits, {} live replays, {} verified]",
-        c.captures, c.tape_refits, c.live_replays, c.verified
-    );
-    if let Some(reason) = eng.refusal() {
-        eprintln!("[retime refused: {reason}]");
-    }
 }

@@ -8,6 +8,7 @@
 //! same inputs (CI gates on exactly that).
 
 use crate::{Experiment, Json, RunReport};
+use lva_core::parallel_map;
 use lva_isa::IdealKnob;
 use lva_whatif::{analyze_experiment, AGREEMENT_TOLERANCE, COMPUTE_BOUND_THRESHOLD};
 
@@ -41,11 +42,11 @@ fn roofline_json(e: &Experiment, s: &lva_core::RunSummary) -> Json {
 /// Cross-check freshly measured factual cycles against an existing
 /// `BENCH_headline.json` (same name, hw and workload ⇒ same cycles: the
 /// simulator is deterministic). Returns `None` when nothing is comparable.
-fn headline_check(runs: &[(String, &Experiment, u64)], headline: &Json) -> Option<Json> {
+fn headline_check(specs: &[(String, Experiment)], cycles: &[u64], headline: &Json) -> Option<Json> {
     let published = headline.get("runs")?.as_arr()?;
     let mut matched = 0u64;
     let mut consistent = true;
-    for (name, e, cycles) in runs {
+    for ((name, e), cycles) in specs.iter().zip(cycles) {
         for p in published {
             if p.get("name").and_then(Json::as_str) == Some(name)
                 && p.get("hw").and_then(Json::as_str) == Some(e.hw.describe().as_str())
@@ -63,42 +64,41 @@ fn headline_check(runs: &[(String, &Experiment, u64)], headline: &Json) -> Optio
     Some(Json::obj().field("runs_matched", matched).field("consistent", consistent))
 }
 
-/// Run every spec factually plus one counterfactual per [`IdealKnob`]
-/// (fanned over `jobs` threads) and assemble the merged `BENCH_whatif.json`
-/// value. `headline` is an already-written `BENCH_headline.json` to
-/// cross-check against, if one exists. With a retime engine, every factual
-/// and counterfactual run goes through the engine's serial front door (one
-/// capture per spec, then five re-timed idealizations) instead of six full
-/// simulations per spec. Output is bit-identical either way.
+/// Analyze every spec (one capture and five tape refits each, design
+/// points spread over `jobs` threads) and assemble the merged
+/// `BENCH_whatif.json` value. `headline` is an already-written
+/// `BENCH_headline.json` to cross-check against, if one exists.
 pub fn whatif_json(
     specs: &[(String, Experiment)],
     div: usize,
     jobs: usize,
     headline: Option<&Json>,
-    mut engine: Option<&mut lva_retime::RetimeEngine>,
 ) -> Json {
-    let mut reports = Vec::with_capacity(specs.len());
-    let mut factuals = Vec::with_capacity(specs.len());
-    for (name, e) in specs {
-        eprintln!(".. whatif {} | {} | {}", name, e.hw.describe(), e.workload.describe());
-        let (factual, analysis) = match engine.as_deref_mut() {
-            Some(eng) => lva_whatif::analyze_experiment_with(e, &mut |x| eng.run(x)),
-            None => analyze_experiment(e, jobs),
-        };
-        eprintln!("   {} bound; top: {}", analysis.bound.name(), analysis.recommendation());
+    let (reports, cycles): (Vec<Json>, Vec<u64>) = parallel_map(specs, jobs, |_, (name, e)| {
+        let (factual, analysis) = analyze_experiment(e);
+        // One call, so a point's two lines stay together under --jobs.
+        eprintln!(
+            ".. whatif {} | {} | {}\n   {} bound; top: {}",
+            name,
+            e.hw.describe(),
+            e.workload.describe(),
+            analysis.bound.name(),
+            analysis.recommendation()
+        );
         let report = RunReport::new(name.clone(), e, &factual)
             .with_whatif(analysis.to_json())
             .to_json()
             .field("roofline", roofline_json(e, &factual));
-        reports.push(report);
-        factuals.push((name.clone(), e, factual.cycles));
-    }
+        (report, factual.cycles)
+    })
+    .into_iter()
+    .unzip();
     let mut j = Json::obj()
         .field("bench", "whatif")
         .field("div", div as u64)
         .field("compute_bound_threshold", COMPUTE_BOUND_THRESHOLD)
         .field("agreement_tolerance", AGREEMENT_TOLERANCE);
-    if let Some(check) = headline.and_then(|h| headline_check(&factuals, h)) {
+    if let Some(check) = headline.and_then(|h| headline_check(specs, &cycles, h)) {
         j = j.field("headline_check", check);
     }
     j.field("runs", Json::Arr(reports))
@@ -273,28 +273,37 @@ mod tests {
     use super::*;
     use crate::headline_specs;
 
-    fn tiny_whatif_json() -> Json {
-        // One cheap spec: the tiny network, 2 layers, small input.
+    fn tiny_whatif_json(jobs: usize) -> Json {
+        // Two cheap specs: the tiny network, 2 layers, small input.
         let mut specs = headline_specs(8, Some(2));
-        specs.truncate(1);
-        whatif_json(&specs, 8, 1, None, None)
+        specs.truncate(2);
+        whatif_json(&specs, 8, jobs, None)
     }
 
     #[test]
     fn whatif_json_and_markdown_are_deterministic_and_complete() {
-        let a = tiny_whatif_json();
-        let b = tiny_whatif_json();
-        assert_eq!(a.to_string_pretty(), b.to_string_pretty(), "whatif record must be stable");
+        let a = tiny_whatif_json(1);
+        let b = tiny_whatif_json(2);
+        assert_eq!(
+            a.to_string_pretty(),
+            b.to_string_pretty(),
+            "whatif record must not depend on --jobs"
+        );
         let runs = a.get("runs").and_then(Json::as_arr).expect("runs");
-        assert_eq!(runs.len(), 1);
-        let wf = runs[0].get("whatif").expect("whatif section");
-        assert!(wf.get("bound").and_then(Json::as_str).is_some());
-        let layers = wf.get("layers").and_then(Json::as_arr).expect("layers");
-        assert_eq!(layers.len(), 2);
-        for l in layers {
-            assert!(l.get("bound").and_then(Json::as_str).is_some(), "every layer gets a bound");
+        assert_eq!(runs.len(), 2);
+        for r in runs {
+            let wf = r.get("whatif").expect("whatif section");
+            assert!(wf.get("bound").and_then(Json::as_str).is_some());
+            let layers = wf.get("layers").and_then(Json::as_arr).expect("layers");
+            assert_eq!(layers.len(), 2);
+            for l in layers {
+                assert!(
+                    l.get("bound").and_then(Json::as_str).is_some(),
+                    "every layer gets a bound"
+                );
+            }
+            assert!(r.get("roofline").is_some());
         }
-        assert!(runs[0].get("roofline").is_some());
         let md = codesign_markdown(&a);
         assert_eq!(md, codesign_markdown(&a), "renderer is pure");
         for needle in

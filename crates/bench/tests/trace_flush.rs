@@ -15,7 +15,6 @@ fn opts() -> Opts {
         jobs: 1,
         wallclock: false,
         energy: false,
-        retime: lva_core::RetimeOpt::Off,
     }
 }
 

@@ -5,16 +5,13 @@
 //! Each bin used to re-implement the loop by hand and PR 5/6 had to patch
 //! them one at a time for flag parity; [`Opts`] is now the single
 //! implementation. Experiment bins call [`Opts::parse`] (the experiment
-//! dialect, re-exported as `lva_bench::Opts`), or [`Opts::parse_retime`]
-//! when the sweep also takes `--retime` (only `exp-whatif`, the one sweep
-//! whose retime engine path pays for its recordings); lint tools call
+//! dialect, re-exported as `lva_bench::Opts`); lint tools call
 //! [`Opts::parse_tool`] (the `--jobs/--json/--trace` subset). All print
 //! `--help` and exit 0, and answer a malformed command line — including a
 //! flag the binary does not take — with one line naming the flag and exit
 //! 2 (the lint tools' "internal/usage error" code). The parsing itself is
-//! [`Opts::try_parse`] / [`Opts::try_parse_retime`] /
-//! [`Opts::try_parse_tool`], which take the arguments as an iterator and
-//! return a [`CliError`].
+//! [`Opts::try_parse`] / [`Opts::try_parse_tool`], which take the
+//! arguments as an iterator and return a [`CliError`].
 
 use std::env;
 
@@ -46,32 +43,6 @@ pub struct Opts {
     /// report (`--with-energy`): one re-run per design point with layer
     /// counters recorded, cycle counts unchanged. Off by default.
     pub energy: bool,
-    /// Route runs through the `lva-retime` retime engine (`--retime`), or
-    /// through it *and* the full simulator with a bit-identity assertion
-    /// per run (`--retime=verify`). Always `Off` unless the binary parses
-    /// with [`Opts::parse_retime`].
-    pub retime: RetimeOpt,
-}
-
-/// The `--retime` flag's three settings (the `lva-retime` engine consumes
-/// it as its mode).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RetimeOpt {
-    /// Full simulation for every run (the default).
-    #[default]
-    Off,
-    /// Trace once per semantic stream, re-time everywhere else; fall back
-    /// to full simulation when no certificate covers the stream.
-    On,
-    /// `On`, plus a full simulation per run with a bit-identity assertion
-    /// (cycles and the complete report must match the retimed result).
-    Verify,
-}
-
-impl RetimeOpt {
-    pub fn enabled(self) -> bool {
-        self != RetimeOpt::Off
-    }
 }
 
 /// Which flags a binary takes.
@@ -79,10 +50,8 @@ impl RetimeOpt {
 enum Dialect {
     /// The lint tools' subset: `--jobs`, `--json`, `--trace`.
     Tool,
-    /// Every experiment flag except `--retime`.
+    /// Every experiment flag.
     Experiment,
-    /// Every experiment flag, `--retime` included.
-    Retime,
 }
 
 /// Why an `Opts::try_parse*` call returned no options.
@@ -122,7 +91,6 @@ impl Opts {
             jobs: 1,
             wallclock: false,
             energy: false,
-            retime: RetimeOpt::Off,
         }
     }
 
@@ -131,19 +99,8 @@ impl Opts {
     /// command line. `default_div` is the experiment's default scale.
     /// `--trace` installs a JSONL telemetry sink for the whole run.
     pub fn parse(default_div: usize, what: &str) -> Opts {
-        Self::parse_env(default_div, Dialect::Experiment, what)
-    }
-
-    /// [`Opts::parse`], also taking `--retime`, `--retime=verify` and
-    /// `--retime=off`: the dialect of `exp-whatif`, the one sweep whose
-    /// engine path pays.
-    pub fn parse_retime(default_div: usize, what: &str) -> Opts {
-        Self::parse_env(default_div, Dialect::Retime, what)
-    }
-
-    fn parse_env(default_div: usize, dialect: Dialect, what: &str) -> Opts {
-        Self::parse_args(default_div, dialect, env::args().skip(1))
-            .unwrap_or_else(|e| e.exit(&usage(default_div, dialect, what)))
+        Self::try_parse(default_div, env::args().skip(1))
+            .unwrap_or_else(|e| e.exit(&usage(default_div, what)))
     }
 
     /// Parse the lint-tool subset (`--jobs N`, `--json`, `--trace FILE`,
@@ -166,15 +123,6 @@ impl Opts {
         Self::parse_args(default_div, Dialect::Experiment, args)
     }
 
-    /// [`Opts::parse_retime`] over explicit arguments (without the program
-    /// name).
-    pub fn try_parse_retime(
-        default_div: usize,
-        args: impl IntoIterator<Item = String>,
-    ) -> Result<Opts, CliError> {
-        Self::parse_args(default_div, Dialect::Retime, args)
-    }
-
     /// [`Opts::parse_tool`] over explicit arguments (without the program
     /// name).
     pub fn try_parse_tool(args: impl IntoIterator<Item = String>) -> Result<Opts, CliError> {
@@ -182,13 +130,13 @@ impl Opts {
     }
 
     /// The one parser: the lint tools' subset first, then the experiment
-    /// flags, then `--retime`.
+    /// flags.
     fn parse_args(
         default_div: usize,
         dialect: Dialect,
         args: impl IntoIterator<Item = String>,
     ) -> Result<Opts, CliError> {
-        let (tool, retime) = (dialect == Dialect::Tool, dialect == Dialect::Retime);
+        let tool = dialect == Dialect::Tool;
         let mut opts = Opts::defaults(default_div);
         let mut args = args.into_iter();
         while let Some(a) = args.next() {
@@ -206,9 +154,6 @@ impl Opts {
                 "--profile" => opts.profile = true,
                 "--wallclock" => opts.wallclock = true,
                 "--with-energy" => opts.energy = true,
-                "--retime" if retime => opts.retime = RetimeOpt::On,
-                "--retime=verify" if retime => opts.retime = RetimeOpt::Verify,
-                "--retime=off" if retime => opts.retime = RetimeOpt::Off,
                 "--chrome" => opts.chrome = Some(value(&mut args, "--chrome", "a file path")?),
                 other => return Err(CliError::Usage(format!("unknown option {other}"))),
             }
@@ -217,16 +162,10 @@ impl Opts {
     }
 }
 
-/// The `--help` text of an experiment binary; the `--retime` lines appear
-/// only in the dialect that takes them.
-fn usage(default_div: usize, dialect: Dialect, what: &str) -> String {
-    let retime = if dialect == Dialect::Retime {
-        "\n  --retime     trace each semantic stream once, re-time every other design\n               point from the recording (bit-identical; certificate-gated,\n               falls back to full simulation)\n  --retime=verify  retime AND fully simulate every run, asserting the\n               results are bit-identical"
-    } else {
-        ""
-    };
+/// The `--help` text of an experiment binary.
+fn usage(default_div: usize, what: &str) -> String {
     format!(
-        "{what}\n\nOptions:\n  --div N      input down-scale divisor (default {default_div}; 1 = paper size)\n  --layers N   layer prefix override\n  --csv/--no-csv  write results/<exp>.csv (default on)\n  --json       also write results/<exp>.json (machine-readable)\n  --profile    tap the cache hierarchy: reuse-distance histograms, 3C\n               miss classes, capacity curves (in the JSON output)\n  --chrome FILE  write a Chrome trace-event timeline (Perfetto) to FILE\n  --trace FILE stream JSONL telemetry spans to FILE\n  --jobs N     run independent design points on N threads (0 = all cores;\n               results and reports are identical to --jobs 1)\n  --wallclock  self-benchmark: time the sweep serial vs --jobs (median of\n               3 each) and write BENCH_sim_wallclock.json\n  --with-energy  attach the lva-energy attribution (per-layer\n               joules, EDP, energy roofline) to the JSON reports{retime}"
+        "{what}\n\nOptions:\n  --div N      input down-scale divisor (default {default_div}; 1 = paper size)\n  --layers N   layer prefix override\n  --csv/--no-csv  write results/<exp>.csv (default on)\n  --json       also write results/<exp>.json (machine-readable)\n  --profile    tap the cache hierarchy: reuse-distance histograms, 3C\n               miss classes, capacity curves (in the JSON output)\n  --chrome FILE  write a Chrome trace-event timeline (Perfetto) to FILE\n  --trace FILE stream JSONL telemetry spans to FILE\n  --jobs N     run independent design points on N threads (0 = all cores;\n               results and reports are identical to --jobs 1)\n  --wallclock  self-benchmark: time the sweep serial vs --jobs (median of\n               3 each) and write BENCH_sim_wallclock.json\n  --with-energy  attach the lva-energy attribution (per-layer\n               joules, EDP, energy roofline) to the JSON reports"
     )
 }
 
@@ -280,7 +219,6 @@ mod tests {
         let o = Opts::try_parse(4, args("--div 8 --layers 0 --no-csv --jobs 3"))
             .expect("valid command line");
         assert_eq!((o.div, o.layers, o.csv, o.jobs), (8, Some(0), false, 3));
-        assert_eq!(o.retime, RetimeOpt::Off);
         assert_eq!(Opts::try_parse(4, args("")).expect("defaults").div, 4);
         assert_eq!(Opts::try_parse_tool(args("--jobs 2 --json")).expect("tool subset").jobs, 2);
         assert_eq!(Opts::try_parse(4, args("-h")).unwrap_err(), CliError::Help);
@@ -313,23 +251,15 @@ mod tests {
     }
 
     #[test]
-    fn retime_parses_only_in_the_retime_dialect() {
-        for (flag, mode) in [
-            ("--retime", RetimeOpt::On),
-            ("--retime=verify", RetimeOpt::Verify),
-            ("--retime=off", RetimeOpt::Off),
-        ] {
-            let o = Opts::try_parse_retime(8, args(&format!("--layers 6 {flag}")))
-                .expect("the retime dialect takes the flag");
-            assert_eq!((o.layers, o.retime), (Some(6), mode), "{flag}");
+    fn retime_is_an_unknown_option() {
+        for flag in ["--retime", "--retime=verify", "--retime=off"] {
             for parsed in [Opts::try_parse(8, args(flag)), Opts::try_parse_tool(args(flag))] {
                 let Err(CliError::Usage(msg)) = parsed else {
-                    panic!("`{flag}` must be an unknown option outside the retime dialect");
+                    panic!("`{flag}` must be an unknown option");
                 };
                 assert_eq!(msg, format!("unknown option {flag}"));
             }
         }
-        assert!(usage(8, Dialect::Retime, "x").contains("--retime=verify"));
-        assert!(!usage(8, Dialect::Experiment, "x").contains("--retime"));
+        assert!(!usage(8, "x").contains("--retime"));
     }
 }

@@ -182,6 +182,28 @@ impl CapturedRun {
     }
 }
 
+/// The mode of the `lva-retime` engine, which re-times recordings at
+/// other design points. No `exp-*` bin drives the engine; the host
+/// benchmark does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum RetimeOpt {
+    /// Full simulation for every run.
+    #[default]
+    Off,
+    /// Trace once per semantic stream, re-time everywhere else; fall back
+    /// to full simulation when no certificate covers the stream.
+    On,
+    /// `On`, plus a full simulation per run with a bit-identity assertion
+    /// (cycles and the complete report must match the retimed result).
+    Verify,
+}
+
+impl RetimeOpt {
+    pub fn enabled(self) -> bool {
+        self != RetimeOpt::Off
+    }
+}
+
 /// Result of a multi-image streaming run (§VI: "continuously running
 /// inference over a stream of images" is the paper's deployment model —
 /// setup is paid once, caches stay warm between frames).

@@ -18,13 +18,13 @@ pub mod par;
 pub mod report;
 pub mod run_report;
 
-pub use cli::{Opts, RetimeOpt};
+pub use cli::Opts;
 pub use experiment::{
-    scaled_input, CapturedRun, Experiment, HwTarget, RunSummary, StreamSummary, Workload,
+    scaled_input, CapturedRun, Experiment, HwTarget, RetimeOpt, RunSummary, StreamSummary, Workload,
 };
 pub use lva_energy::{EnergyAttribution, EnergyBreakdown, EnergyCounts, EnergyModel, EnergyReport};
 pub use par::{default_jobs, parallel_map};
-pub use report::{ArityError, Table};
+pub use report::Table;
 pub use run_report::RunReport;
 
 pub use lva_prof::{MemProfile, ScopeProfile};

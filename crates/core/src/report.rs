@@ -23,20 +23,10 @@ impl Table {
         }
     }
 
-    /// Append a row, checking the column count against the header.
-    pub fn try_row(&mut self, cells: Vec<String>) -> Result<(), ArityError> {
-        if cells.len() != self.headers.len() {
-            return Err(ArityError { expected: self.headers.len(), got: cells.len() });
-        }
-        self.rows.push(cells);
-        Ok(())
-    }
-
     /// Append a row. A column count differing from the header is a caller
     /// bug: debug builds assert; release builds normalize the row (truncate
     /// or pad with empty cells) so an experiment binary never dies mid-sweep
-    /// over a cosmetic reporting slip. Use [`Self::try_row`] to handle the
-    /// mismatch explicitly.
+    /// over a cosmetic reporting slip.
     pub fn row(&mut self, mut cells: Vec<String>) {
         debug_assert_eq!(cells.len(), self.headers.len(), "column count mismatch");
         cells.resize(self.headers.len(), String::new());
@@ -123,21 +113,6 @@ impl Table {
     }
 }
 
-/// Column-count mismatch from [`Table::try_row`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ArityError {
-    pub expected: usize,
-    pub got: usize,
-}
-
-impl std::fmt::Display for ArityError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "column count mismatch: expected {}, got {}", self.expected, self.got)
-    }
-}
-
-impl std::error::Error for ArityError {}
-
 /// Format a cycle count with thousands separators.
 pub fn fmt_cycles(c: u64) -> String {
     let s = c.to_string();
@@ -179,17 +154,6 @@ mod tests {
         let csv = t.to_csv();
         assert!(csv.contains("\"a,b\""));
         assert!(csv.contains("\"q\"\"q\""));
-    }
-
-    #[test]
-    fn try_row_reports_arity_mismatch() {
-        let mut t = Table::new("t", &["x", "y"]);
-        let e = t.try_row(vec!["1".into()]).unwrap_err();
-        assert_eq!(e, ArityError { expected: 2, got: 1 });
-        assert!(e.to_string().contains("column count"));
-        assert!(t.rows.is_empty());
-        t.try_row(vec!["1".into(), "2".into()]).unwrap();
-        assert_eq!(t.rows.len(), 1);
     }
 
     #[test]

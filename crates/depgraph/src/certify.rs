@@ -1,13 +1,13 @@
 //! Retime-safety certification of registered kernels.
 //!
-//! A trace-once/retime-many engine (the sweep executor in `lva-sim`, the
-//! what-if engine in `lva-whatif`, the energy counterfactuals in
-//! `lva-energy`) records a kernel's [`VecEvent`] stream once and replays it
-//! under many timing models. That is only sound if the stream is a function
-//! of the *architectural* inputs — kernel, shape, ISA, granted vector
-//! length — and not of the timing state being varied. This module proves it
-//! per kernel × design point and emits a machine-readable
-//! [`RetimeCertificate`]:
+//! Whatever records a run once and re-times it under other timing models
+//! (the co-design advisor's counterfactual tape refits in `lva-whatif`,
+//! the SoC replay in `lva-scale`, the `lva-retime` engine the host
+//! benchmark drives) relies on the stream being a function of the
+//! *architectural* inputs — kernel, shape, ISA, granted vector length —
+//! and not of the timing state being varied. This module proves it per
+//! kernel × design point, at the registry's shapes only, and emits a
+//! machine-readable [`RetimeCertificate`]:
 //!
 //! 1. **Timing-invariance** — the kernel is re-recorded under four
 //!    perturbations that change only what a retime run may change (L2

@@ -1,8 +1,8 @@
 //! # lva-depgraph — dependence-graph certifier for the recorded VecEvent IR
 //!
 //! Everything downstream of the simulator that replays or re-times a
-//! recorded kernel — the sweep executor, the what-if engine, the energy
-//! counterfactuals — leans on one unstated assumption: that the
+//! recorded run — the co-design advisor's counterfactual refits, the SoC
+//! replay, the retime engine — leans on one unstated assumption: that the
 //! [`lva_isa::VecEvent`] stream is a pure function of the architectural
 //! inputs, independent of the timing state being varied. This crate makes
 //! that assumption checkable, and extracts two analyses the explicit

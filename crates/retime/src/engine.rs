@@ -63,12 +63,8 @@ fn mem_fingerprint(e: &Experiment) -> String {
 }
 
 impl RetimeEngine {
-    pub fn new(mode: RetimeOpt) -> Self {
-        Self::with_gate(mode, CertGate::standard())
-    }
-
-    /// An engine with an explicit certificate gate (tests inject synthetic
-    /// kernel sets or pre-decided verdicts).
+    /// An engine with an explicit certificate gate: [`CertGate::standard`],
+    /// or a synthetic kernel set or pre-decided verdict.
     pub fn with_gate(mode: RetimeOpt, gate: CertGate) -> Self {
         RetimeEngine {
             mode,
@@ -111,13 +107,9 @@ impl RetimeEngine {
     }
 
     /// Run one experiment through the engine (see module docs for the
-    /// dispatch order). Bit-identical to [`Experiment::run`] on every
-    /// path; asserted per run under mode `Verify`.
-    pub fn run(&mut self, e: &Experiment) -> RunSummary {
-        self.run_explained(e).0
-    }
-
-    /// [`Self::run`], also naming the path that produced the result.
+    /// dispatch order) and name the path that produced the result.
+    /// Bit-identical to [`Experiment::run`] on every path; asserted per run
+    /// under mode `Verify`.
     pub fn run_explained(&mut self, e: &Experiment) -> (RunSummary, &'static str) {
         let (s, path) = self.dispatch(e, 1);
         (s.steady, path)

@@ -9,8 +9,9 @@
 //!   see the ISA profile, the granted vector lengths, the conv policy and
 //!   the workload data — but never lanes, latencies, cache capacities or
 //!   `IdealSpec` knobs (that independence is exactly what the
-//!   `lva-depgraph` certificates prove, and what `--retime=verify`
-//!   re-checks end to end).
+//!   `lva-depgraph` certificates prove at the registry's shapes, and what
+//!   the engine's Verify mode re-checks end to end). The one exception is
+//!   Winograd, whose tile blocking reads the L2 capacity.
 //! * [`ConfigKey`] — two runs have the same *timing* iff they agree on
 //!   every timing input: the full hardware point plus the idealization
 //!   spec.
@@ -18,9 +19,11 @@
 use lva_core::{Experiment, HwTarget};
 
 /// Identity of a semantic op stream: everything a kernel's control flow
-/// can observe. Lanes and L2 capacity are deliberately absent (they are
-/// timing-only; the certificate gate refuses retiming if any registered
-/// kernel lets them leak into its stream). The A64FX profile is its own
+/// can observe. Lanes are deliberately absent (timing-only; the
+/// certificate gate refuses retiming if any registered kernel lets them
+/// leak into its stream), and so is L2 capacity, except under a Winograd
+/// policy: its tuple multiply sizes tile blocks from the L2 capacity, so
+/// two capacities can reorder the same ops. The A64FX profile is its own
 /// class — its prefetch-enabled kernel paths differ from gem5-SVE at the
 /// same vector length.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -33,7 +36,11 @@ impl StreamKey {
             HwTarget::SveGem5 { vlen_bits, .. } => format!("sve/{vlen_bits}b"),
             HwTarget::A64fx => "a64fx".into(),
         };
-        StreamKey(format!("{class}|{:?}|{:?}|seed={}", e.policy, e.workload, e.seed))
+        let mut key = format!("{class}|{:?}|{:?}|seed={}", e.policy, e.workload, e.seed);
+        if e.policy.winograd {
+            key += &format!("|l2={}", e.hw.l2_bytes());
+        }
+        StreamKey(key)
     }
 
     pub fn as_str(&self) -> &str {
@@ -110,5 +117,11 @@ mod tests {
         for other in [&vlen, &isa, &seed, &shape] {
             assert_ne!(StreamKey::of(&e), StreamKey::of(other));
         }
+        // Winograd blocks its tuple multiply for the L2 capacity.
+        let mut wino = e.clone();
+        wino.policy = ConvPolicy::winograd_default(GemmVariant::opt3());
+        let mut wino_l2 = wino.clone();
+        wino_l2.hw = HwTarget::RvvGem5 { vlen_bits: 2048, lanes: 8, l2_bytes: 4 << 20 };
+        assert_ne!(StreamKey::of(&wino), StreamKey::of(&wino_l2));
     }
 }

@@ -25,11 +25,18 @@
 //! its semantic stream does not move under the design-point perturbations
 //! being swept. A kernel whose stream *does* vary with configuration
 //! fails certification and the engine falls back to full simulation,
-//! reporting the refusal reason.
+//! reporting the refusal reason. Certificates cover the registry's shapes
+//! only, so [`StreamKey`] also keys Winograd streams by L2 capacity,
+//! which sizes their tile blocks at network shapes.
 //!
-//! `--retime=verify` runs both paths for every request and asserts the
-//! results are bit-identical (cycles, stall breakdowns, VPU statistics,
-//! cache statistics, per-layer reports) — the CI mode.
+//! [`lva_core::RetimeOpt::Verify`] runs both paths for every request and
+//! asserts the results are bit-identical (cycles, stall breakdowns, VPU
+//! statistics, cache statistics, per-layer reports).
+//!
+//! The engine's clients are the host benchmark (`benchmark/`) and this
+//! crate's tests; no workspace binary links it. The co-design advisor
+//! (`lva_whatif::analyze_experiment`) re-times its counterfactuals with
+//! [`lva_core::Experiment::retime_tape`] directly.
 
 #![forbid(unsafe_code)]
 
@@ -41,5 +48,4 @@ pub mod store;
 pub use cert::CertGate;
 pub use engine::RetimeEngine;
 pub use key::{ConfigKey, StreamKey};
-pub use lva_core::RetimeOpt as RetimeMode;
 pub use store::RetimeStore;

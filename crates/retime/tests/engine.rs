@@ -31,7 +31,7 @@ fn design_points() -> Vec<Experiment> {
     ]
 }
 
-/// `--retime=verify` semantics: every design point re-timed AND fully
+/// `RetimeOpt::Verify` semantics: every design point re-timed AND fully
 /// simulated, asserting bit-identical cycles, stall breakdowns, VPU
 /// statistics, cache statistics and per-layer reports (the assertions
 /// live inside the engine's verify path).
@@ -40,7 +40,7 @@ fn verify_mode_is_bit_identical_across_design_points() {
     let mut engine = RetimeEngine::with_gate(RetimeOpt::Verify, CertGate::decided(Ok(())));
     let points = design_points();
     for e in &points {
-        engine.run(e);
+        engine.run_explained(e);
     }
     let c = engine.counters();
     assert_eq!(c.verified, points.len() as u64, "every run verified against the full simulator");
@@ -51,6 +51,25 @@ fn verify_mode_is_bit_identical_across_design_points() {
     assert_eq!(c.live_replays, 1);
     assert_eq!(c.tape_refits, 3);
     assert_eq!(c.refused_runs, 0);
+}
+
+/// Winograd's tuple multiply sizes its tile blocks from the L2 capacity,
+/// so on VGG16 the 1 MB and 4 MB captures hold the same ops in a different
+/// order. Each capacity is its own stream: a re-time of the 1 MB recording
+/// at 4 MB would diverge from full simulation.
+#[test]
+fn winograd_streams_are_keyed_by_l2_capacity() {
+    let mut engine = RetimeEngine::with_gate(RetimeOpt::Verify, CertGate::decided(Ok(())));
+    let vgg = Workload { model: ModelId::Vgg16, input_hw: 64, layer_limit: Some(3) };
+    let paths: Vec<&str> = [1 << 20, 4 << 20]
+        .into_iter()
+        .map(|l2_bytes| {
+            let hw = HwTarget::SveGem5 { vlen_bits: 512, l2_bytes };
+            let e = Experiment::new(hw, ConvPolicy::winograd_default(GemmVariant::opt3()), vgg);
+            engine.run_explained(&e).1
+        })
+        .collect();
+    assert_eq!(paths, ["capture", "capture"]);
 }
 
 /// The byte-exact run report a sweep would write for `s`.
@@ -186,7 +205,7 @@ fn a_one_recording_budget_evicts_and_recaptures_byte_identically() {
         .with_store(RetimeStore::with_capacity(largest));
     for _ in 0..2 {
         for (e, want) in points.iter().zip(&want) {
-            assert_eq!(&report(e, &engine.run(e)), want, "{}", e.hw.describe());
+            assert_eq!(&report(e, &engine.run_explained(e).0), want, "{}", e.hw.describe());
         }
     }
     assert!(engine.store().evictions > 0, "a one-recording budget must evict");

@@ -33,7 +33,7 @@ pub use scale::{
 pub use slo::{design_cost, recommend, ServingPoint, SloRecommendation};
 
 use lva_check::KernelCase;
-use lva_core::{parallel_map, EnergyModel, Experiment, RunSummary};
+use lva_core::{EnergyModel, Experiment, RunSummary};
 use lva_isa::{IdealKnob, IdealSpec, Machine, MachineConfig, StallBreakdown, StallCause};
 use lva_trace::Json;
 
@@ -491,37 +491,26 @@ fn cross_check(
         .collect()
 }
 
-/// Run the factual experiment plus one counterfactual per knob (six
-/// simulations, fanned over `jobs` threads) and analyze.
-pub fn analyze_experiment(e: &Experiment, jobs: usize) -> (RunSummary, WhatifAnalysis) {
-    let specs: Vec<Option<IdealKnob>> =
-        std::iter::once(None).chain(IdealKnob::ALL.into_iter().map(Some)).collect();
-    let mut runs = parallel_map(&specs, jobs, |_, knob| {
-        let spec = knob.map_or(IdealSpec::NONE, IdealKnob::spec);
-        e.clone().with_ideal(spec).run()
-    });
-    let factual = runs.remove(0);
-    let cf: Vec<(IdealKnob, RunSummary)> = IdealKnob::ALL.into_iter().zip(runs).collect();
-    let analysis = WhatifAnalysis::from_runs(e, &factual, &cf);
-    (factual, analysis)
-}
-
-/// [`analyze_experiment`] through a caller-supplied serial runner — the
-/// `--retime` path hands `lva-retime`'s engine here so each idealized
-/// variant re-times the shared recording instead of re-simulating.
-/// Bit-identical to the parallel path (the engine guarantees equality
-/// per run; everything downstream is pure).
-pub fn analyze_experiment_with(
-    e: &Experiment,
-    run: &mut dyn FnMut(&Experiment) -> RunSummary,
-) -> (RunSummary, WhatifAnalysis) {
-    let factual = run(e);
+/// Capture the factual run once under the semantic recorder, re-time the
+/// recording under each knob by tape refit, and analyze. Every knob is
+/// timing-only, so it keeps the capture's cache geometry and the refit is
+/// bit-identical to a full simulation. Serial: sweeps spread design
+/// points over threads instead, one capture in memory per thread.
+pub fn analyze_experiment(e: &Experiment) -> (RunSummary, WhatifAnalysis) {
+    let cap = e.run_traced();
     let cf: Vec<(IdealKnob, RunSummary)> = IdealKnob::ALL
         .into_iter()
-        .map(|knob| (knob, run(&e.clone().with_ideal(knob.spec()))))
+        .map(|knob| {
+            let s = e
+                .clone()
+                .with_ideal(knob.spec())
+                .retime_tape(&cap)
+                .expect("an idealization keeps the capture's cache geometry");
+            (knob, s)
+        })
         .collect();
-    let analysis = WhatifAnalysis::from_runs(e, &factual, &cf);
-    (factual, analysis)
+    let analysis = WhatifAnalysis::from_runs(e, &cap.summary, &cf);
+    (cap.summary, analysis)
 }
 
 /// Counterfactual verdict for one `lva-check` registry kernel at one design
@@ -621,7 +610,7 @@ mod tests {
             ConvPolicy::gemm_only(GemmVariant::opt3()),
             Workload { model: ModelId::Yolov3, input_hw: 32, layer_limit: Some(3) },
         );
-        let (factual, a) = analyze_experiment(&e, 2);
+        let (factual, a) = analyze_experiment(&e);
         let en = &a.energy;
         assert_eq!(en.knobs.len(), IdealKnob::ALL.len());
         assert!(en.factual_j > 0.0 && en.factual_edp_js > 0.0);

@@ -1,7 +1,8 @@
 //! Idealizations are cycle-monotone: removing a modeled cost can never slow
 //! a run down. Driven across the whole `lva-check` kernel registry at the
 //! four Table II design points, plus an experiment-level check that the
-//! engine's bookkeeping (savings, fan-out determinism) is exact.
+//! analysis's bookkeeping is exact and its tape refits equal full
+//! simulation.
 
 use lva_core::{ConvPolicy, Experiment, HwTarget, ModelId, Workload};
 use lva_isa::{IdealKnob, IdealSpec, Machine};
@@ -52,15 +53,21 @@ fn no_registry_kernel_slows_down_under_any_knob() {
 }
 
 #[test]
-fn experiment_analysis_is_monotone_and_job_count_invariant() {
+fn experiment_analysis_is_monotone_and_matches_full_simulation() {
     let e = Experiment::new(
         HwTarget::RvvGem5 { vlen_bits: 1024, lanes: 8, l2_bytes: 1 << 20 },
         ConvPolicy::gemm_only(lva_core::GemmVariant::opt3()),
         Workload { model: ModelId::Yolov3, input_hw: 32, layer_limit: Some(4) },
     );
-    let (factual, serial) = analyze_experiment(&e, 1);
-    assert_eq!(serial.factual_cycles, factual.cycles);
-    for o in &serial.outcomes {
+    let (factual, analysis) = analyze_experiment(&e);
+    // The capture is the factual run, and each tape refit is the full
+    // simulation under its knob.
+    let full = e.run();
+    assert_eq!(factual.cycles, full.cycles);
+    assert_eq!(factual.report, full.report);
+    assert_eq!(analysis.factual_cycles, factual.cycles);
+    for o in &analysis.outcomes {
+        assert_eq!(o.cycles, e.clone().with_ideal(o.knob.spec()).run().cycles, "{}", o.knob.name());
         assert!(
             o.cycles <= factual.cycles,
             "+{} increased cycles ({} > {})",
@@ -72,17 +79,9 @@ fn experiment_analysis_is_monotone_and_job_count_invariant() {
         assert_eq!(o.per_layer_saved.len(), factual.report.layers.len());
     }
     // Every layer got a verdict, and verdicts are self-consistent.
-    assert_eq!(serial.layers.len(), factual.report.layers.len());
-    for l in &serial.layers {
+    assert_eq!(analysis.layers.len(), factual.report.layers.len());
+    for l in &analysis.layers {
         assert_eq!(l.saved.len(), IdealKnob::ALL.len());
         assert_eq!(l.dominant.is_none(), l.bound == lva_whatif::Bound::Compute);
     }
-    // The fan-out is deterministic regardless of thread count.
-    let (factual2, parallel) = analyze_experiment(&e, 4);
-    assert_eq!(factual2.cycles, factual.cycles);
-    assert_eq!(
-        parallel.to_json().to_string_pretty(),
-        serial.to_json().to_string_pretty(),
-        "whatif analysis must not depend on --jobs"
-    );
 }
