@@ -11,7 +11,8 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use lva_check::{
-    capacity_checks, check_kernel, lint_capacity, registered_kernels, sweep_configs, Finding,
+    capacity_checks, check_kernel, lint_capacity, panic_message, registered_kernels,
+    save_results_json, sweep_configs, Finding,
 };
 use lva_core::cli::Opts;
 use lva_core::Json;
@@ -96,33 +97,5 @@ fn main() {
     if !findings.is_empty() {
         eprintln!("lint-kernels: {} finding(s)", findings.len());
         std::process::exit(1);
-    }
-}
-
-fn save_results_json(report: &Json, name: &str) {
-    let dir = std::path::Path::new("results");
-    if let Err(e) = std::fs::create_dir_all(dir) {
-        eprintln!("could not create results/: {e}");
-        std::process::exit(2);
-    }
-    let path = dir.join(format!("{name}.json"));
-    let mut body = report.to_string_pretty();
-    body.push('\n');
-    match std::fs::write(&path, body) {
-        Ok(()) => println!("[saved {}]", path.display()),
-        Err(e) => {
-            eprintln!("could not save {}: {e}", path.display());
-            std::process::exit(2);
-        }
-    }
-}
-
-fn panic_message(e: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = e.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = e.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "kernel panicked".to_string()
     }
 }

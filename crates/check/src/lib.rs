@@ -2,15 +2,16 @@
 //!
 //! Static analysis for the study's simulated kernels, in two halves:
 //!
-//! * **Kernel sanitizer** ([`sanitize`]) — replays the [`lva_isa::VecEvent`]
-//!   stream a recording [`Machine`] captured while a kernel ran and checks
-//!   architectural discipline: no reads of undefined register lanes, no
-//!   accesses past the end of the [`lva_sim::Buf`] they belong to, no use of
-//!   register copies whose backing memory was overwritten (stale-copy /
-//!   write-after-read hazards), and no vector lengths that were never granted
-//!   by `setvl`/`whilelt`. Recording is timing-neutral (cycle counts are
-//!   bit-identical with the hook on or off — asserted by this crate's tests),
-//!   so the sanitizer sees exactly the production kernels.
+//! * **Kernel sanitizer** ([`sanitize`]) — walks the [`lva_isa::VecEvent`]
+//!   stream decoded from a kernel's capture ([`Machine::start_capture`],
+//!   [`lva_isa::ReplayTrace::vec_events`]) and checks architectural
+//!   discipline: no reads of undefined register lanes, no accesses past the
+//!   end of the [`lva_sim::Buf`] they belong to, no use of register copies
+//!   whose backing memory was overwritten (stale-copy / write-after-read
+//!   hazards), and no vector lengths that were never granted by
+//!   `setvl`/`whilelt`. Capturing is timing-neutral (cycle counts are
+//!   bit-identical with it on or off — asserted by this crate's tests), so
+//!   the sanitizer sees exactly the production kernels.
 //!
 //! * **Capacity linter** ([`capacity`]) — purely static: given the GEMM block
 //!   sizes and Winograd tile parameters plus a [`MachineConfig`], it computes
@@ -31,7 +32,7 @@ pub mod registry;
 pub mod sanitize;
 
 use lva_core::Json;
-use lva_isa::{Machine, MachineConfig, DEFAULT_L2_BYTES};
+use lva_isa::{Machine, MachineConfig, ReplayTrace, DEFAULT_L2_BYTES};
 
 pub use capacity::{capacity_checks, lint_capacity, CapacityCheck};
 pub use registry::{registered_kernels, KernelCase};
@@ -63,35 +64,40 @@ impl Finding {
 
 /// A registered kernel's recorded run on one machine configuration:
 /// everything the static analyses downstream (the sanitizer here, the
-/// dependence-graph certifier in `lva-depgraph`) need — the event stream,
-/// the named-allocation registry, the hardware vector length, and the
-/// simulated cycle count the run produced while being recorded.
+/// dependence-graph certifier in `lva-depgraph`) need — the captured
+/// trace, the event stream decoded from it, the named-allocation registry,
+/// the hardware vector length, and the simulated cycle count the run
+/// produced while being recorded.
 #[derive(Debug)]
 pub struct RecordedKernel {
+    /// Every op the run issued, as a replay re-executes them.
+    pub trace: ReplayTrace,
+    /// The vector events of `trace` ([`ReplayTrace::vec_events`]).
     pub events: Vec<lva_isa::VecEvent>,
     pub allocs: Vec<lva_sim::AllocRecord>,
     pub vlen_elems: usize,
     pub cycles: u64,
 }
 
-/// Run one registered kernel on `cfg` with event recording enabled and
-/// return the captured run. Recording is timing-neutral, so `cycles` is
-/// bit-identical to an unrecorded run (asserted by tests here and in
-/// `lva-depgraph`).
+/// Run one registered kernel on `cfg` under a capture and return the
+/// recorded run. Capturing is timing-neutral, so `cycles` is bit-identical
+/// to an unrecorded run (asserted by tests here and in `lva-depgraph`).
 pub fn record_kernel(case: &KernelCase, cfg: &MachineConfig) -> RecordedKernel {
     let mut m = Machine::new(cfg.clone());
-    m.record_events();
+    m.start_capture();
     (case.run)(&mut m);
+    let (trace, _tape) = m.finish_capture().expect("the capture was started above");
     RecordedKernel {
-        events: m.take_events(),
+        events: trace.vec_events(m.vlen_elems()),
+        trace,
         allocs: m.mem.allocs().to_vec(),
         vlen_elems: m.vlen_elems(),
         cycles: m.cycles(),
     }
 }
 
-/// Run one registered kernel on `cfg` with event recording enabled and
-/// sanitize the captured stream.
+/// Run one registered kernel on `cfg` under a capture and sanitize its
+/// decoded event stream.
 pub fn check_kernel(case: &KernelCase, profile: &str, cfg: &MachineConfig) -> Vec<Finding> {
     let rec = record_kernel(case, cfg);
     let trace = EventTrace {
@@ -114,4 +120,36 @@ pub fn sweep_configs() -> Vec<(&'static str, MachineConfig)> {
         ("sve/512b", MachineConfig::sve_gem5(512, DEFAULT_L2_BYTES)),
         ("sve/2048b", MachineConfig::sve_gem5(2048, DEFAULT_L2_BYTES)),
     ]
+}
+
+/// Write `report` to `results/<name>.json` for the linter binaries,
+/// exiting with status 2 (internal error) on an I/O failure.
+pub fn save_results_json(report: &Json, name: &str) {
+    let dir = std::path::Path::new("results");
+    if let Err(e) = std::fs::create_dir_all(dir) {
+        eprintln!("could not create results/: {e}");
+        std::process::exit(2);
+    }
+    let path = dir.join(format!("{name}.json"));
+    let mut body = report.to_string_pretty();
+    body.push('\n');
+    match std::fs::write(&path, body) {
+        Ok(()) => println!("[saved {}]", path.display()),
+        Err(e) => {
+            eprintln!("could not save {}: {e}", path.display());
+            std::process::exit(2);
+        }
+    }
+}
+
+/// The message of a caught kernel panic, for the linters' internal-error
+/// reports.
+pub fn panic_message(e: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = e.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = e.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "kernel panicked".to_string()
+    }
 }

@@ -1,9 +1,10 @@
 //! The four sanitizer passes over a recorded vector-event stream.
 //!
-//! Each pass is a linear fold over the [`VecEvent`]s a recording
-//! [`lva_isa::Machine`] captured, plus the allocation registry of the arena
-//! the kernel ran in. Findings are deduplicated on a per-pass key (the same
-//! bug inside a loop is reported once, not once per iteration).
+//! Each pass is a linear fold over the [`VecEvent`]s decoded from a
+//! kernel's capture ([`lva_isa::ReplayTrace::vec_events`]), plus the
+//! allocation registry of the arena the kernel ran in. Findings are
+//! deduplicated on a per-pass key (the same bug inside a loop is reported
+//! once, not once per iteration).
 //!
 //! Pass semantics:
 //!
@@ -29,7 +30,7 @@
 //!   is always legal.
 
 use crate::Finding;
-use lva_isa::{EventKind, VReg, VecEvent, NUM_VREGS};
+use lva_isa::{EventKind, VecEvent, NUM_VREGS};
 use lva_sim::AllocRecord;
 use std::collections::HashSet;
 
@@ -63,21 +64,13 @@ pub fn sanitize(t: &EventTrace) -> Vec<Finding> {
     out
 }
 
-/// Registers read by an event (loads and grants read none).
-fn reads_of(ev: &VecEvent) -> &[Option<VReg>] {
-    match ev.kind {
-        EventKind::Arith | EventKind::Store | EventKind::Reduce => &ev.srcs,
-        _ => &[],
-    }
-}
-
 /// Pass 1: reads of register lanes no definition has reached.
 pub fn uninit_reads(t: &EventTrace) -> Vec<Finding> {
     let mut defined = [0usize; NUM_VREGS];
     let mut seen = HashSet::new();
     let mut out = Vec::new();
     for (i, ev) in t.events.iter().enumerate() {
-        for &src in reads_of(ev).iter().flatten() {
+        for &src in ev.srcs.iter().flatten() {
             let have = defined[src];
             if have < ev.vl && seen.insert((ev.op, src)) {
                 out.push(t.finding(
@@ -152,7 +145,7 @@ pub fn war_overlaps(t: &EventTrace) -> Vec<Finding> {
     let mut seen = HashSet::new();
     let mut out = Vec::new();
     for (i, ev) in t.events.iter().enumerate() {
-        for &src in reads_of(ev).iter().flatten() {
+        for &src in ev.srcs.iter().flatten() {
             if let Some((store_op, j)) = stale[src] {
                 if seen.insert(src) {
                     let (lo, _) = prov[src].unwrap_or((0, 0));

@@ -18,9 +18,10 @@ fn machine() -> Machine {
 
 fn run_broken(build: impl FnOnce(&mut Machine)) -> (Vec<VecEvent>, Vec<AllocRecord>, usize) {
     let mut m = machine();
-    m.record_events();
+    m.start_capture();
     build(&mut m);
-    (m.take_events(), m.mem.allocs().to_vec(), m.vlen_elems())
+    let (trace, _) = m.finish_capture().expect("capture was started");
+    (trace.vec_events(m.vlen_elems()), m.mem.allocs().to_vec(), m.vlen_elems())
 }
 
 fn findings_of(events: &[VecEvent], allocs: &[AllocRecord], vlen: usize) -> Vec<Finding> {
@@ -132,9 +133,11 @@ fn recording_is_timing_neutral_for_every_kernel_and_profile() {
             let mut plain = Machine::new(cfg.clone());
             (case.run)(&mut plain);
             let mut recorded = Machine::new(cfg.clone());
-            recorded.record_events();
+            recorded.start_capture();
             (case.run)(&mut recorded);
-            assert!(!recorded.take_events().is_empty() || case.name == "gemm_naive");
+            let (trace, _) = recorded.finish_capture().expect("capture was started");
+            let events = trace.vec_events(recorded.vlen_elems());
+            assert!(!events.is_empty() || case.name == "gemm_naive");
             assert_eq!(
                 plain.cycles(),
                 recorded.cycles(),

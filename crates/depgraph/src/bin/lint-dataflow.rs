@@ -15,7 +15,9 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use lva_check::{record_kernel, registered_kernels, sweep_configs, Finding};
+use lva_check::{
+    panic_message, record_kernel, registered_kernels, save_results_json, sweep_configs, Finding,
+};
 use lva_core::cli::Opts;
 use lva_core::Json;
 use lva_depgraph::{allowlisted, certify_kernel, lint_dataflow};
@@ -115,27 +117,4 @@ fn save_markdown(report: &Json) {
         std::process::exit(2);
     }
     println!("[saved {}]", path.display());
-}
-
-fn save_results_json(report: &Json, name: &str) {
-    let path = std::path::Path::new("results").join(format!("{name}.json"));
-    let mut body = report.to_string_pretty();
-    body.push('\n');
-    match std::fs::write(&path, body) {
-        Ok(()) => println!("[saved {}]", path.display()),
-        Err(e) => {
-            eprintln!("could not save {}: {e}", path.display());
-            std::process::exit(2);
-        }
-    }
-}
-
-fn panic_message(e: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = e.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = e.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "kernel panicked".to_string()
-    }
 }

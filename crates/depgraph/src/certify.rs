@@ -9,11 +9,12 @@
 //! kernel × design point, at the registry's shapes only, and emits a
 //! machine-readable [`RetimeCertificate`]:
 //!
-//! 1. **Timing-invariance** — the kernel is re-recorded under four
+//! 1. **Timing-invariance** — the kernel is re-captured under four
 //!    perturbations that change only what a retime run may change (L2
 //!    capacity, lane count, the reference functional model, all ideal
-//!    knobs at once) and each stream must be event-for-event identical to
-//!    the baseline (hash plus full comparison).
+//!    knobs at once) and each whole [`ReplayTrace`] must equal the
+//!    baseline's: every op a replay executes, scalar work, prefetches and
+//!    spills included, not only the [`VecEvent`]s decoded from it.
 //! 2. **VL-renaming equivalence** — within one ISA, the streams at the two
 //!    swept vector lengths are projected onto VL-neutral invariants (total
 //!    active lanes per mnemonic, per-buffer element traffic). Strip-mine
@@ -25,26 +26,26 @@
 //! Any violation downgrades the certificate and surfaces as a finding in
 //! `lint-dataflow` (passes `config-variance`, `vl-equivalence`,
 //! `bound-violation`).
-//!
-//! [`VecEvent`]: lva_isa::VecEvent
 
 use std::collections::BTreeMap;
 
 use lva_check::{record_kernel, Finding, KernelCase, RecordedKernel};
 use lva_core::Json;
-use lva_isa::{stream_hash, EventKind, IdealSpec, IsaKind, Machine, MachineConfig, VecEvent};
+use lva_isa::{
+    stream_hash, EventKind, IdealSpec, IsaKind, Machine, MachineConfig, ReplayTrace, VecEvent,
+};
 use lva_sim::AllocRecord;
 
 use crate::bounds::{lower_bound, tightness_pct, LowerBound};
 use crate::graph::{DepGraph, DepKind};
 
-/// The perturbations a certified kernel's stream must be invariant under.
+/// The perturbations a certified kernel's trace must be invariant under.
 /// Each changes something a retime run is allowed to vary; none may move a
-/// single recorded event.
+/// single recorded op.
 pub const PERTURBATIONS: [&str; 4] = ["l2-4MiB", "lanes-halved", "reference-model", "ideal-all"];
 
-/// Re-record `case` under one named perturbation of `cfg`.
-fn record_perturbed(case: &KernelCase, cfg: &MachineConfig, which: &str) -> Vec<VecEvent> {
+/// Re-capture `case` under one named perturbation of `cfg`.
+fn record_perturbed(case: &KernelCase, cfg: &MachineConfig, which: &str) -> ReplayTrace {
     let mut setup: fn(&mut Machine) = |_| {};
     let run_cfg = match which {
         "l2-4MiB" => {
@@ -79,9 +80,9 @@ fn record_perturbed(case: &KernelCase, cfg: &MachineConfig, which: &str) -> Vec<
     };
     let mut m = Machine::new(run_cfg);
     setup(&mut m);
-    m.record_events();
+    m.start_capture();
     (case.run)(&mut m);
-    m.take_events()
+    m.finish_capture().expect("the capture was started above").0
 }
 
 /// VL-neutral projection of one recorded run: the invariants granted-VL
@@ -179,7 +180,7 @@ pub struct PointRecord {
     pub cycles: u64,
     pub lb: LowerBound,
     pub tightness_pct: f64,
-    /// Perturbations whose re-recorded stream matched the baseline.
+    /// Perturbations whose re-recorded trace matched the baseline's.
     pub invariant_under: Vec<&'static str>,
     /// All perturbations held *and* the lower bound is sound.
     pub invariant: bool,
@@ -272,14 +273,14 @@ pub fn certify_kernel(
         let mut invariant_under = Vec::new();
         for which in PERTURBATIONS {
             let perturbed = record_perturbed(case, cfg, which);
-            if perturbed == rec.events {
+            if perturbed == rec.trace {
                 invariant_under.push(which);
             } else {
                 findings.push(Finding {
                     pass: "config-variance",
                     kernel: case.name.to_string(),
                     profile: profile.to_string(),
-                    detail: describe_variance(&rec.events, &perturbed, which),
+                    detail: describe_variance(&rec, &perturbed, which),
                 });
             }
         }
@@ -362,21 +363,31 @@ pub fn certify_kernel(
     )
 }
 
-/// Pinpoint where a perturbed stream diverged from the baseline.
-fn describe_variance(base: &[VecEvent], perturbed: &[VecEvent], which: &str) -> String {
-    if base.len() != perturbed.len() {
+/// Pinpoint where a perturbed trace diverged from the baseline: at the
+/// first differing vector event when the decoded streams differ, otherwise
+/// at the first differing op (scalar work, prefetches, spills, layers).
+fn describe_variance(base: &RecordedKernel, perturbed: &ReplayTrace, which: &str) -> String {
+    let events = perturbed.vec_events(base.vlen_elems);
+    if base.events.len() != events.len() {
         return format!(
             "stream length changed under {which}: {} events vs {}",
-            base.len(),
-            perturbed.len()
+            base.events.len(),
+            events.len()
         );
     }
-    for (i, (a, b)) in base.iter().zip(perturbed).enumerate() {
+    for (i, (a, b)) in base.events.iter().zip(&events).enumerate() {
         if a != b {
             return format!("stream diverged under {which} at event #{i}: {} vs {}", a.op, b.op);
         }
     }
-    format!("streams differ under {which} (hash mismatch)")
+    let (a, b) = (&base.trace.ops, &perturbed.ops);
+    if let Some(i) = a.iter().zip(b).position(|(x, y)| x != y) {
+        return format!("stream diverged under {which} at op #{i}: {:?} vs {:?}", a[i], b[i]);
+    }
+    if a.len() != b.len() {
+        return format!("stream length changed under {which}: {} ops vs {}", a.len(), b.len());
+    }
+    format!("stream diverged under {which} in pooled operands or layer names")
 }
 
 #[cfg(test)]

@@ -132,14 +132,6 @@ impl DepGraph {
     }
 }
 
-/// Which registers an op event reads. Loads read none (their sources are
-/// memory); stores read the stored register; arithmetic and reductions
-/// read `srcs`.
-fn reads_of(ev: &VecEvent) -> impl Iterator<Item = VReg> + '_ {
-    let relevant = matches!(ev.kind, EventKind::Store | EventKind::Arith | EventKind::Reduce);
-    ev.srcs.iter().flatten().copied().filter(move |_| relevant)
-}
-
 /// Whether an event is a DAG node (does architectural work).
 fn is_op(ev: &VecEvent) -> bool {
     matches!(ev.kind, EventKind::Load | EventKind::Store | EventKind::Arith | EventKind::Reduce)
@@ -312,7 +304,7 @@ impl Builder {
             node_events.push(ei);
 
             // Register reads first: RAW from the live definition.
-            for r in reads_of(ev) {
+            for &r in ev.srcs.iter().flatten() {
                 if let Some(def) = self.last_def[r] {
                     self.edge(def, node, DepKind::Raw, Via::Reg(r));
                 }

@@ -1,20 +1,22 @@
-//! # lva-depgraph — dependence-graph certifier for the recorded VecEvent IR
+//! # lva-depgraph — dependence-graph certifier for the decoded VecEvent IR
 //!
 //! Everything downstream of the simulator that replays or re-times a
 //! recorded run — the co-design advisor's counterfactual refits, the SoC
 //! replay, the retime engine — leans on one unstated assumption: that the
-//! [`lva_isa::VecEvent`] stream is a pure function of the architectural
-//! inputs, independent of the timing state being varied. This crate makes
-//! that assumption checkable, and extracts two analyses the explicit
-//! dependence structure pays for:
+//! captured [`lva_isa::ReplayTrace`] is a pure function of the
+//! architectural inputs, independent of the timing state being varied.
+//! This crate makes that assumption checkable, and extracts two analyses
+//! the explicit dependence structure of its decoded [`lva_isa::VecEvent`]
+//! stream pays for:
 //!
 //! * [`graph`] — the full RAW/WAR/WAW data-dependence DAG of a stream,
 //!   over vector registers *and* memory byte ranges (sorted-range index
 //!   per named allocation; `O(n log n)`).
 //! * [`certify`] — retime-safety certificates: per kernel × design point,
-//!   the stream is re-recorded under timing perturbations and must not
-//!   move; within an ISA, the two swept vector lengths must agree on
-//!   VL-neutral projections (equivalence modulo granted-VL renaming).
+//!   the kernel is re-captured under timing perturbations and its whole
+//!   trace — every op a replay executes — must not move; within an ISA,
+//!   the two swept vector lengths must agree on VL-neutral projections of
+//!   the decoded events (equivalence modulo granted-VL renaming).
 //! * [`bounds`] — critical-path cycle lower bounds from the DAG plus
 //!   per-op cost floors, provably `<=` the simulated cycle count; the
 //!   tightness ratio says how much of the schedule the dependence

@@ -3,8 +3,9 @@
 //!
 //! `KernelCase` takes a plain fn pointer, so these build tiny kernels the
 //! registry never ships: a reloading kernel for the redundant-load pass, a
-//! clobbered store for the dead-store pass, a kernel whose stream depends
-//! on the L2 capacity (breaking timing-invariance), and a kernel whose
+//! clobbered store for the dead-store pass, two kernels whose recording
+//! depends on the L2 capacity — one in its vector ops, one only in its
+//! scalar work (each breaking timing-invariance) — and a kernel whose
 //! element count scales with the hardware vector length (breaking
 //! VL-renaming equivalence).
 
@@ -122,6 +123,40 @@ fn l2_dependent_stream_fails_certification() {
         );
     }
     // Every point still reports which perturbations *did* hold.
+    for p in &cert.points {
+        assert!(!p.invariant);
+        assert_eq!(p.invariant_under, vec!["lanes-halved", "reference-model", "ideal-all"]);
+    }
+}
+
+fn run_l2_dependent_scalar(m: &mut Machine) {
+    let x = m.mem.alloc_from(&[1.0; 16]);
+    let out = m.mem.alloc_named("out", 16);
+    let vl = m.setvl(16);
+    m.vle(1, x.addr(0), vl);
+    // Forbidden too, though no vector event moves: a replay re-executes
+    // the scalar charge, so its cost must not depend on cache capacity.
+    m.charge_scalar_ops(if m.config().mem.l2.bytes > (2 << 20) { 2 } else { 1 });
+    m.vse(1, out.addr(0), vl);
+}
+
+#[test]
+fn l2_dependent_scalar_work_fails_certification() {
+    let case = synthetic("l2_dependent_scalar", run_l2_dependent_scalar);
+    let sweep = sweep_configs();
+    let (cert, findings) = certify_kernel(&case, &sweep);
+    assert!(!cert.certified);
+    // The decoded vector events agree, so each design point's finding
+    // names the first differing op: #0 setvl, #1 vle, #2 the scalar charge.
+    let variance: Vec<_> = findings.iter().filter(|f| f.pass == "config-variance").collect();
+    assert_eq!(variance.len(), sweep.len(), "{findings:?}");
+    for (f, (profile, _)) in variance.iter().zip(&sweep) {
+        assert_eq!(f.profile, *profile);
+        assert_eq!(
+            f.detail,
+            "stream diverged under l2-4MiB at op #2: ScalarOps { n: 1 } vs ScalarOps { n: 2 }"
+        );
+    }
     for p in &cert.points {
         assert!(!p.invariant);
         assert_eq!(p.invariant_under, vec!["lanes-halved", "reference-model", "ideal-all"]);

@@ -1,7 +1,7 @@
 //! The acceptance gate over the real kernel registry: every registered
 //! kernel carries a clean retime certificate, the critical-path lower
 //! bound never exceeds the simulated cycle count, every lint finding is
-//! explicitly allowlisted, and event recording itself is timing-neutral.
+//! explicitly allowlisted, and capturing itself is timing-neutral.
 
 use lva_check::{record_kernel, registered_kernels, sweep_configs, KernelCase};
 use lva_depgraph::{allowlisted, certify_kernel, lint_dataflow, lower_bound, DepGraph};
@@ -77,7 +77,7 @@ fn registry_lint_findings_are_all_allowlisted() {
 
 #[test]
 fn event_recording_is_timing_neutral() {
-    // The certifier's premise: turning the recorder on must not move a
+    // The certifier's premise: turning the capture on must not move a
     // single cycle, otherwise certificates describe a different machine
     // than the benchmarks run on.
     let sweep = sweep_configs();

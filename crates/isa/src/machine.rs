@@ -23,10 +23,9 @@
 
 use crate::config::{IsaKind, MachineConfig};
 use crate::pred::Pred;
-use crate::record::VecEvent;
 use crate::replay::{
-    r32, ArithShape, IndexedOp, LayerReplay, ProbeTape, ReduceOp, ReplayOp, ReplayTrace,
-    SegmentReplay, TapePlayer, TapeRecorder, VArithOp,
+    indexed_range, r32, ArithShape, IndexedOp, LayerReplay, ProbeTape, ReduceOp, ReplayOp,
+    ReplayTrace, SegmentReplay, TapePlayer, TapeRecorder, VArithOp,
 };
 use crate::stats::{KernelPhase, PhaseTimer, StallBreakdown, StallCause, VpuStats};
 use lva_sim::{
@@ -108,18 +107,15 @@ pub struct Machine {
     /// Per-cause attribution of every front-end stall cycle. Bookkeeping
     /// only: the timing model is identical whether anyone reads this.
     pub stalls: StallBreakdown,
-    /// Opt-in event recorder for the `lva-check` sanitizer. `None` (the
-    /// default) records nothing; when enabled, every vector op appends one
-    /// [`VecEvent`]. Pure observation — the timing model never reads it, so
-    /// cycle counts are bit-identical with recording on or off.
-    rec: Option<Vec<VecEvent>>,
     /// Opt-in layer-boundary recorder (the `lva-energy` attribution): the
     /// VPU and memory-system counters at every [`Self::layer_begin`] and
-    /// [`Self::layer_end`]. Pure observation, exactly like `rec`.
+    /// [`Self::layer_end`]. `None` (the default) records nothing. Pure
+    /// observation — the timing model never reads it, so cycle counts are
+    /// bit-identical with recording on or off.
     layer_counters: Option<Vec<LayerCounters>>,
     /// Opt-in pipeline-interval recorder for the timeline exporter
     /// (`lva-prof`): kernel-phase boundaries and per-cause stall intervals
-    /// in simulated cycles. Pure observation, exactly like `rec`.
+    /// in simulated cycles. Pure observation, exactly like `layer_counters`.
     pipe: Option<Vec<PipeEvent>>,
     /// Events discarded after [`Self::MAX_PIPE_EVENTS`] was reached
     /// (reported by [`Self::pipe_events_dropped`], never silent).
@@ -129,9 +125,11 @@ pub struct Machine {
     /// path is the pre-coalescing code, kept so equivalence tests can prove
     /// the fast paths bit-identical in cycles, stats, and register contents.
     ref_model: bool,
-    /// Opt-in semantic replay log (the `lva-retime` capture hook): every
-    /// public op appends one [`ReplayOp`] with the arguments its timing
-    /// depends on. Pure observation, exactly like `rec`.
+    /// Opt-in semantic replay log (the capture hook): every public op
+    /// appends one [`ReplayOp`] with the arguments its timing depends on.
+    /// Replays re-execute it; the kernel linters decode their
+    /// [`crate::VecEvent`] streams from it. Pure observation, exactly like
+    /// `layer_counters`.
     rlog: Option<ReplayTrace>,
     /// Opt-in probe-tape recorder: stores the serving level of every cache
     /// probe so later refits can skip the cache arrays. Pure observation.
@@ -168,7 +166,6 @@ impl Machine {
             stats: VpuStats::default(),
             phases: PhaseTimer::default(),
             stalls: StallBreakdown::default(),
-            rec: None,
             layer_counters: None,
             pipe: None,
             pipe_dropped: 0,
@@ -194,8 +191,8 @@ impl Machine {
     }
 
     /// Select counterfactual idealization knobs (`lva-whatif`). Timing-only:
-    /// functional state, cache state transitions, statistics, and recorded
-    /// event streams are bit-identical to the factual machine under any
+    /// functional state, cache state transitions, statistics, and captured
+    /// replay traces are bit-identical to the factual machine under any
     /// spec; with [`IdealSpec::NONE`] cycle counts are bit-identical too —
     /// pinned the same way [`Self::set_reference_model`] is.
     pub fn set_ideal(&mut self, spec: IdealSpec) {
@@ -206,34 +203,6 @@ impl Machine {
     /// The active idealization spec.
     pub fn ideal(&self) -> IdealSpec {
         self.cfg.ideal
-    }
-
-    // ------------------------------------------------------------------
-    // Event recording (the `lva-check` sanitizer hook)
-    // ------------------------------------------------------------------
-
-    /// Start recording vector-op events (clears any previous recording).
-    pub fn record_events(&mut self) {
-        self.rec = Some(Vec::new());
-    }
-
-    /// Whether event recording is active.
-    pub fn is_recording(&self) -> bool {
-        self.rec.is_some()
-    }
-
-    /// Stop recording and return the captured event stream.
-    pub fn take_events(&mut self) -> Vec<VecEvent> {
-        self.rec.take().unwrap_or_default()
-    }
-
-    /// Append an event if recording is on (closure only runs when enabled;
-    /// one branch otherwise).
-    #[inline]
-    fn rec(&mut self, f: impl FnOnce() -> VecEvent) {
-        if let Some(events) = self.rec.as_mut() {
-            events.push(f());
-        }
     }
 
     // ------------------------------------------------------------------
@@ -460,12 +429,11 @@ impl Machine {
         r
     }
 
-    /// Observer half of a phase opening (recorded event, pipeline marker,
-    /// tap scope) — shared between [`Self::phase`] and the replay executor.
+    /// Observer half of a phase opening (pipeline marker, tap scope) —
+    /// shared between [`Self::phase`] and the replay executor.
     #[inline]
     fn tl_phase_begin(&mut self, p: KernelPhase) {
         let t0 = self.cycles();
-        self.rec(|| VecEvent::phase_marker(true, p));
         self.pipe(|| PipeEvent::PhaseBegin { phase: p, at: t0 });
         self.sys.tap_scope(TapScope::PhaseBegin { name: p.name() });
     }
@@ -473,7 +441,6 @@ impl Machine {
     /// Observer half of a phase closing; returns the closing cycle count.
     #[inline]
     fn tl_phase_end(&mut self, p: KernelPhase) -> u64 {
-        self.rec(|| VecEvent::phase_marker(false, p));
         let t1 = self.cycles();
         self.pipe(|| PipeEvent::PhaseEnd { phase: p, at: t1 });
         self.sys.tap_scope(TapScope::PhaseEnd);
@@ -870,13 +837,11 @@ impl Machine {
     }
 
     /// Timing half of [`Self::setvl`] (shared with the replay executor):
-    /// the scalar-op charge and the recorded grant event.
+    /// the scalar-op charge and the grant.
     #[inline]
     fn tl_setvl(&mut self, rvl: usize) -> usize {
         self.scalar_ops_tl(1);
-        let granted = rvl.min(self.vlen_elems);
-        self.rec(|| VecEvent::grant("setvl", rvl, granted));
-        granted
+        rvl.min(self.vlen_elems)
     }
 
     /// SVE `whilelt`: predicate for lanes `i..n`.
@@ -892,9 +857,7 @@ impl Machine {
     #[inline]
     fn tl_whilelt(&mut self, rem: usize) -> Pred {
         self.scalar_ops_tl(1);
-        let p = Pred::whilelt(0, rem, self.vlen_elems);
-        self.rec(|| VecEvent::grant("whilelt", rem, p.active));
-        p
+        Pred::whilelt(0, rem, self.vlen_elems)
     }
 
     // ------------------------------------------------------------------
@@ -929,7 +892,6 @@ impl Machine {
 
     /// Timing half of [`Self::vle`] (shared with the replay executor).
     fn tl_vle(&mut self, vd: VReg, addr: u64, vl: usize) {
-        self.rec(|| VecEvent::load("vle", vd, addr, addr + 4 * vl as u64, vl));
         let lb = self.sys.line_bytes() as u64;
         let first = addr / lb;
         let last = (addr + 4 * vl as u64 - 1) / lb;
@@ -966,7 +928,6 @@ impl Machine {
 
     /// Timing half of [`Self::vse`] (shared with the replay executor).
     fn tl_vse(&mut self, vs: VReg, addr: u64, vl: usize) {
-        self.rec(|| VecEvent::store("vse", vs, addr, addr + 4 * vl as u64, vl));
         let lb = self.sys.line_bytes() as u64;
         let first = addr / lb;
         let last = (addr + 4 * vl as u64 - 1) / lb;
@@ -1017,9 +978,6 @@ impl Machine {
 
     /// Timing half of [`Self::vlse`] (shared with the replay executor).
     fn tl_vlse(&mut self, vd: VReg, addr: u64, stride_bytes: u64, vl: usize) {
-        self.rec(|| {
-            VecEvent::load("vlse", vd, addr, addr + (vl as u64 - 1) * stride_bytes + 4, vl)
-        });
         let (occ, lat) = self.strided_cost(addr, stride_bytes, vl, AccessKind::Read);
         self.issue([None, None], Some(vd), occ, lat);
         self.stats.vec_mem_instrs += 1;
@@ -1059,9 +1017,6 @@ impl Machine {
 
     /// Timing half of [`Self::vsse`] (shared with the replay executor).
     fn tl_vsse(&mut self, vs: VReg, addr: u64, stride_bytes: u64, vl: usize) {
-        self.rec(|| {
-            VecEvent::store("vsse", vs, addr, addr + (vl as u64 - 1) * stride_bytes + 4, vl)
-        });
         let (occ, _) = self.strided_cost(addr, stride_bytes, vl, AccessKind::Write);
         self.issue([Some(vs), None], None, occ, occ);
         self.stats.vec_mem_instrs += 1;
@@ -1392,19 +1347,8 @@ impl Machine {
     }
 
     /// Timing half of the four indexed ops (shared with the replay
-    /// executor): recorded event, cache/occupancy cost, issue, statistics.
+    /// executor): cache/occupancy cost, issue, statistics.
     fn tl_indexed(&mut self, op: IndexedOp, reg: VReg, base: u64, idx: &[u32]) {
-        let vl = idx.len();
-        self.rec(|| {
-            let (lo, hi) = indexed_range(base, idx).unwrap_or((0, 0));
-            let ev = match op {
-                IndexedOp::Gather => VecEvent::load("vgather", reg, lo, hi, vl),
-                IndexedOp::Scatter => VecEvent::store("vscatter", reg, lo, hi, vl),
-                IndexedOp::Gather4 => VecEvent::load("vgather4", reg, lo, hi, vl),
-                IndexedOp::Scatter4 => VecEvent::store("vscatter4", reg, lo, hi, vl),
-            };
-            ev.with_active(active_lanes(idx))
-        });
         match op {
             IndexedOp::Gather => {
                 let (occ, lat) = self.indexed_cost(base, idx, AccessKind::Read);
@@ -1424,7 +1368,7 @@ impl Machine {
             }
         }
         self.stats.vec_mem_instrs += 1;
-        self.stats.active_elems += vl as u64;
+        self.stats.active_elems += idx.len() as u64;
     }
 
     /// Software prefetch of the line at `addr` (§IV-A: dropped by the RVV
@@ -1474,24 +1418,12 @@ impl Machine {
     }
 
     /// Timing half of every vector arithmetic op (shared between the public
-    /// per-instruction API and the replay executor): the recorded event, the
-    /// issue-stage source list, the occupancy/latency cost and the FLOP
-    /// count, all reconstructed from the op's [`ArithShape`]. Register
-    /// operands that a shape does not use are ignored.
+    /// per-instruction API and the replay executor): the issue-stage source
+    /// list, the occupancy/latency cost and the FLOP count, all
+    /// reconstructed from the op's [`ArithShape`]. Register operands that a
+    /// shape does not use are ignored.
     fn tl_varith(&mut self, op: VArithOp, vd: VReg, a: VReg, b: VReg, vl: usize) {
-        let shape = op.shape();
-        self.rec(|| {
-            let ev_vl = if matches!(op, VArithOp::Broadcast) { vl.max(1) } else { vl };
-            let srcs = match shape {
-                ArithShape::Nullary => [None, None, None],
-                ArithShape::Unary => [Some(a), None, None],
-                ArithShape::UnaryAcc => [Some(a), Some(vd), None],
-                ArithShape::Binary => [Some(a), Some(b), None],
-                ArithShape::BinaryAcc => [Some(a), Some(b), Some(vd)],
-            };
-            VecEvent::arith(op.name(), vd, srcs, ev_vl)
-        });
-        let srcs = match shape {
+        let srcs = match op.shape() {
             ArithShape::Nullary => [None, None],
             ArithShape::Unary => [Some(a), None],
             ArithShape::UnaryAcc => [Some(a), Some(vd)],
@@ -1513,7 +1445,7 @@ impl Machine {
     /// Broadcast a scalar into all lanes (RVV `vfmv.v.f` / SVE `svdup`).
     pub fn vbroadcast(&mut self, vd: VReg, x: f32, vl: usize) {
         self.rlog_arith(VArithOp::Broadcast, vd, 0, 0, vl);
-        // Functionally fills vl.max(1) lanes; the recorded event says the
+        // Functionally fills vl.max(1) lanes; the decoded event says the
         // same so the uninitialized-read pass sees the true defined prefix.
         let n = self.vlen_elems;
         self.regs[vd * n..vd * n + vl.max(1)].fill(x);
@@ -1670,8 +1602,7 @@ impl Machine {
 
     /// Timing half of the reductions (shared with the replay executor): the
     /// front end waits for the scalar result.
-    fn tl_reduce(&mut self, op: ReduceOp, vs: VReg, vl: usize) {
-        self.rec(|| VecEvent::reduce(op.name(), vs, vl));
+    fn tl_reduce(&mut self, vs: VReg, vl: usize) {
         // The log2(lanes) reduction-tree term stays even under
         // `infinite_lanes`: more lanes deepen the tree, they don't flatten it.
         let chime = self.eff_chime(vl) + (self.cfg.vpu.lanes as f64).log2().ceil() as u64;
@@ -1688,7 +1619,7 @@ impl Machine {
         self.rlog(|| ReplayOp::Reduce { op: ReduceOp::Sum, vs: vs as u8, vl: vl as u16 });
         let n = self.vlen_elems;
         let sum: f32 = self.regs[vs * n..vs * n + vl].iter().sum();
-        self.tl_reduce(ReduceOp::Sum, vs, vl);
+        self.tl_reduce(vs, vl);
         sum
     }
 
@@ -1697,7 +1628,7 @@ impl Machine {
         self.rlog(|| ReplayOp::Reduce { op: ReduceOp::Max, vs: vs as u8, vl: vl as u16 });
         let n = self.vlen_elems;
         let mx = self.regs[vs * n..vs * n + vl].iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        self.tl_reduce(ReduceOp::Max, vs, vl);
+        self.tl_reduce(vs, vl);
         mx
     }
 
@@ -1980,7 +1911,7 @@ impl Machine {
             ReplayOp::VArith { op, vd, a, b, vl } => {
                 self.tl_varith(op, vd as VReg, a as VReg, b as VReg, vl as usize);
             }
-            ReplayOp::Reduce { op, vs, vl } => self.tl_reduce(op, vs as VReg, vl as usize),
+            ReplayOp::Reduce { vs, vl, .. } => self.tl_reduce(vs as VReg, vl as usize),
             ReplayOp::Prefetch { addr, target } => self.tl_prefetch(addr as u64, target),
             ReplayOp::ScalarOps { n } => self.scalar_ops_tl(n as u64),
             ReplayOp::ScalarFlops { n } => self.scalar_flops_tl(n as u64),
@@ -2093,32 +2024,6 @@ fn vd_row(regs: &[f32], r: VReg, n: usize, vl: usize) -> &[f32] {
 #[inline(always)]
 fn fma32(a: f32, b: f32, c: f32) -> f32 {
     (f64::from(a) * f64::from(b) + f64::from(c)) as f32
-}
-
-/// Byte range `[lo, hi)` covered by the active lanes of an indexed access
-/// (lanes with the `u32::MAX` sentinel are predicated out). `None` when no
-/// lane is active.
-#[inline]
-fn indexed_range(base: u64, idx: &[u32]) -> Option<(u64, u64)> {
-    let mut lo = u64::MAX;
-    let mut hi = 0u64;
-    for &ix in idx {
-        if ix == u32::MAX {
-            continue;
-        }
-        let a = base + 4 * ix as u64;
-        lo = lo.min(a);
-        hi = hi.max(a + 4);
-    }
-    (lo < hi).then_some((lo, hi))
-}
-
-/// Lanes of an indexed access that are not sentinel-predicated — the count
-/// the per-element gather/scatter occupancy charges, recorded as
-/// [`VecEvent::active`] (only evaluated inside a recording closure).
-#[inline]
-fn active_lanes(idx: &[u32]) -> usize {
-    idx.iter().filter(|&&ix| ix != u32::MAX).count()
 }
 
 #[cfg(test)]
@@ -2484,17 +2389,18 @@ mod tests {
     fn recording_is_off_by_default_and_captures_ops_when_on() {
         use crate::record::EventKind;
         let mut m = machine();
-        assert!(!m.is_recording());
+        assert!(m.finish_capture().is_none(), "capturing is off by default");
         let a = m.mem.alloc(16);
         m.vle(0, a.addr(0), 16);
-        assert!(m.take_events().is_empty(), "nothing recorded while off");
+        assert!(m.finish_capture().is_none(), "nothing recorded while off");
 
-        m.record_events();
+        m.start_capture();
         let vl = m.setvl(16);
         m.vle(1, a.addr(0), vl);
         m.vfmacc_vf(2, 2.0, 1, vl);
         m.vse(2, a.addr(0), vl);
-        let ev = m.take_events();
+        let (trace, _) = m.finish_capture().expect("capture was started");
+        let ev = trace.vec_events(m.vlen_elems());
         assert_eq!(ev.len(), 4);
         assert_eq!(ev[0].kind, EventKind::Grant);
         assert_eq!((ev[0].requested, ev[0].vl), (16, 16));
@@ -2503,16 +2409,17 @@ mod tests {
         assert_eq!(ev[2].kind, EventKind::Arith);
         assert_eq!(ev[2].srcs, [Some(1), Some(2), None]);
         assert_eq!(ev[3].kind, EventKind::Store);
-        assert!(!m.is_recording(), "take_events stops the recording");
+        assert!(m.finish_capture().is_none(), "finish_capture stops the recording");
     }
 
     #[test]
     fn phase_markers_are_recorded() {
         use crate::record::EventKind;
         let mut m = machine();
-        m.record_events();
+        m.start_capture();
         m.phase(KernelPhase::Gemm, |m| m.vbroadcast(0, 1.0, 16));
-        let ev = m.take_events();
+        let (trace, _) = m.finish_capture().expect("capture was started");
+        let ev = trace.vec_events(m.vlen_elems());
         assert_eq!(ev[0].kind, EventKind::PhaseBegin);
         assert_eq!(ev[0].phase, Some(KernelPhase::Gemm));
         assert_eq!(ev[2].kind, EventKind::PhaseEnd);

@@ -49,7 +49,7 @@ use lva_sim::{MemSystemStats, PrefetchTarget};
 
 /// Vector arithmetic micro-op, the consolidated form of the machine's
 /// per-instruction arithmetic API. One enum value plus (vd, a, b, vl)
-/// reconstructs the recorded event, the issue-stage source list, the
+/// reconstructs the decoded event, the issue-stage source list, the
 /// occupancy/latency cost and the FLOP count of the original call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VArithOp {
@@ -83,7 +83,7 @@ pub enum VArithOp {
     Sqrt,
 }
 
-/// Operand shape of a [`VArithOp`]: which registers appear as recorded-event
+/// Operand shape of a [`VArithOp`]: which registers appear as decoded-event
 /// sources and as issue-stage dependencies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArithShape {
@@ -100,7 +100,7 @@ pub enum ArithShape {
 }
 
 impl VArithOp {
-    /// The instruction mnemonic used in recorded [`crate::record::VecEvent`]s.
+    /// The instruction mnemonic used in decoded [`crate::record::VecEvent`]s.
     pub fn name(self) -> &'static str {
         match self {
             VArithOp::Broadcast => "vbroadcast",
@@ -162,7 +162,7 @@ pub enum ReduceOp {
 }
 
 impl ReduceOp {
-    /// The instruction mnemonic used in recorded events.
+    /// The instruction mnemonic used in decoded events.
     pub fn name(self) -> &'static str {
         match self {
             ReduceOp::Sum => "vfredsum",
@@ -478,6 +478,24 @@ impl TapePlayer {
     pub(crate) fn segment_stats(&self) -> MemSystemStats {
         self.tape.segments[self.seg].stats
     }
+}
+
+/// Byte range `[lo, hi)` covered by the active lanes of an indexed access
+/// (lanes with the `u32::MAX` sentinel are predicated out). `None` when no
+/// lane is active.
+#[inline]
+pub(crate) fn indexed_range(base: u64, idx: &[u32]) -> Option<(u64, u64)> {
+    let mut lo = u64::MAX;
+    let mut hi = 0u64;
+    for &ix in idx {
+        if ix == u32::MAX {
+            continue;
+        }
+        let a = base + 4 * ix as u64;
+        lo = lo.min(a);
+        hi = hi.max(a + 4);
+    }
+    (lo < hi).then_some((lo, hi))
 }
 
 /// Convert a recorded `u64` quantity (address, stride, count) to the `u32`

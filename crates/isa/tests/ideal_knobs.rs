@@ -173,7 +173,7 @@ fn knobs_off_is_bit_identical_to_fast_path() {
 }
 
 /// Under ANY knob (each single knob and all of them at once), functional
-/// state, cache statistics, and the recorded event stream stay bit-identical
+/// state, cache statistics, and the whole captured trace stay bit-identical
 /// to the factual run, and cycles never increase. All-on is at least as fast
 /// as every single knob (the clamps compose componentwise).
 #[test]
@@ -192,17 +192,18 @@ fn every_knob_is_timing_only_and_cycle_monotone() {
             let run = |spec: IdealSpec| {
                 let (mut m, buf) = machine_with_arena(&cfg, seed);
                 m.set_ideal(spec);
-                m.record_events();
+                m.start_capture();
                 apply(&mut m, buf, &ops);
                 (m, buf)
             };
             let (mut factual, buf) = run(IdealSpec::NONE);
-            let factual_events = factual.take_events();
+            let factual_trace = factual.finish_capture().expect("capture was started").0;
             let mut single_cycles = Vec::new();
             for knob in IdealKnob::ALL {
                 let (mut m, _) = run(knob.spec());
                 let what = format!("{name} seed={seed:#x} +{}", knob.name());
-                assert_eq!(m.take_events(), factual_events, "{what}: event stream diverged");
+                let trace = m.finish_capture().expect("capture was started").0;
+                assert_eq!(trace, factual_trace, "{what}: captured trace diverged");
                 assert_functional_identical(&m, &factual, buf, &what);
                 assert!(
                     m.cycles() <= factual.cycles(),

@@ -3,9 +3,9 @@
 //! assumption.
 //!
 //! `lva-depgraph` already certifies every kernel in the `lva-check`
-//! registry: per kernel × design point it re-records the semantic stream
+//! registry: per kernel × design point it re-captures the semantic trace
 //! under timing perturbations (L2 capacity, halved lanes, reference
-//! model, full idealization) and requires it not to move, plus VL
+//! model, full idealization) and requires no op of it to move, plus VL
 //! equivalence across the swept vector lengths. The gate runs that
 //! certification once per engine (lazily, on the first retime request)
 //! and refuses — naming the offending kernels — if any certificate comes
