@@ -28,7 +28,9 @@ fn ratio(a: u64, b: u64) -> String {
 /// (median). Nothing carries over between passes, so each one costs what
 /// re-timing nine unseen timing points costs. Every capture and every
 /// re-timed summary is asserted equal to the full simulator's, so the
-/// published speedup is over verified-identical work.
+/// published speedup is over verified-identical work. `recording_mb` is
+/// what the captures hold (traces plus probe tapes), which bounds how many
+/// recordings a sweep can keep; unlike the timings it is deterministic.
 fn retime_bench(specs: &[(String, Experiment)], full: &[SweepRun], serial_ms: f64) -> Json {
     let check = |what: &str, i: usize, s: &RunSummary| {
         let (name, want) = (&specs[i].0, &full[i].summary);
@@ -58,9 +60,11 @@ fn retime_bench(specs: &[(String, Experiment)], full: &[SweepRun], serial_ms: f6
         }
     }
     let retime = median_ms(&mut retime_ms);
+    let bytes: usize = caps.iter().map(|c| c.trace.approx_bytes() + c.tape.approx_bytes()).sum();
     Json::obj()
         .field("runs", specs.len() as u64)
         .field("capture_ms", capture_ms)
+        .field("recording_mb", bytes as f64 / f64::from(1 << 20))
         .field("retime_ms_median_of_3", retime)
         .field("speedup_retime_vs_full_serial", if retime > 0.0 { serial_ms / retime } else { 0.0 })
         .field(

@@ -86,7 +86,7 @@ pub fn record_kernel(case: &KernelCase, cfg: &MachineConfig) -> RecordedKernel {
     let mut m = Machine::new(cfg.clone());
     m.start_capture();
     (case.run)(&mut m);
-    let (trace, _tape) = m.finish_capture().expect("the capture was started above");
+    let trace = m.finish_capture().expect("the capture was started above");
     RecordedKernel {
         events: trace.vec_events(m.vlen_elems()),
         trace,

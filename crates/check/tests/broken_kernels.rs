@@ -20,7 +20,7 @@ fn run_broken(build: impl FnOnce(&mut Machine)) -> (Vec<VecEvent>, Vec<AllocReco
     let mut m = machine();
     m.start_capture();
     build(&mut m);
-    let (trace, _) = m.finish_capture().expect("capture was started");
+    let trace = m.finish_capture().expect("capture was started");
     (trace.vec_events(m.vlen_elems()), m.mem.allocs().to_vec(), m.vlen_elems())
 }
 
@@ -135,7 +135,7 @@ fn recording_is_timing_neutral_for_every_kernel_and_profile() {
             let mut recorded = Machine::new(cfg.clone());
             recorded.start_capture();
             (case.run)(&mut recorded);
-            let (trace, _) = recorded.finish_capture().expect("capture was started");
+            let trace = recorded.finish_capture().expect("capture was started");
             let events = trace.vec_events(recorded.vlen_elems());
             assert!(!events.is_empty() || case.name == "gemm_naive");
             assert_eq!(

@@ -253,8 +253,10 @@ impl Experiment {
         if capture {
             // Capture from the very first op so replay reproduces the cache
             // state the measured segment starts from (setup warms the
-            // hierarchy exactly as it did on the capture run).
+            // hierarchy exactly as it did on the capture run), with the
+            // probe tape that tape refits read.
             m.start_capture();
+            m.record_probe_tape();
         }
         let net = Network::build(&mut m, &specs, shape, self.policy, self.seed);
         (m, net, shape)
@@ -395,7 +397,8 @@ impl Experiment {
     pub fn run_stream_traced(&self, frames: usize) -> CapturedRun {
         let (mut m, mut net, shape) = self.build(true);
         let s = self.run_frames(&mut m, &mut net, shape, frames);
-        let (trace, tape) = m.finish_capture().expect("capture started in build");
+        let trace = m.finish_capture().expect("capture started in build");
+        let tape = m.take_probe_tape().expect("tape recording started in build");
         CapturedRun {
             trace: Arc::new(trace),
             tape: Arc::new(tape),

@@ -15,9 +15,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use lva_check::{
-    panic_message, record_kernel, registered_kernels, save_results_json, sweep_configs, Finding,
-};
+use lva_check::{panic_message, registered_kernels, save_results_json, sweep_configs, Finding};
 use lva_core::cli::Opts;
 use lva_core::Json;
 use lva_depgraph::{allowlisted, certify_kernel, lint_dataflow};
@@ -32,18 +30,16 @@ fn main() {
     let kernels = registered_kernels();
 
     // One unit of work per kernel: certify across its supported design
-    // points, then lint each recorded stream. A panic is an internal error.
+    // points, then lint the baseline stream the certifier recorded at each.
+    // A panic is an internal error.
     type KernelResult = Result<(Json, Vec<Finding>, usize), String>;
     let per_kernel: Vec<KernelResult> = lva_core::parallel_map(&kernels, opts.jobs, |_, case| {
         catch_unwind(AssertUnwindSafe(|| {
-            let (cert, mut findings) = certify_kernel(case, &configs);
-            let mut runs = 0usize;
-            for (profile, cfg) in configs.iter().filter(|(_, c)| case.supports(c.vpu.isa)) {
-                let rec = record_kernel(case, cfg);
+            let (cert, mut findings, recordings) = certify_kernel(case, &configs);
+            for (profile, rec) in &recordings {
                 findings.extend(lint_dataflow(case.name, profile, &rec.events, &rec.allocs));
-                runs += 1;
             }
-            (cert.to_json(), findings, runs)
+            (cert.to_json(), findings, recordings.len())
         }))
         .map_err(|e| format!("{}: {}", case.name, panic_message(&e)))
     });

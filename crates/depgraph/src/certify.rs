@@ -82,7 +82,7 @@ fn record_perturbed(case: &KernelCase, cfg: &MachineConfig, which: &str) -> Repl
     setup(&mut m);
     m.start_capture();
     (case.run)(&mut m);
-    m.finish_capture().expect("the capture was started above").0
+    m.finish_capture().expect("the capture was started above")
 }
 
 /// VL-neutral projection of one recorded run: the invariants granted-VL
@@ -251,14 +251,17 @@ impl RetimeCertificate {
 }
 
 /// Certify one kernel over every design point it supports. Returns the
-/// certificate and any findings (passes `config-variance`,
-/// `vl-equivalence`, `bound-violation`).
+/// certificate, any findings (passes `config-variance`, `vl-equivalence`,
+/// `bound-violation`), and the baseline recording of each supported point
+/// with its profile name, in sweep order, so callers that analyse those
+/// runs further need not record them again.
 pub fn certify_kernel(
     case: &KernelCase,
     sweep: &[(&'static str, MachineConfig)],
-) -> (RetimeCertificate, Vec<Finding>) {
+) -> (RetimeCertificate, Vec<Finding>, Vec<(&'static str, RecordedKernel)>) {
     let mut findings = Vec::new();
     let mut points = Vec::new();
+    let mut recordings = Vec::new();
     // Per supported point: the recorded baseline and its VL summary,
     // grouped by ISA for the renaming comparison afterwards.
     let mut by_isa: BTreeMap<&'static str, Vec<(String, VlSummary)>> = BTreeMap::new();
@@ -324,6 +327,7 @@ pub fn certify_kernel(
             invariant_under,
             invariant,
         });
+        recordings.push((*profile, rec));
     }
 
     let mut vl_equivalence = Vec::new();
@@ -360,6 +364,7 @@ pub fn certify_kernel(
             certified,
         },
         findings,
+        recordings,
     )
 }
 

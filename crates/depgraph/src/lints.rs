@@ -21,11 +21,12 @@
 //!
 //! Known blind spot, by contract: the passes read the vector events
 //! decoded from a capture, and decoding drops scalar work. The trace holds
-//! every `ScalarRead` op but the events do not, so data consumed through
-//! `Machine::scalar_read` (the A-operand path of the packed GEMM
-//! micro-kernels) is invisible — a store feeding scalar reads looks
-//! unread. Such findings are allowlisted with that reason rather than
-//! suppressed, so the report still shows them.
+//! every scalar read (`ScalarRead` ops, and the A reads inside each GEMM
+//! row update, `ReplayOp::VMaccRows`) but the events do not, so data
+//! consumed that way (the A-operand path of the packed GEMM micro-kernels)
+//! is invisible — a store feeding scalar reads looks unread. Such findings
+//! are allowlisted with that reason rather than suppressed, so the report
+//! still shows them.
 //!
 //! Real findings on registry kernels either get fixed or are explicitly
 //! allowlisted in [`ALLOWLIST`] with a reason; `lint-dataflow` gates CI on

@@ -109,7 +109,7 @@ fn run_l2_dependent(m: &mut Machine) {
 fn l2_dependent_stream_fails_certification() {
     let case = synthetic("l2_dependent", run_l2_dependent);
     let sweep = sweep_configs();
-    let (cert, findings) = certify_kernel(&case, &sweep);
+    let (cert, findings, _) = certify_kernel(&case, &sweep);
     assert!(!cert.certified);
     // One config-variance finding per design point, naming the perturbation
     // and the event-count delta (the baseline stream has one fewer event).
@@ -144,7 +144,7 @@ fn run_l2_dependent_scalar(m: &mut Machine) {
 fn l2_dependent_scalar_work_fails_certification() {
     let case = synthetic("l2_dependent_scalar", run_l2_dependent_scalar);
     let sweep = sweep_configs();
-    let (cert, findings) = certify_kernel(&case, &sweep);
+    let (cert, findings, _) = certify_kernel(&case, &sweep);
     assert!(!cert.certified);
     // The decoded vector events agree, so each design point's finding
     // names the first differing op: #0 setvl, #1 vle, #2 the scalar charge.
@@ -181,7 +181,7 @@ fn run_vl_dependent(m: &mut Machine) {
 fn vl_dependent_stream_fails_renaming_equivalence() {
     let case = synthetic("vl_dependent", run_vl_dependent);
     let sweep = sweep_configs();
-    let (cert, findings) = certify_kernel(&case, &sweep);
+    let (cert, findings, _) = certify_kernel(&case, &sweep);
     assert!(!cert.certified);
     // Timing perturbations all hold — the breakage is purely across VLs.
     assert!(cert.points.iter().all(|p| p.invariant));

@@ -18,7 +18,7 @@ fn supported<'c>(
 fn every_registered_kernel_is_certified() {
     let sweep = sweep_configs();
     for case in registered_kernels() {
-        let (cert, findings) = certify_kernel(&case, &sweep);
+        let (cert, findings, _) = certify_kernel(&case, &sweep);
         assert!(findings.is_empty(), "{}: {findings:?}", case.name);
         assert!(cert.certified, "{} lost its retime certificate", case.name);
         assert_eq!(

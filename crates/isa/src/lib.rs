@@ -41,7 +41,7 @@ pub use machine::{LayerCounters, Machine, PipeEvent, ReplayCursor, VReg, NUM_VRE
 pub use pred::Pred;
 pub use record::{stream_hash, EventKind, StreamHasher, VecEvent};
 pub use replay::{
-    LayerReplay, ProbeTape, ReplayOp, ReplayTrace, SegmentReplay, TapeSegment, VArithOp,
+    LayerReplay, MaccRows, ProbeTape, ReplayOp, ReplayTrace, SegmentReplay, TapeSegment, VArithOp,
 };
 pub use stats::{KernelPhase, PhaseTimer, StallBreakdown, StallCause, VpuStats};
 

@@ -24,8 +24,8 @@
 use crate::config::{IsaKind, MachineConfig};
 use crate::pred::Pred;
 use crate::replay::{
-    indexed_range, r32, ArithShape, IndexedOp, LayerReplay, ProbeTape, ReduceOp, ReplayOp,
-    ReplayTrace, SegmentReplay, TapePlayer, TapeRecorder, VArithOp,
+    indexed_range, r32, ArithShape, IndexedOp, LayerReplay, MaccRows, ProbeTape, ReduceOp,
+    ReplayOp, ReplayTrace, SegmentReplay, TapePlayer, TapeRecorder, VArithOp,
 };
 use crate::stats::{KernelPhase, PhaseTimer, StallBreakdown, StallCause, VpuStats};
 use lva_sim::{
@@ -271,27 +271,27 @@ impl Machine {
     // Semantic replay log + probe tape (the `lva-retime` hooks)
     // ------------------------------------------------------------------
 
-    /// Start capturing the semantic replay log and the probe tape (clears
-    /// any previous capture). Pure observation: timing, statistics, and
-    /// functional state are bit-identical with capturing on or off.
+    /// Start capturing the semantic replay log (clears any previous
+    /// capture). A capture that will be tape-refitted also records the
+    /// probe tape ([`Self::record_probe_tape`]). Pure observation: timing,
+    /// statistics, and functional state are bit-identical with capturing on
+    /// or off.
     pub fn start_capture(&mut self) {
         self.rlog = Some(ReplayTrace::default());
-        self.tape_rec = Some(TapeRecorder {
-            tape: ProbeTape { geometry: self.cfg.mem.state_fingerprint(), ..ProbeTape::default() },
-        });
     }
 
-    /// Stop capturing and return the semantic trace plus the probe tape
-    /// (with the final segment closed). `None` if no capture was active.
-    pub fn finish_capture(&mut self) -> Option<(ReplayTrace, ProbeTape)> {
+    /// Stop capturing and return the semantic trace. `None` if no capture
+    /// was active. A probe tape recorded alongside stays on until
+    /// [`Self::take_probe_tape`].
+    pub fn finish_capture(&mut self) -> Option<ReplayTrace> {
         let mut trace = self.rlog.take()?;
         trace.shrink_to_fit();
-        let tape = self.take_probe_tape().expect("capture always records a tape");
-        Some((trace, tape))
+        Some(trace)
     }
 
-    /// Start recording only the probe tape (used during a live replay to
-    /// make later same-geometry refits possible). Clears any previous tape.
+    /// Start recording the probe tape, the serving level of every cache
+    /// probe (alongside a capture, or during a live replay, to make later
+    /// same-geometry refits possible). Clears any previous tape.
     pub fn record_probe_tape(&mut self) {
         self.tape_rec = Some(TapeRecorder {
             tape: ProbeTape { geometry: self.cfg.mem.state_fingerprint(), ..ProbeTape::default() },
@@ -1475,6 +1475,91 @@ impl Machine {
         self.tl_varith(VArithOp::MaccVf, vd, vs, 0, vl);
     }
 
+    /// The micro-kernel's row update (Fig. 2 ll. 9–11, Fig. 3 ll. 19–21),
+    /// one machine op: for each row `r` in `0..rows`, read the scalar at
+    /// `a_addr + r * a_stride`, scale it by `alpha` (charging one scalar
+    /// flop) unless `alpha == 1`, and `vfmacc.vf` it times `vs` into
+    /// accumulator `acc0 + r`. Values, timing, statistics and decoded
+    /// events are exactly those of the [`Self::scalar_read`],
+    /// [`Self::charge_scalar_flops`] and [`Self::vfmacc_vf`] calls it
+    /// stands for, in that order per row; it is recorded as one
+    /// [`ReplayOp::VMaccRows`].
+    ///
+    /// # Panics
+    /// Panics if the accumulators run past the register file or include
+    /// `vs`, or if a read falls outside the arena.
+    #[allow(clippy::too_many_arguments)]
+    pub fn vfmacc_vf_rows(
+        &mut self,
+        acc0: VReg,
+        a_addr: u64,
+        a_stride: u64,
+        rows: usize,
+        alpha: f32,
+        vs: VReg,
+        vl: usize,
+    ) {
+        if rows == 0 {
+            return;
+        }
+        assert!(
+            acc0 + rows <= NUM_VREGS && !(acc0..acc0 + rows).contains(&vs),
+            "vfmacc_vf_rows: accumulators v{acc0}..v{} overrun the registers or hold v{vs}",
+            acc0 + rows
+        );
+        let op = MaccRows {
+            acc0: acc0 as u8,
+            vs: vs as u8,
+            rows: rows as u8,
+            scaled: alpha != 1.0,
+            a_addr,
+            a_stride,
+        };
+        // The arena check is a range test and the reads are monotone, so
+        // one check of their hull accepts exactly what per-read checks did.
+        self.check_vec("vfmacc_vf_rows", a_addr, op.a_of(rows - 1) + 4, rows);
+        if let Some(log) = self.rlog.as_mut() {
+            log.push_macc_rows(&op, vl as u16);
+        }
+        for r in 0..rows {
+            let mut a = self.mem.read_addr(op.a_of(r));
+            if op.scaled {
+                a *= alpha;
+            }
+            let (d, s) = self.vreg_pair(acc0 + r, vs);
+            for (d, &s) in d[..vl].iter_mut().zip(&s[..vl]) {
+                *d = fma32(a, s, *d);
+            }
+        }
+        self.tl_macc_rows(&op, vl);
+    }
+
+    /// Timing half of [`Self::vfmacc_vf_rows`] (shared with the replay
+    /// executor): per row, the timing halves of the separate calls.
+    #[inline]
+    fn tl_macc_rows(&mut self, op: &MaccRows, vl: usize) {
+        for r in 0..usize::from(op.rows) {
+            self.tl_scalar_mem(op.a_of(r), AccessKind::Read);
+            if op.scaled {
+                self.scalar_flops_tl(1);
+            }
+            self.tl_varith(VArithOp::MaccVf, usize::from(op.acc0) + r, op.vs.into(), 0, vl);
+        }
+    }
+
+    /// Sub-op `sub` (in `0..op.sub_ops()`) of [`Self::tl_macc_rows`] alone:
+    /// a scalar read, a flop charge or one `vfmacc.vf`.
+    fn tl_macc_sub(&mut self, op: &MaccRows, vl: usize, sub: usize) {
+        let (r, part) = (sub / op.per_row(), sub % op.per_row());
+        if part == 0 {
+            self.tl_scalar_mem(op.a_of(r), AccessKind::Read);
+        } else if part == 1 && op.scaled {
+            self.scalar_flops_tl(1);
+        } else {
+            self.tl_varith(VArithOp::MaccVf, usize::from(op.acc0) + r, op.vs.into(), 0, vl);
+        }
+    }
+
     /// `vd[i] -= va[i] * vb[i]` — RVV `vfnmsac.vv` / SVE `FMLS`.
     pub fn vfnmsac_vv(&mut self, vd: VReg, va: VReg, vb: VReg, vl: usize) {
         debug_assert!(vd != va && vd != vb);
@@ -1851,7 +1936,11 @@ impl Machine {
     /// recorded op at a time, publishing the core's clock to the shared
     /// memory port before every step. Op-for-op it runs exactly the `tl_*`
     /// timing functions the batch executor runs, so a cursor walked start to
-    /// end is bit-identical to [`Self::replay`] over the same range.
+    /// end is bit-identical to [`Self::replay`] over the same range. A
+    /// [`ReplayOp::VMaccRows`] takes one step per sub-op — each row's
+    /// scalar read, flop charge and `vfmacc.vf` — and the cursor leaves it
+    /// after the last, so the loop sees the op boundaries of the separate
+    /// calls the row update stands for.
     /// Segment boundaries stay with the caller: a [`ReplayOp::ResetTiming`]
     /// inside the range is a contract violation (panics) — the SoC loop owns
     /// its barrier protocol and slices cursors between boundaries.
@@ -1859,6 +1948,16 @@ impl Machine {
         let Some(&op) = trace.ops.get(cur.i).filter(|_| cur.i < cur.end) else {
             return false;
         };
+        if let ReplayOp::VMaccRows { vl, at } = op {
+            let rows = trace.macc_rows(at);
+            self.tl_macc_sub(&rows, vl as usize, cur.sub);
+            cur.sub += 1;
+            if cur.sub == rows.sub_ops() {
+                cur.sub = 0;
+                cur.i += 1;
+            }
+            return true;
+        }
         cur.i += 1;
         if self.replay_op(trace, op) {
             return true;
@@ -1911,6 +2010,7 @@ impl Machine {
             ReplayOp::VArith { op, vd, a, b, vl } => {
                 self.tl_varith(op, vd as VReg, a as VReg, b as VReg, vl as usize);
             }
+            ReplayOp::VMaccRows { vl, at } => self.tl_macc_rows(&trace.macc_rows(at), vl as usize),
             ReplayOp::Reduce { vs, vl, .. } => self.tl_reduce(vs as VReg, vl as usize),
             ReplayOp::Prefetch { addr, target } => self.tl_prefetch(addr as u64, target),
             ReplayOp::ScalarOps { n } => self.scalar_ops_tl(n as u64),
@@ -1981,11 +2081,13 @@ impl Machine {
 }
 
 /// Position state of a steppable replay (see [`Machine::replay_step`]): the
-/// next op index, the exclusive range end, and the open-phase stack that
-/// mirrors `phase()` nesting across steps.
+/// next op index, the next sub-op inside it (nonzero only part-way through a
+/// [`ReplayOp::VMaccRows`]), the exclusive range end, and the open-phase
+/// stack that mirrors `phase()` nesting across steps.
 #[derive(Debug, Clone)]
 pub struct ReplayCursor {
     i: usize,
+    sub: usize,
     end: usize,
     phase_stack: Vec<(KernelPhase, u64)>,
 }
@@ -1994,10 +2096,11 @@ impl ReplayCursor {
     /// Cursor over `ops[start..end)` of a [`ReplayTrace`].
     pub fn new(start: usize, end: usize) -> Self {
         assert!(start <= end, "cursor range reversed: {start}..{end}");
-        ReplayCursor { i: start, end, phase_stack: Vec::new() }
+        ReplayCursor { i: start, sub: 0, end, phase_stack: Vec::new() }
     }
 
-    /// Next op index to execute.
+    /// Index of the op the next step executes (a sub-op of it, when part-way
+    /// through a row update).
     pub fn pos(&self) -> usize {
         self.i
     }
@@ -2399,7 +2502,7 @@ mod tests {
         m.vle(1, a.addr(0), vl);
         m.vfmacc_vf(2, 2.0, 1, vl);
         m.vse(2, a.addr(0), vl);
-        let (trace, _) = m.finish_capture().expect("capture was started");
+        let trace = m.finish_capture().expect("capture was started");
         let ev = trace.vec_events(m.vlen_elems());
         assert_eq!(ev.len(), 4);
         assert_eq!(ev[0].kind, EventKind::Grant);
@@ -2418,7 +2521,7 @@ mod tests {
         let mut m = machine();
         m.start_capture();
         m.phase(KernelPhase::Gemm, |m| m.vbroadcast(0, 1.0, 16));
-        let (trace, _) = m.finish_capture().expect("capture was started");
+        let trace = m.finish_capture().expect("capture was started");
         let ev = trace.vec_events(m.vlen_elems());
         assert_eq!(ev[0].kind, EventKind::PhaseBegin);
         assert_eq!(ev[0].phase, Some(KernelPhase::Gemm));

@@ -5,7 +5,8 @@
 //! memory, the vector length used — without any timing information. The
 //! machine records no events itself: [`ReplayTrace::vec_events`] decodes
 //! them from a capture ([`crate::Machine::start_capture`]), one event per
-//! vector memory, arithmetic, reduction, grant or phase-marker op. Scalar
+//! vector memory, arithmetic, reduction, grant or phase-marker op, and one
+//! `vfmacc.vf` event per row of a GEMM row update. Scalar
 //! work, prefetches, spills, layer markers and timing resets stay in the
 //! trace only. Capturing is pure observation, so cycle counts are
 //! bit-identical with it on or off (asserted by tests in `lva-check`).
@@ -14,7 +15,9 @@
 //! find uninitialized-register reads, out-of-bounds accesses, stale-copy
 //! (write-after-read) hazards, and vector-length discipline violations.
 
-use crate::replay::{indexed_range, ArithShape, IndexedOp, ReplayOp, ReplayTrace, VArithOp};
+use crate::replay::{
+    indexed_range, ArithShape, IndexedOp, MaccRows, ReplayOp, ReplayTrace, VArithOp,
+};
 use crate::stats::KernelPhase;
 use crate::VReg;
 
@@ -181,9 +184,11 @@ impl VecEvent {
 
 impl ReplayTrace {
     /// The vector-event stream of this trace on a machine whose registers
-    /// hold `vlen_elems` elements (the grants depend on it). Ops with no
-    /// architectural vector effect — scalar charges and memory ops,
-    /// prefetches, spills, layer markers, timing resets — decode to nothing.
+    /// hold `vlen_elems` elements (the grants depend on it). A row update
+    /// decodes to the `vfmacc.vf` event of each row, as its separate calls
+    /// would. Ops with no architectural vector effect — scalar charges and
+    /// memory ops, prefetches, spills, layer markers, timing resets — decode
+    /// to nothing.
     pub fn vec_events(&self, vlen_elems: usize) -> Vec<VecEvent> {
         type Span = (u64, u64, usize);
         let grant = |op, n: u32| VecEvent::grant(op, n as usize, (n as usize).min(vlen_elems));
@@ -229,6 +234,14 @@ impl ReplayTrace {
                     // A broadcast functionally fills at least one lane.
                     let vl = if op == VArithOp::Broadcast { vl.max(1) } else { vl };
                     VecEvent::arith(op.name(), vd, srcs, vl.into())
+                }
+                ReplayOp::VMaccRows { vl, at } => {
+                    let MaccRows { acc0, vs, rows, .. } = self.macc_rows(at);
+                    events.extend((acc0..acc0 + rows).map(|vd| {
+                        let srcs = [Some(vs.into()), Some(vd.into()), None];
+                        VecEvent::arith(VArithOp::MaccVf.name(), vd.into(), srcs, vl.into())
+                    }));
+                    continue;
                 }
                 ReplayOp::Reduce { op, vs, vl } => {
                     VecEvent::reduce(op.name(), vs.into(), vl.into())
@@ -345,6 +358,8 @@ mod tests {
         m.vfdiv_vv(12, 11, 6, g);
         m.vfmacc_vv(12, 1, 6, g);
         m.vfnmsac_vv(12, 7, 9, g);
+        m.vfmacc_vf_rows(14, a.addr(2), 8, 3, 1.0, 1, g);
+        m.vfmacc_vf_rows(20, a.addr(9), 0, 2, 0.5, 6, t);
         m.vfredsum(12, g);
         m.vfredmax(8, t);
         m.phase(KernelPhase::Gemm, |m| m.vfadd_vf(13, 12, 1.0, g));
@@ -363,13 +378,15 @@ mod tests {
 
     /// The expected list is the stream the machine's own event recorder
     /// emitted for `every_op_kind` before events were decoded from the
-    /// capture: decoding must reproduce it field for field.
+    /// capture: decoding must reproduce it field for field. The two row
+    /// updates, which that recorder saw as separate `vfmacc.vf` calls,
+    /// decode to one such event per row.
     #[test]
     fn vec_events_decode_every_op_kind() {
         let mut m = Machine::new(MachineConfig::rvv_gem5(512, 8, 1 << 20));
         m.start_capture();
         let b = every_op_kind(&mut m);
-        let (trace, _) = m.finish_capture().expect("capture was started");
+        let trace = m.finish_capture().expect("capture was started");
         let expected = vec![
             VecEvent::grant("setvl", 100, 16),
             VecEvent::grant("setvl", 7, 7),
@@ -399,6 +416,11 @@ mod tests {
             VecEvent::arith("vfdiv.vv", 12, [Some(11), Some(6), None], 16),
             VecEvent::arith("vfmacc.vv", 12, [Some(1), Some(6), Some(12)], 16),
             VecEvent::arith("vfnmsac.vv", 12, [Some(7), Some(9), Some(12)], 16),
+            VecEvent::arith("vfmacc.vf", 14, [Some(1), Some(14), None], 16),
+            VecEvent::arith("vfmacc.vf", 15, [Some(1), Some(15), None], 16),
+            VecEvent::arith("vfmacc.vf", 16, [Some(1), Some(16), None], 16),
+            VecEvent::arith("vfmacc.vf", 20, [Some(6), Some(20), None], 7),
+            VecEvent::arith("vfmacc.vf", 21, [Some(6), Some(21), None], 7),
             VecEvent::reduce("vfredsum", 12, 16),
             VecEvent::reduce("vfredmax", 8, 7),
             VecEvent::phase_marker(true, KernelPhase::Gemm),

@@ -34,15 +34,26 @@
 //! re-timed, so its footprint bounds how many streams a sweep can hold.
 //! Each [`ReplayOp`] is 8 bytes: a one-byte tag plus up to seven bytes of
 //! inline operands, enough for every frequent op (vector loads, stores and
-//! arithmetic, scalar reads, scalar charges). The rare ops whose operands
-//! do not fit — strided accesses, indexed accesses with their lane
-//! indices, scalar streams longer than `u16::MAX` words — keep an offset
-//! into the trace's `u32` side pool ([`ReplayTrace::pool`]) instead. The
-//! pool layout stays inside this module: those ops are recorded through
-//! the `ReplayTrace::push_*` methods and decoded through its accessors,
-//! which return exactly the arguments of the original call. Fixed-size ops keep
-//! every trace position a plain index, so cursors and segment boundaries
-//! need no decoding.
+//! arithmetic, scalar reads, scalar charges). The ops whose operands do
+//! not fit — strided accesses, indexed accesses with their lane indices,
+//! scalar streams longer than `u16::MAX` words, and the GEMM micro-kernel's
+//! row update ([`ReplayOp::VMaccRows`], a three-word [`MaccRows`] record)
+//! — keep an offset into the trace's `u32` side pool ([`ReplayTrace::pool`])
+//! instead. The pool layout stays inside this module: those ops are
+//! recorded through the `ReplayTrace::push_*` methods and decoded through
+//! its accessors, which return exactly the arguments of the original call.
+//! Fixed-size ops keep every trace position a plain index, so cursors and
+//! segment boundaries need no decoding.
+//!
+//! The row update is the bulk of every optimized GEMM: one
+//! [`crate::Machine::vfmacc_vf_rows`] call stands for `rows` scalar reads
+//! of A, each feeding a `vfmacc.vf` (plus one scalar flop per row when
+//! `alpha ≠ 1`), which the separate calls recorded as two or three ops per
+//! row. It is 20 bytes instead of 16–24 per row, and every consumer
+//! expands it into exactly those sub-ops: the executor runs the same timing
+//! halves in the same order, [`ReplayTrace::vec_events`] decodes `rows`
+//! `vfmacc.vf` events, and [`crate::Machine::replay_step`] steps through it
+//! one sub-op at a time.
 
 use crate::stats::{KernelPhase, PhaseTimer, StallBreakdown, VpuStats};
 use lva_sim::{MemSystemStats, PrefetchTarget};
@@ -184,6 +195,47 @@ pub enum IndexedOp {
     Scatter4,
 }
 
+/// Operands of one [`ReplayOp::VMaccRows`]: `rows` row updates, row `r`
+/// reading its scalar from `a_addr + r * a_stride` and accumulating it
+/// times `vs` into `acc0 + r` (see [`crate::Machine::vfmacc_vf_rows`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MaccRows {
+    /// First accumulator register.
+    pub acc0: u8,
+    /// The vector register every row multiplies.
+    pub vs: u8,
+    /// Number of rows (at least 1).
+    pub rows: u8,
+    /// Whether each scalar was scaled by an `alpha ≠ 1`, which charges one
+    /// scalar flop per row.
+    pub scaled: bool,
+    /// Byte address of row 0's scalar.
+    pub a_addr: u64,
+    /// Byte distance between consecutive rows' scalars.
+    pub a_stride: u64,
+}
+
+impl MaccRows {
+    /// Byte address of row `r`'s scalar.
+    #[inline]
+    pub(crate) fn a_of(&self, r: usize) -> u64 {
+        self.a_addr + r as u64 * self.a_stride
+    }
+
+    /// Sub-ops per row: the scalar read, the flop charge when scaled, and
+    /// the `vfmacc.vf`.
+    #[inline]
+    pub(crate) fn per_row(&self) -> usize {
+        2 + usize::from(self.scaled)
+    }
+
+    /// Sub-ops of the whole op, in the order the separate calls made them.
+    #[inline]
+    pub fn sub_ops(&self) -> usize {
+        usize::from(self.rows) * self.per_row()
+    }
+}
+
 /// One recorded semantic operation: 8 bytes, a one-byte tag plus seven
 /// bytes of operands (asserted at compile time below). Addresses are stored
 /// as `u32` (the simulated arena is far below 4 GiB — recording asserts it).
@@ -191,8 +243,9 @@ pub enum IndexedOp {
 /// Operands that do not fit beside the tag live in [`ReplayTrace::pool`]
 /// and the op keeps their offset `at`; decode them with the trace's
 /// accessors ([`ReplayTrace::strided`], [`ReplayTrace::indexed`],
-/// [`ReplayTrace::stream`]) and record them with its `push_*` methods.
-/// Ops stay fixed-size, so a trace position is a plain op index.
+/// [`ReplayTrace::stream`], [`ReplayTrace::macc_rows`]) and record them
+/// with its `push_*` methods. Ops stay fixed-size, so a trace position is
+/// a plain op index.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ReplayOp {
     /// `setvl(rvl)`.
@@ -214,6 +267,9 @@ pub enum ReplayOp {
     VIndexed { op: IndexedOp, reg: u8, at: u32 },
     /// Any vector arithmetic op (see [`VArithOp`]).
     VArith { op: VArithOp, vd: u8, a: u8, b: u8, vl: u16 },
+    /// `vfmacc_vf_rows(..)`, the micro-kernel's row update at vector length
+    /// `vl`; its [`MaccRows`] record is at pool offset `at`.
+    VMaccRows { vl: u16, at: u32 },
     /// `vfredsum`/`vfredmax`.
     Reduce { op: ReduceOp, vs: u8, vl: u16 },
     /// `prefetch(addr, target)`.
@@ -254,8 +310,9 @@ pub struct ReplayTrace {
     /// The semantic op stream, in program order.
     pub ops: Vec<ReplayOp>,
     /// Side pool of the operands that do not fit in an 8-byte op: strided
-    /// `[addr, stride]`, indexed `[base, vl, idx..]` and long-stream
-    /// `[addr, words]` records, each addressed by its op's offset.
+    /// `[addr, stride]`, indexed `[base, vl, idx..]`, long-stream
+    /// `[addr, words]` and row-update `[a_addr, a_stride, regs]` records,
+    /// each addressed by its op's offset.
     pub pool: Vec<u32>,
     /// Layer description strings referenced by [`ReplayOp::LayerBegin`].
     pub descs: Vec<String>,
@@ -314,6 +371,20 @@ impl ReplayTrace {
         self.ops.push(op);
     }
 
+    /// Record a row update at vector length `vl` as one op and one
+    /// three-word pool record `[a_addr, a_stride, acc0 | vs << 8 |
+    /// rows << 16 | scaled << 24]`.
+    pub(crate) fn push_macc_rows(&mut self, op: &MaccRows, vl: u16) {
+        let regs = u32::from(op.acc0)
+            | u32::from(op.vs) << 8
+            | u32::from(op.rows) << 16
+            | u32::from(op.scaled) << 24;
+        let (a_addr, a_stride) =
+            (r32(op.a_addr, "row-update addr"), r32(op.a_stride, "row stride"));
+        let at = self.push_pool(&[a_addr, a_stride, regs]);
+        self.ops.push(ReplayOp::VMaccRows { vl, at });
+    }
+
     /// Record a layer opening, interning its description string. Panics if
     /// `index` exceeds `u16::MAX` rather than truncating it.
     pub(crate) fn push_layer_begin(&mut self, index: usize, desc: &str) {
@@ -347,6 +418,21 @@ impl ReplayTrace {
         }
         let at = arg as usize;
         (self.pool[at] as u64, self.pool[at + 1] as usize)
+    }
+
+    /// The operands of a [`ReplayOp::VMaccRows`] whose pool offset is `at`.
+    #[inline]
+    pub fn macc_rows(&self, at: u32) -> MaccRows {
+        let at = at as usize;
+        let regs = self.pool[at + 2];
+        MaccRows {
+            acc0: regs as u8,
+            vs: (regs >> 8) as u8,
+            rows: (regs >> 16) as u8,
+            scaled: regs >> 24 != 0,
+            a_addr: self.pool[at] as u64,
+            a_stride: self.pool[at + 1] as u64,
+        }
     }
 }
 
@@ -531,7 +617,14 @@ mod tests {
             panic!("long stream not pool-backed: {:?}", t.ops[3]);
         };
         assert_eq!(t.stream(0, arg), (8, u16::MAX as usize + 1));
-        assert_eq!(t.pool.len(), 2 + (2 + 3) + 2);
+        let rows = MaccRows { acc0: 2, vs: 0, rows: 30, scaled: true, a_addr: 8192, a_stride: 516 };
+        t.push_macc_rows(&rows, 512);
+        let ReplayOp::VMaccRows { vl: 512, at } = t.ops[4] else {
+            panic!("not a row update: {:?}", t.ops[4]);
+        };
+        assert_eq!(t.macc_rows(at), rows);
+        assert_eq!((rows.a_of(29), rows.sub_ops()), (8192 + 29 * 516, 90));
+        assert_eq!(t.pool.len(), 2 + (2 + 3) + 2 + 3);
     }
 
     #[test]

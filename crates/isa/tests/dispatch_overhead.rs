@@ -1,5 +1,5 @@
-//! The observability hooks (semantic capture, pipeline-interval recorder,
-//! memory-system tap) must be pure observers: timing-neutral while enabled,
+//! The observability hooks (semantic capture, probe tape, pipeline-interval
+//! recorder, memory-system tap) must be pure observers: timing-neutral while enabled,
 //! and — the host-performance contract — back to the branch-predictable
 //! no-op fast path once disabled, with no residue in the model.
 
@@ -50,25 +50,29 @@ fn hooks_are_timing_neutral_and_disable_restores_the_fast_path() {
     workload(&mut plain);
     let warm_cycles = plain.cycles();
 
-    // Instrumented machine: all three hooks on.
+    // Instrumented machine: every hook on.
     let mut m = Machine::new(cfg);
     let taps = Rc::new(Cell::new(0u64));
     m.start_capture();
+    m.record_probe_tape();
     m.record_pipe_events();
     m.sys.set_tap(Box::new(CountSink(Rc::clone(&taps))));
     assert!(m.is_recording_pipe() && m.sys.has_tap());
 
     workload(&mut m);
     assert_eq!(m.cycles(), cold_cycles, "hooks must be timing-neutral while enabled");
-    let (trace, _) = m.finish_capture().expect("capture should still be on");
+    let trace = m.finish_capture().expect("capture should still be on");
     assert!(!trace.vec_events(m.vlen_elems()).is_empty(), "capture saw no vector events");
+    let tape = m.take_probe_tape().expect("tape recording should still be on");
+    assert!(!tape.levels.is_empty(), "tape saw no cache probes");
     assert!(!m.take_pipe_events().is_empty(), "pipe recorder saw no intervals");
     assert!(m.sys.take_tap().is_some(), "tap should still be installed");
     assert!(taps.get() > 0, "tap saw no accesses");
 
     // Everything disabled again: the dispatch sites must behave exactly
     // like a machine that never had hooks — same warm-cache timing.
-    assert!(m.finish_capture().is_none() && !m.is_recording_pipe() && !m.sys.has_tap());
+    assert!(m.finish_capture().is_none() && m.take_probe_tape().is_none());
+    assert!(!m.is_recording_pipe() && !m.sys.has_tap());
     m.reset_timing();
     workload(&mut m);
     assert_eq!(m.cycles(), warm_cycles, "disabling the hooks must restore the fast path");

@@ -197,12 +197,12 @@ fn every_knob_is_timing_only_and_cycle_monotone() {
                 (m, buf)
             };
             let (mut factual, buf) = run(IdealSpec::NONE);
-            let factual_trace = factual.finish_capture().expect("capture was started").0;
+            let factual_trace = factual.finish_capture().expect("capture was started");
             let mut single_cycles = Vec::new();
             for knob in IdealKnob::ALL {
                 let (mut m, _) = run(knob.spec());
                 let what = format!("{name} seed={seed:#x} +{}", knob.name());
-                let trace = m.finish_capture().expect("capture was started").0;
+                let trace = m.finish_capture().expect("capture was started");
                 assert_eq!(trace, factual_trace, "{what}: captured trace diverged");
                 assert_functional_identical(&m, &factual, buf, &what);
                 assert!(

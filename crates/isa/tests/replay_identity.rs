@@ -14,10 +14,13 @@
 //!
 //! Streams are randomized (seeded SplitMix64) over the full public op
 //! surface including phases, layer markers, predication, reductions, scalar
-//! charges and `reset_timing` segment boundaries.
+//! charges, GEMM row updates and `reset_timing` segment boundaries.
 
 use lva_isa::replay::{ProbeTape, ReplayTrace, SegmentReplay, TapeSegment};
-use lva_isa::{Buf, IdealKnob, KernelPhase, Machine, MachineConfig, PrefetchTarget, ReplayOp};
+use lva_isa::{
+    Buf, IdealKnob, KernelPhase, Machine, MachineConfig, PrefetchTarget, ReplayCursor, ReplayOp,
+    NUM_VREGS,
+};
 use lva_sim::{AccessKind, Rng};
 
 /// Working-set size in `f32` words: larger than the L1 so the stream
@@ -42,6 +45,7 @@ enum Op {
     Gather { vd: usize, idx: Vec<u32>, grouped: bool },
     Scatter { vs: usize, idx: Vec<u32>, grouped: bool },
     Fma { vd: usize, a: f32, vs: usize, vl: usize },
+    FmaRows { acc0: usize, off: usize, stride: usize, rows: usize, a: f32, vs: usize, vl: usize },
     FmaVv { vd: usize, va: usize, vb: usize, vl: usize },
     Mul { vd: usize, vs: usize, a: f32, vl: usize },
     Max { vd: usize, va: usize, vb: usize, vl: usize },
@@ -93,9 +97,20 @@ fn random_stream(rng: &mut Rng, max_vl: usize, ops: usize) -> Vec<Op> {
             }
             3 => Op::Gather { vd, idx: random_indices(rng, vl), grouped: rng.gen_bool(0.5) },
             4 => Op::Scatter { vs, idx: random_indices(rng, vl), grouped: rng.gen_bool(0.5) },
-            5 => {
+            5 if rng.gen_bool(0.5) => {
                 let vs = if vs == vd { (vs + 1) % USED_REGS } else { vs };
                 Op::Fma { vd, a: rng.next_f32_signed(), vs, vl }
+            }
+            5 => {
+                // A row update: accumulators `acc0..acc0 + rows`, the source
+                // just past them, A scalars `stride` words apart.
+                let rows = rng.gen_index(1, 17);
+                let acc0 = rng.gen_index(0, NUM_VREGS - rows + 1);
+                let stride = if rng.gen_bool(0.5) { rng.gen_index(0, 9) } else { 1 + vl };
+                let off = rng.gen_index(0, ARENA_WORDS - (rows - 1) * stride);
+                let a = if rng.gen_bool(0.5) { 1.0 } else { rng.next_f32_signed() };
+                let vs = (acc0 + rows) % NUM_VREGS;
+                Op::FmaRows { acc0, off, stride, rows, a, vs, vl }
             }
             6 => {
                 let va = (vd + 1) % USED_REGS;
@@ -179,6 +194,9 @@ fn apply(m: &mut Machine, buf: Buf, ops: &[Op]) {
             Op::Scatter { vs, idx, grouped: false } => m.vscatter(*vs, buf.addr(0), idx, idx.len()),
             Op::Scatter { vs, idx, grouped: true } => m.vscatter4(*vs, buf.addr(0), idx, idx.len()),
             Op::Fma { vd, a, vs, vl } => m.vfmacc_vf(*vd, *a, *vs, *vl),
+            &Op::FmaRows { acc0, off, stride, rows, a, vs, vl } => {
+                m.vfmacc_vf_rows(acc0, buf.addr(off), 4 * stride as u64, rows, a, vs, vl);
+            }
             Op::FmaVv { vd, va, vb, vl } => m.vfmacc_vv(*vd, *va, *vb, *vl),
             Op::Mul { vd, vs, a, vl } => m.vfmul_vf(*vd, *vs, *a, *vl),
             Op::Max { vd, va, vb, vl } => m.vfmax_vv(*vd, *va, *vb, *vl),
@@ -275,10 +293,12 @@ fn machine_with_arena(cfg: &MachineConfig, seed: u64) -> (Machine, Buf) {
 fn capture_run(cfg: &MachineConfig, seed: u64) -> (Observables, ReplayTrace, ProbeTape) {
     let (mut m, buf) = machine_with_arena(cfg, seed);
     m.start_capture();
+    m.record_probe_tape();
     let max_vl = m.vlen_elems();
     run_workload(&mut m, buf, seed, max_vl);
     let obs = observe(&m);
-    let (trace, tape) = m.finish_capture().expect("capture was started");
+    let trace = m.finish_capture().expect("capture was started");
+    let tape = m.take_probe_tape().expect("tape recording was started");
     (obs, trace, tape)
 }
 
@@ -325,8 +345,9 @@ fn tape_refit_matches_capture_bit_for_bit() {
 }
 
 /// Every generated workload records both sides of each inline/pool choice:
-/// a `whilelt` past its end next to ordinary ones, and scalar streams on
-/// both sides of the inline word limit.
+/// a `whilelt` past its end next to ordinary ones, scalar streams on both
+/// sides of the inline word limit, and pool-backed row updates with and
+/// without `alpha`.
 #[test]
 fn workloads_cover_both_sides_of_the_inline_encodings() {
     let cfg = MachineConfig::rvv_gem5(2048, 8, 1 << 20);
@@ -339,6 +360,56 @@ fn workloads_cover_both_sides_of_the_inline_encodings() {
         let streams = count(&|op| matches!(op, ReplayOp::ScalarStream { .. }));
         assert!(0 < empty && empty < whilelt, "seed {seed:#x}: {empty} of {whilelt} whilelt empty");
         assert!(0 < long && long < streams, "seed {seed:#x}: {long} of {streams} streams long");
+        let scaled = |op: &ReplayOp| match *op {
+            ReplayOp::VMaccRows { at, .. } => Some(trace.macc_rows(at).scaled),
+            _ => None,
+        };
+        let rows = count(&|op| scaled(op).is_some());
+        let alpha = count(&|op| scaled(op) == Some(true));
+        assert!(0 < alpha && alpha < rows, "seed {seed:#x}: {alpha} of {rows} row updates scaled");
+    }
+}
+
+/// A cursor stepped one `replay_step` at a time — one sub-op per step
+/// inside a row update — reproduces the batch executor over the same
+/// range, as the SoC event loop relies on.
+#[test]
+fn stepped_cursor_matches_batch_replay() {
+    for (name, cfg) in design_points() {
+        let (_, trace, _) = capture_run(&cfg, 23);
+        let batch = Machine::new(cfg.clone()).replay(&trace);
+        let rt = trace.ops.iter().position(|op| *op == ReplayOp::ResetTiming).expect("a reset");
+        let mut m = Machine::new(cfg.clone());
+        let mut steps = 0usize;
+        for (start, end) in [(0, rt), (rt + 1, trace.ops.len())] {
+            if start > 0 {
+                m.reset_timing();
+            }
+            let mut cur = ReplayCursor::new(start, end);
+            while m.replay_step(&trace, &mut cur) {
+                steps += 1;
+            }
+            assert!(cur.done(), "{name}: cursor stopped inside its range");
+        }
+        let sub_ops: Vec<usize> = trace
+            .ops
+            .iter()
+            .filter_map(|op| match *op {
+                ReplayOp::VMaccRows { at, .. } => Some(trace.macc_rows(at).sub_ops()),
+                _ => None,
+            })
+            .collect();
+        assert!(!sub_ops.is_empty(), "{name}: the workload holds no row update");
+        let single = trace.ops.len() - 1 - sub_ops.len();
+        assert_eq!(steps, single + sub_ops.iter().sum::<usize>(), "{name}: one step per sub-op");
+        let stepped = Observables {
+            cycles: m.cycles(),
+            stalls: m.stalls,
+            phases: m.phases.clone(),
+            vpu: m.stats,
+            mem: m.sys.stats(),
+        };
+        assert_eq!(stepped, observe_segment(&batch[1]), "{name}: stepped vs batch replay");
     }
 }
 

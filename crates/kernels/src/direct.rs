@@ -84,12 +84,9 @@ pub fn conv_direct_vec(m: &mut Machine, p: &ConvParams, input: &Tensor, weights:
                                 } else {
                                     m.vlse(VT, src, 4 * p.stride as u64, gvl);
                                 }
-                                for o in 0..ob {
-                                    let w = m.scalar_read(
-                                        weights.addr((oc0 + o) * kk + (ci * p.k + ky) * p.k + kx),
-                                    );
-                                    m.vfmacc_vf(VACC0 + o, w, VT, gvl);
-                                }
+                                // One row update over the output channels.
+                                let w0 = weights.addr(oc0 * kk + (ci * p.k + ky) * p.k + kx);
+                                m.vfmacc_vf_rows(VACC0, w0, 4 * kk as u64, ob, 1.0, VT, gvl);
                             }
                         }
                     }

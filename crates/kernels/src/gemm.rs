@@ -203,22 +203,18 @@ pub fn gemm_opt3(
                 for k in 0..kk {
                     m.charge_scalar_ops(1); // k-loop bookkeeping
                     m.vle(VB, b.addr(k * nn + j), gvl);
-                    for r in 0..u {
-                        let mut a_val = m.scalar_read(a.addr((i + r) * kk + k));
-                        if alpha != 1.0 {
-                            // "if ALPHA=1 then skip multiplication" (Fig. 2).
-                            a_val *= alpha;
-                            m.charge_scalar_flops(1);
-                        }
-                        if r < AVAIL_ACC {
-                            m.vfmacc_vf(VACC0 + r, a_val, VB, gvl);
-                        } else {
-                            // Register spill: the surplus row lives in memory.
-                            m.note_spill();
-                            m.vle(VTMP, c.addr((i + r) * nn + j), gvl);
-                            m.vfmacc_vf(VTMP, a_val, VB, gvl);
-                            m.vse(VTMP, c.addr((i + r) * nn + j), gvl);
-                        }
+                    // The unrolled row update (Fig. 2 ll. 9-11) is one
+                    // machine op; it skips the multiplication when
+                    // ALPHA=1, as Fig. 2 does.
+                    let a_col = a.addr(i * kk + k);
+                    m.vfmacc_vf_rows(VACC0, a_col, 4 * kk as u64, in_regs, alpha, VB, gvl);
+                    for r in in_regs..u {
+                        // Register spill: the surplus row lives in memory.
+                        let a_val = spill_scalar(m, a.addr((i + r) * kk + k), alpha);
+                        m.note_spill();
+                        m.vle(VTMP, c.addr((i + r) * nn + j), gvl);
+                        m.vfmacc_vf(VTMP, a_val, VB, gvl);
+                        m.vse(VTMP, c.addr((i + r) * nn + j), gvl);
                     }
                 }
                 // Store C rows (Fig. 2 line 13).
@@ -315,20 +311,17 @@ pub fn gemm_opt6(
                                     );
                                 }
                                 m.vle(VB, ws.b_pack.addr(k * nb + j), gvl);
-                                for r in 0..u {
-                                    let mut a_val = m.scalar_read(ws.a_pack.addr((i + r) * kb + k));
-                                    if alpha != 1.0 {
-                                        a_val *= alpha;
-                                        m.charge_scalar_flops(1);
-                                    }
-                                    if r < AVAIL_ACC {
-                                        m.vfmacc_vf(VACC0 + r, a_val, VB, gvl);
-                                    } else {
-                                        m.note_spill();
-                                        m.vle(VTMP, c.addr((i1 + i + r) * nn + j1 + j), gvl);
-                                        m.vfmacc_vf(VTMP, a_val, VB, gvl);
-                                        m.vse(VTMP, c.addr((i1 + i + r) * nn + j1 + j), gvl);
-                                    }
+                                let a_col = ws.a_pack.addr(i * kb + k);
+                                let a_stride = 4 * kb as u64;
+                                m.vfmacc_vf_rows(VACC0, a_col, a_stride, in_regs, alpha, VB, gvl);
+                                for r in in_regs..u {
+                                    let a_pack = ws.a_pack.addr((i + r) * kb + k);
+                                    let a_val = spill_scalar(m, a_pack, alpha);
+                                    let c_row = c.addr((i1 + i + r) * nn + j1 + j);
+                                    m.note_spill();
+                                    m.vle(VTMP, c_row, gvl);
+                                    m.vfmacc_vf(VTMP, a_val, VB, gvl);
+                                    m.vse(VTMP, c_row, gvl);
                                 }
                             }
                             // Store C (line 23).
@@ -346,6 +339,18 @@ pub fn gemm_opt6(
         }
         j1 += nb;
     }
+}
+
+/// The A scalar of a spilled row (`r >= AVAIL_ACC`, past the row update),
+/// scaled by `alpha` unless it is 1, with the same charges the row update
+/// makes per row.
+fn spill_scalar(m: &mut Machine, addr: u64, alpha: f32) -> f32 {
+    let a_val = m.scalar_read(addr);
+    if alpha == 1.0 {
+        return a_val;
+    }
+    m.charge_scalar_flops(1);
+    a_val * alpha
 }
 
 /// Vectorized row copy used by the packing steps (`vle` + `vse` per chunk).

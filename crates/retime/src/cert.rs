@@ -67,7 +67,7 @@ impl CertGate {
             let sweep = sweep_configs();
             let mut failed: Vec<String> = Vec::new();
             for case in &self.cases {
-                let (cert, _findings) = certify_kernel(case, &sweep);
+                let (cert, ..) = certify_kernel(case, &sweep);
                 if !cert.certified {
                     failed.push(format!("{}[{}]", cert.kernel, cert.shape));
                 }

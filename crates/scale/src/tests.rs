@@ -128,6 +128,12 @@ fn batched_scheduler_matches_the_op_at_a_time_reference() {
     // Eight layers, so an eight-stage pipeline has one layer per stage.
     let exp = experiment(8);
     let cap = exp.run_traced();
+    // The opt3 GEMM records row updates, which the loops step one sub-op
+    // at a time.
+    assert!(
+        cap.trace.ops.iter().any(|op| matches!(op, ReplayOp::VMaccRows { .. })),
+        "the capture holds no row update"
+    );
     for sharding in Sharding::ALL {
         for n in [1usize, 2, 3, 4, 8] {
             for infinite in [false, true] {
