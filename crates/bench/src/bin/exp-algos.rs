@@ -15,17 +15,8 @@ use lva_kernels::{conv_direct_vec, conv_im2col_gemm, ConvParams};
 use lva_tensor::{Matrix, Shape, Tensor};
 use lva_winograd::{winograd_conv_vla, WinogradPlan};
 
-fn machine_for(p: &ConvParams) -> Machine {
-    let (mm, nn, kk) = p.gemm_mnk();
-    let mut cfg = MachineConfig::a64fx();
-    cfg.arena_mib = ((p.in_c * p.in_h * p.in_w + mm * kk * 9 + kk * nn + mm * nn) * 8 / (1 << 20)
-        + 64)
-        .max(128);
-    Machine::new(cfg)
-}
-
 fn gemm_cycles(p: &ConvParams) -> u64 {
-    let mut m = machine_for(p);
+    let mut m = Machine::new(MachineConfig::a64fx());
     let img = Tensor::random(&mut m, Shape::new(p.in_c, p.in_h, p.in_w), 1);
     let (mm, nn, kk) = p.gemm_mnk();
     let w = Matrix::random(&mut m, mm, kk, 2);
@@ -38,7 +29,7 @@ fn gemm_cycles(p: &ConvParams) -> u64 {
 }
 
 fn direct_cycles(p: &ConvParams) -> u64 {
-    let mut m = machine_for(p);
+    let mut m = Machine::new(MachineConfig::a64fx());
     let img = Tensor::random(&mut m, Shape::new(p.in_c, p.in_h, p.in_w), 1);
     let (mm, nn, kk) = p.gemm_mnk();
     let w = Matrix::random(&mut m, mm, kk, 2);
@@ -52,7 +43,7 @@ fn winograd_cycles(p: &ConvParams) -> Option<u64> {
     if p.k != 3 {
         return None;
     }
-    let mut m = machine_for(p);
+    let mut m = Machine::new(MachineConfig::a64fx());
     let img = Tensor::random(&mut m, Shape::new(p.in_c, p.in_h, p.in_w), 1);
     let (mm, nn, kk) = p.gemm_mnk();
     let w = Matrix::random(&mut m, mm, kk, 2);
@@ -66,13 +57,7 @@ fn winograd_cycles(p: &ConvParams) -> Option<u64> {
 /// FFT convolution runs on the SVE-style profile (gathers); report it on
 /// the same A64FX machine.
 fn fft_cycles(p: &ConvParams) -> u64 {
-    let grid = lva_fft::host::fft_grid(p);
-    let planes = 2 * (p.in_c + p.out_c * p.in_c + 2) * grid * grid;
-    let mut cfg = lva_core::MachineConfig::a64fx();
-    cfg.arena_mib =
-        ((p.in_c * p.in_h * p.in_w + p.out_c * p.in_c * p.k * p.k + planes) * 8 / (1 << 20) + 64)
-            .max(128);
-    let mut m = Machine::new(cfg);
+    let mut m = Machine::new(MachineConfig::a64fx());
     let img = Tensor::random(&mut m, Shape::new(p.in_c, p.in_h, p.in_w), 1);
     let (mm, nn, kk) = p.gemm_mnk();
     let w = Matrix::random(&mut m, mm, kk, 2);

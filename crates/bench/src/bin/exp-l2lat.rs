@@ -7,7 +7,6 @@
 use lva_bench::*;
 use lva_core::MachineConfig;
 use lva_isa::Machine;
-use lva_nn::network::estimate_arena_words;
 use lva_nn::Network;
 use lva_sim::{l2_latency_cycles, LatencyModel};
 use lva_tensor::host_random;
@@ -26,7 +25,6 @@ fn run_with_latency(
     };
     let mut cfg = MachineConfig::rvv_gem5(vlen, 8, l2);
     cfg.mem.l2.hit_latency = l2_latency_cycles(l2, model);
-    cfg.arena_mib = (estimate_arena_words(&specs, shape, &policy) * 4 / (1 << 20) + 32).max(64);
     let mut m = Machine::new(cfg);
     let mut net = Network::build(&mut m, &specs, shape, policy, 42);
     m.reset_timing();

@@ -49,10 +49,7 @@ fn main() {
         let hw = (hw / opts.div).max(k);
         let p = ConvParams { in_c: ic, in_h: hw, in_w: hw, out_c: oc, k, stride, pad: k / 2 };
         let (mm, nn, kk) = p.gemm_mnk();
-        let mut cfg = MachineConfig::a64fx();
-        cfg.arena_mib =
-            ((ic * hw * hw + mm * kk + kk * nn + mm * nn) * 8 / (1 << 20) + 64).max(128);
-        let mut m = Machine::new(cfg.clone());
+        let mut m = Machine::new(MachineConfig::a64fx());
         let img = Tensor::random(&mut m, Shape::new(ic, hw, hw), 3);
         let w = Matrix::random(&mut m, mm, kk, 4);
         let col = m.mem.alloc(p.workspace_words().max(1));
@@ -61,7 +58,7 @@ fn main() {
         m.reset_timing();
         conv_im2col_gemm(&mut m, GemmVariant::opt6(), &p, &img, w.buf, col, out, Some(&ws));
         let cycles = m.cycles();
-        let pct = 100.0 * fraction_of_peak(&cfg, p.flops(), cycles);
+        let pct = 100.0 * fraction_of_peak(m.config(), p.flops(), cycles);
         eprintln!(
             ".. {label}: M={mm} N={nn} K={kk} -> {} cycles, {pct:.0}% peak",
             fmt_cycles(cycles)

@@ -147,7 +147,7 @@ impl Opts {
                 "--help" | "-h" => return Err(CliError::Help),
                 other if tool => return Err(CliError::Usage(format!("unknown option {other}"))),
                 "--div" => opts.div = integer(&mut args, "--div", 1)?,
-                "--layers" => opts.layers = Some(integer(&mut args, "--layers", 0)?),
+                "--layers" => opts.layers = Some(integer(&mut args, "--layers", 1)?),
                 "--no-csv" => opts.csv = false,
                 "--csv" => opts.csv = true,
                 "--no-json" => opts.json = false,
@@ -165,7 +165,7 @@ impl Opts {
 /// The `--help` text of an experiment binary.
 fn usage(default_div: usize, what: &str) -> String {
     format!(
-        "{what}\n\nOptions:\n  --div N      input down-scale divisor (default {default_div}; 1 = paper size)\n  --layers N   layer prefix override\n  --csv/--no-csv  write results/<exp>.csv (default on)\n  --json       also write results/<exp>.json (machine-readable)\n  --profile    tap the cache hierarchy: reuse-distance histograms, 3C\n               miss classes, capacity curves (in the JSON output)\n  --chrome FILE  write a Chrome trace-event timeline (Perfetto) to FILE\n  --trace FILE stream JSONL telemetry spans to FILE\n  --jobs N     run independent design points on N threads (0 = all cores;\n               results and reports are identical to --jobs 1)\n  --wallclock  self-benchmark: time the sweep serial vs --jobs (median of\n               3 each) and write BENCH_sim_wallclock.json\n  --with-energy  attach the lva-energy attribution (per-layer\n               joules, EDP, energy roofline) to the JSON reports"
+        "{what}\n\nOptions:\n  --div N      input down-scale divisor (default {default_div}; 1 = paper size)\n  --layers N   layer prefix override (at least 1)\n  --csv/--no-csv  write results/<exp>.csv (default on)\n  --json       also write results/<exp>.json (machine-readable)\n  --profile    tap the cache hierarchy: reuse-distance histograms, 3C\n               miss classes, capacity curves (in the JSON output)\n  --chrome FILE  write a Chrome trace-event timeline (Perfetto) to FILE\n  --trace FILE stream JSONL telemetry spans to FILE\n  --jobs N     run independent design points on N threads (0 = all cores;\n               results and reports are identical to --jobs 1)\n  --wallclock  self-benchmark: time the sweep serial vs --jobs (median of\n               3 each) and write BENCH_sim_wallclock.json\n  --with-energy  attach the lva-energy attribution (per-layer\n               joules, EDP, energy roofline) to the JSON reports"
     )
 }
 
@@ -216,9 +216,9 @@ mod tests {
 
     #[test]
     fn well_formed_flags_parse() {
-        let o = Opts::try_parse(4, args("--div 8 --layers 0 --no-csv --jobs 3"))
+        let o = Opts::try_parse(4, args("--div 8 --layers 1 --no-csv --jobs 3"))
             .expect("valid command line");
-        assert_eq!((o.div, o.layers, o.csv, o.jobs), (8, Some(0), false, 3));
+        assert_eq!((o.div, o.layers, o.csv, o.jobs), (8, Some(1), false, 3));
         assert_eq!(Opts::try_parse(4, args("")).expect("defaults").div, 4);
         assert_eq!(Opts::try_parse_tool(args("--jobs 2 --json")).expect("tool subset").jobs, 2);
         assert_eq!(Opts::try_parse(4, args("-h")).unwrap_err(), CliError::Help);
@@ -233,6 +233,7 @@ mod tests {
             ("--div x", "--div"),
             ("--jobs", "--jobs"),
             ("--layers -1", "--layers"),
+            ("--layers 0", "--layers"),
             ("--chrome", "--chrome"),
             (trace, "--trace"),
             ("--bogus", "--bogus"),

@@ -1,7 +1,7 @@
 //! Experiment definition and execution.
 
 use lva_isa::{IdealSpec, Machine, MachineConfig, ProbeTape, ReplayTrace, SegmentReplay};
-use lva_nn::network::{estimate_arena_words, LayerReport, Network};
+use lva_nn::network::{LayerReport, Network};
 use lva_nn::{ConvPolicy, ModelId, NetReport};
 use lva_tensor::host_random;
 use std::sync::Arc;
@@ -19,7 +19,7 @@ pub enum HwTarget {
 }
 
 impl HwTarget {
-    /// Build the machine configuration (arena capacity set separately).
+    /// Build the machine configuration.
     pub fn machine_config(&self) -> MachineConfig {
         match *self {
             HwTarget::RvvGem5 { vlen_bits, lanes, l2_bytes } => {
@@ -245,11 +245,7 @@ impl Experiment {
             Some(n) => specs[..n.min(specs.len())].to_vec(),
             None => specs,
         };
-        let mut cfg = self.hw.machine_config();
-        cfg.ideal = self.ideal;
-        let words = estimate_arena_words(&specs, shape, &self.policy);
-        cfg.arena_mib = (words * 4 / (1 << 20) + 32).max(64);
-        let mut m = Machine::new(cfg);
+        let mut m = self.machine();
         if capture {
             // Capture from the very first op so replay reproduces the cache
             // state the measured segment starts from (setup warms the
@@ -407,13 +403,12 @@ impl Experiment {
         }
     }
 
-    /// A machine for re-timing a captured stream at this experiment's
-    /// configuration. Replay never executes functionally, so the arena is
-    /// kept at the minimum the allocator accepts.
-    fn replay_machine(&self) -> Machine {
+    /// A fresh machine at this experiment's design point: the hardware
+    /// configuration under its idealization. Runs build the network on it;
+    /// replays re-time captures on it.
+    pub fn machine(&self) -> Machine {
         let mut cfg = self.hw.machine_config();
         cfg.ideal = self.ideal;
-        cfg.arena_mib = 1;
         Machine::new(cfg)
     }
 
@@ -435,7 +430,7 @@ impl Experiment {
         cap: &CapturedRun,
         record_tape: bool,
     ) -> (StreamSummary, Option<ProbeTape>) {
-        let mut m = self.replay_machine();
+        let mut m = self.machine();
         if record_tape {
             m.record_probe_tape();
         }
@@ -462,7 +457,7 @@ impl Experiment {
         cap: &CapturedRun,
         tape: &Arc<ProbeTape>,
     ) -> Result<StreamSummary, String> {
-        let mut m = self.replay_machine();
+        let mut m = self.machine();
         m.play_probe_tape(Arc::clone(tape))?;
         let segs = m.replay(&cap.trace);
         Ok(Self::reconstruct(cap, segs))

@@ -161,8 +161,6 @@ pub struct MachineConfig {
     pub core: CoreConfig,
     pub vpu: VpuConfig,
     pub mem: MemSystemConfig,
-    /// Simulated memory arena capacity in MiB.
-    pub arena_mib: usize,
     /// Counterfactual idealization knobs (`lva-whatif`). Timing-only; with
     /// the default [`IdealSpec::NONE`] the machine is bit-identical to one
     /// built before this field existed.
@@ -214,7 +212,6 @@ impl MachineConfig {
                 hw_prefetch: None,
                 sw_prefetch_effective: false,
             },
-            arena_mib: 512,
             ideal: IdealSpec::NONE,
         };
         cfg.validate();
@@ -272,7 +269,6 @@ impl MachineConfig {
                 hw_prefetch: None,
                 sw_prefetch_effective: false,
             },
-            arena_mib: 512,
             ideal: IdealSpec::NONE,
         };
         cfg.validate();
@@ -323,7 +319,6 @@ impl MachineConfig {
                 hw_prefetch: Some(StridePrefetcherConfig { streams: 8, degree: 6, confidence: 2 }),
                 sw_prefetch_effective: true,
             },
-            arena_mib: 512,
             ideal: IdealSpec::NONE,
         };
         cfg.validate();

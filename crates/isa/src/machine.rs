@@ -147,7 +147,7 @@ impl Machine {
         let mut sys = MemSystem::new(cfg.mem.clone());
         sys.set_ideal(cfg.ideal);
         Machine {
-            mem: Memory::with_mib(cfg.arena_mib),
+            mem: Memory::new(),
             sys,
             regs: vec![0.0; NUM_VREGS * vlen_elems],
             vlen_elems,

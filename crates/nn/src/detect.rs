@@ -212,7 +212,7 @@ mod tests {
         // boxes and survive NMS.
         use crate::layer::LayerSpec;
         use crate::models::yolov3_tiny;
-        use crate::network::{estimate_arena_words, Network};
+        use crate::network::Network;
         use crate::ConvPolicy;
         use lva_isa::{Machine, MachineConfig};
         use lva_kernels::GemmVariant;
@@ -220,9 +220,7 @@ mod tests {
 
         let (specs, shape) = yolov3_tiny(96);
         let policy = ConvPolicy::gemm_only(GemmVariant::opt3());
-        let mut cfg = MachineConfig::rvv_gem5(2048, 8, 1 << 20);
-        cfg.arena_mib = (estimate_arena_words(&specs, shape, &policy) * 4 / (1 << 20) + 32).max(64);
-        let mut m = Machine::new(cfg);
+        let mut m = Machine::new(MachineConfig::rvv_gem5(2048, 8, 1 << 20));
         let mut net = Network::build(&mut m, &specs, shape, policy, 11);
         let image = host_random(shape.len(), 5);
         let rep = net.run(&mut m, &image);

@@ -253,8 +253,8 @@ pub fn check_shapes(specs: &[LayerSpec], input: Shape) -> Result<Vec<Shape>, Str
     Ok(shapes)
 }
 
-/// All convolutional layers' geometry (used for Table IV, scratch sizing
-/// and arena estimation).
+/// All convolutional layers' geometry (used for Table IV and scratch
+/// sizing).
 pub fn conv_params_list(specs: &[LayerSpec], input: Shape) -> Vec<(usize, ConvParams)> {
     let shapes = walk_shapes(specs, input);
     specs
@@ -279,63 +279,6 @@ pub fn conv_params_list(specs: &[LayerSpec], input: Shape) -> Vec<(usize, ConvPa
             _ => None,
         })
         .collect()
-}
-
-/// Estimate of the arena words a network build needs, with slack. Used to
-/// size the simulated memory before constructing the [`Machine`].
-pub fn estimate_arena_words(specs: &[LayerSpec], input: Shape, policy: &ConvPolicy) -> usize {
-    let shapes = walk_shapes(specs, input);
-    let mut words = input.len();
-    // Layer outputs.
-    words += shapes.iter().map(Shape::len).sum::<usize>();
-    let convs = conv_params_list(specs, input);
-    let mut wino_layers: Vec<ConvParams> = Vec::new();
-    let mut max_ws = 0usize;
-    for (_, p) in &convs {
-        let (_, _, kk) = p.gemm_mnk();
-        words += p.out_c * kk + 4 * p.out_c; // weights + bias/bn
-        match policy.select(p) {
-            ConvAlgo::Winograd => wino_layers.push(*p),
-            ConvAlgo::Im2colGemm => max_ws = max_ws.max(p.workspace_words()),
-            ConvAlgo::Direct => {}
-        }
-    }
-    words += max_ws;
-    if let GemmVariant::Opt6 { blocks, .. } = policy.gemm {
-        words += blocks.workspace_words();
-    }
-    // Winograd shared scratch maxima.
-    let mut u = 0usize;
-    let mut pad = 0usize;
-    let mut dense = 0usize;
-    let mut vm = 0usize;
-    for p in &wino_layers {
-        let s1 = ConvParams { stride: 1, ..*p };
-        let (oh1, ow1) = s1.out_hw();
-        let (ty, tx) = (oh1.div_ceil(6), ow1.div_ceil(6));
-        u = u.max(p.out_c * (p.in_c * 64 + 64));
-        pad = pad.max(p.in_c * (ty * 6 + 2) * (tx * 6 + 2));
-        vm = vm.max(ty * tx * (p.in_c + p.out_c) * 64);
-        if p.stride == 2 {
-            dense = dense.max(p.out_c * oh1 * ow1);
-        }
-    }
-    words += u + pad + dense + vm + 64 * 64;
-    // FC and depthwise weights.
-    for (i, spec) in specs.iter().enumerate() {
-        let prev = if i == 0 { input } else { shapes[i - 1] };
-        match spec {
-            LayerSpec::Connected { outputs, .. } => {
-                words += outputs * prev.len() + 2 * outputs;
-            }
-            LayerSpec::Depthwise { size, .. } => {
-                words += prev.c * size * size + 4 * prev.c;
-            }
-            _ => {}
-        }
-    }
-    // Alignment padding + slack.
-    words + words / 8 + (specs.len() + 8) * 64
 }
 
 impl Network {
@@ -697,14 +640,11 @@ mod tests {
         vlen: usize,
         sve: bool,
     ) -> (NetReport, Vec<f32>) {
-        let mut cfg = if sve {
+        let mut m = Machine::new(if sve {
             MachineConfig::sve_gem5(vlen, 1 << 20)
         } else {
             MachineConfig::rvv_gem5(vlen, 8, 1 << 20)
-        };
-        cfg.arena_mib =
-            (estimate_arena_words(specs, input_shape, &policy) * 4 / (1 << 20) + 16).max(32);
-        let mut m = Machine::new(cfg);
+        });
         let mut net = Network::build(&mut m, specs, input_shape, policy, 7);
         m.reset_timing();
         let image = host_random(input_shape.len(), 99);

@@ -540,10 +540,8 @@ fn run_soc_with(exp: &Experiment, cap: &CapturedRun, cfg: &SocConfig, loops: &Lo
     let frame = (rt + 1, trace.ops.len());
 
     // One shared L2 + DRAM port, same geometry the private L2 would have.
-    let mut mc = exp.hw.machine_config();
-    mc.ideal = exp.ideal;
-    mc.arena_mib = 1; // replay is timing-only; no functional arena needed
-    let mut port_cfg = SharedPortConfig::for_line_bytes(cfg.n_cores, mc.mem.l2.clone());
+    let mut port_cfg =
+        SharedPortConfig::for_line_bytes(cfg.n_cores, exp.hw.machine_config().mem.l2);
     port_cfg.infinite_bw = cfg.infinite_shared_bw;
     let profile = ProfileHandle::new(port_cfg.l2.sets(), port_cfg.l2.assoc);
     let mut port = SharedPort::new(port_cfg);
@@ -552,7 +550,7 @@ fn run_soc_with(exp: &Experiment, cap: &CapturedRun, cfg: &SocConfig, loops: &Lo
 
     let mut cores: Vec<CoreState> = (0..cfg.n_cores)
         .map(|c| {
-            let mut m = Machine::new(mc.clone());
+            let mut m = exp.machine();
             m.sys.attach_shared_port(Rc::clone(&port), c);
             CoreState {
                 m,

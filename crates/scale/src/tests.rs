@@ -284,10 +284,7 @@ fn one_core_batch_is_bit_identical_to_the_single_core_simulator() {
     assert_eq!(soc.port.waits, vec![0]);
 
     // Reference: single-core live replay of the same capture, private L2.
-    let mut mc = exp.hw.machine_config();
-    mc.ideal = exp.ideal;
-    mc.arena_mib = 1;
-    let mut m = Machine::new(mc);
+    let mut m = exp.machine();
     let segs = m.replay(&cap.trace);
     let seg = segs.last().expect("measured segment");
     assert_eq!(core.cycles, seg.cycles);

@@ -13,6 +13,14 @@ pub const ARENA_BASE: u64 = 0x0001_0000;
 /// Alignment of every allocation, in `f32` words (64 B = one typical line).
 pub const ALLOC_ALIGN_WORDS: usize = 16;
 
+/// Words the arena reserves before its first allocation (64 MiB). glibc
+/// maps a block this large on its own (it is above the 32 MiB ceiling of
+/// the dynamic mmap threshold), so pages no allocation touches cost no
+/// resident memory, and growth past the reservation is a remap rather than
+/// a copy. An arena grown from empty instead copies itself at every
+/// doubling, which raised the host benchmark's peak memory by up to 9%.
+const RESERVE_WORDS: usize = 16 << 20;
+
 /// A handle to a contiguous buffer of `f32` words inside a [`Memory`] arena.
 ///
 /// `Buf` is `Copy` and carries no lifetime; it is validated against the arena
@@ -82,9 +90,11 @@ impl AllocRecord {
 /// All tensors, packed matrices, and scratch buffers used by the simulated
 /// kernels live here. Allocation is a bump pointer: the CNN inference working
 /// set is allocated once per network and reused across layers, exactly like
-/// Darknet's `workspace` buffer.
+/// Darknet's `workspace` buffer. The arena grows with the bump pointer, so
+/// nothing sizes it in advance; addresses depend on the bump pointer alone.
 #[derive(Debug)]
 pub struct Memory {
+    /// Backing words: at least `next` of them (more after a `reset`).
     data: Vec<f32>,
     /// Next free word offset.
     next: usize,
@@ -92,22 +102,20 @@ pub struct Memory {
     allocs: Vec<AllocRecord>,
 }
 
-impl Memory {
-    /// Create an arena able to hold `capacity_words` `f32` elements.
-    pub fn new(capacity_words: usize) -> Self {
-        Memory { data: vec![0.0; capacity_words], next: 0, allocs: Vec::new() }
+impl Default for Memory {
+    fn default() -> Self {
+        Self::new()
     }
+}
 
-    /// Create an arena sized in mebibytes.
-    pub fn with_mib(mib: usize) -> Self {
-        Self::new(mib * 1024 * 1024 / 4)
+impl Memory {
+    /// An empty arena that grows on demand.
+    pub fn new() -> Self {
+        Memory { data: Vec::with_capacity(RESERVE_WORDS), next: 0, allocs: Vec::new() }
     }
 
     /// Allocate a zero-initialised buffer of `words` elements with an
     /// auto-generated label (`"buf{n}"`).
-    ///
-    /// # Panics
-    /// Panics if the arena is exhausted; size the arena for the workload.
     pub fn alloc(&mut self, words: usize) -> Buf {
         let label = format!("buf{}", self.allocs.len());
         self.alloc_named(&label, words)
@@ -115,24 +123,15 @@ impl Memory {
 
     /// Allocate a zero-initialised buffer of `words` elements, registered
     /// under `label` so that diagnostics can name it.
-    ///
-    /// # Panics
-    /// Panics if the arena is exhausted; size the arena for the workload.
     pub fn alloc_named(&mut self, label: &str, words: usize) -> Buf {
         let base_word = self.next;
-        let padded = words.div_ceil(ALLOC_ALIGN_WORDS) * ALLOC_ALIGN_WORDS;
-        assert!(
-            base_word + padded <= self.data.len(),
-            "simulated memory exhausted: requested {} words, {} of {} in use",
-            words,
-            self.next,
-            self.data.len()
-        );
-        self.next += padded;
-        // Bump allocation over a zeroed arena: fresh region, already zero
-        // unless `reset` reused it.
-        for w in &mut self.data[base_word..base_word + words] {
-            *w = 0.0;
+        self.next += words.div_ceil(ALLOC_ALIGN_WORDS) * ALLOC_ALIGN_WORDS;
+        // Words below the backing length are memory reused after `reset`;
+        // the words growth adds are zero already. Each is zeroed once.
+        let reused = self.data.len().min(base_word + words);
+        self.data[base_word..reused].fill(0.0);
+        if self.data.len() < self.next {
+            self.data.resize(self.next, 0.0);
         }
         let buf = Buf { base: ARENA_BASE + 4 * base_word as u64, words };
         self.allocs.push(AllocRecord { label: label.to_string(), buf });
@@ -200,11 +199,6 @@ impl Memory {
     /// Words currently allocated.
     pub fn used_words(&self) -> usize {
         self.next
-    }
-
-    /// Total capacity in words.
-    pub fn capacity_words(&self) -> usize {
-        self.data.len()
     }
 
     #[inline]
@@ -295,7 +289,7 @@ mod tests {
 
     #[test]
     fn alloc_is_line_aligned_and_disjoint() {
-        let mut m = Memory::new(1024);
+        let mut m = Memory::new();
         let a = m.alloc(5);
         let b = m.alloc(17);
         assert_eq!(a.base % 64, 0);
@@ -305,7 +299,7 @@ mod tests {
 
     #[test]
     fn alloc_zeroes_after_reset_reuse() {
-        let mut m = Memory::new(64);
+        let mut m = Memory::new();
         let a = m.alloc(8);
         m.slice_mut(a).fill(3.0);
         m.reset();
@@ -315,7 +309,7 @@ mod tests {
 
     #[test]
     fn read_write_roundtrip() {
-        let mut m = Memory::new(256);
+        let mut m = Memory::new();
         let a = m.alloc(10);
         m.write(a, 3, 1.5);
         assert_eq!(m.read(a, 3), 1.5);
@@ -326,7 +320,7 @@ mod tests {
 
     #[test]
     fn sub_buffer_addresses() {
-        let mut m = Memory::new(256);
+        let mut m = Memory::new();
         let a = m.alloc(64);
         let s = a.slice(16, 8);
         assert_eq!(s.base, a.base + 64);
@@ -337,7 +331,7 @@ mod tests {
 
     #[test]
     fn slice_mut2_disjoint_both_orders() {
-        let mut m = Memory::new(256);
+        let mut m = Memory::new();
         let a = m.alloc(16);
         let b = m.alloc(16);
         {
@@ -351,17 +345,38 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "memory exhausted")]
-    fn exhaustion_panics() {
-        let mut m = Memory::new(16);
-        let _ = m.alloc(8);
-        let _ = m.alloc(16);
+    fn arena_grows_past_its_reservation() {
+        let mut m = Memory::new();
+        let a = m.alloc_named("first", 5);
+        m.slice_mut(a).fill(1.0);
+        let big = m.alloc_named("big", RESERVE_WORDS);
+        let last = m.alloc_named("last", 7);
+        assert!(m.used_words() > RESERVE_WORDS, "the allocations straddle the reservation");
+        assert_eq!(a.base, ARENA_BASE);
+        assert_eq!(m.find_alloc(a.base).unwrap().buf, a);
+        assert!(m.slice(a).iter().all(|&w| w == 1.0), "growth keeps earlier data");
+        for b in [big, last] {
+            assert_eq!(b.base % 64, 0);
+            assert!(m.slice(b).iter().all(|&w| w == 0.0));
+        }
+        assert!(a.base + a.bytes() as u64 <= big.base);
+        assert!(big.base + big.bytes() as u64 <= last.base);
+        let end = ARENA_BASE + 4 * m.used_words() as u64;
+        assert!(m.check_range(last.base, end).is_ok());
+        let err = m.check_range(end, end + 4).unwrap_err();
+        assert!(err.contains("last"), "error must name the last buffer: {err}");
+
+        m.slice_mut(big).fill(2.0);
+        m.reset();
+        // Reuses every word allocated so far, then grows again.
+        let again = m.alloc(RESERVE_WORDS + 64);
+        assert!(m.slice(again).iter().all(|&w| w == 0.0), "reused words are zeroed");
     }
 
     #[test]
     #[should_panic(expected = "overlapping")]
     fn slice_mut2_overlap_panics() {
-        let mut m = Memory::new(256);
+        let mut m = Memory::new();
         let a = m.alloc(32);
         let sub = a.slice(8, 8);
         let _ = m.slice_mut2(a, sub);
@@ -369,7 +384,7 @@ mod tests {
 
     #[test]
     fn named_allocs_are_registered_and_found() {
-        let mut m = Memory::new(1024);
+        let mut m = Memory::new();
         let a = m.alloc_named("weights", 10);
         let b = m.alloc(5);
         assert_eq!(m.allocs().len(), 2);
@@ -385,7 +400,7 @@ mod tests {
 
     #[test]
     fn check_range_accepts_allocated_and_names_culprit() {
-        let mut m = Memory::new(1024);
+        let mut m = Memory::new();
         let a = m.alloc_named("im2col", 32);
         assert!(m.check_range(a.base, a.base + a.bytes() as u64).is_ok());
         // Padding within the allocated bump region is coarse-OK.
@@ -397,7 +412,7 @@ mod tests {
 
     #[test]
     fn reset_rewinds_the_allocator() {
-        let mut m = Memory::new(1024);
+        let mut m = Memory::new();
         let a = m.alloc(100);
         m.slice_mut(a).fill(1.0);
         m.reset();

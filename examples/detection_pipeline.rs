@@ -7,7 +7,6 @@
 //! cargo run --release --example detection_pipeline
 //! ```
 
-use longvec_cnn::nn::network::estimate_arena_words;
 use longvec_cnn::nn::{decode_yolo_head, nms, yolov3_tiny, LayerSpec, YOLOV3_ANCHORS};
 use longvec_cnn::prelude::*;
 
@@ -15,9 +14,7 @@ fn main() {
     let input_hw = 160;
     let (specs, shape) = yolov3_tiny(input_hw);
     let policy = ConvPolicy::gemm_only(GemmVariant::opt3());
-    let mut cfg = MachineConfig::rvv_gem5(4096, 8, 1 << 20);
-    cfg.arena_mib = (estimate_arena_words(&specs, shape, &policy) * 4 / (1 << 20) + 32).max(64);
-    let mut machine = Machine::new(cfg);
+    let mut machine = Machine::new(MachineConfig::rvv_gem5(4096, 8, 1 << 20));
     let mut net = Network::build(&mut machine, &specs, shape, policy, 42);
     machine.reset_timing();
 

@@ -5,7 +5,6 @@
 //! cargo run --release --example yolo_tiny_inference
 //! ```
 
-use longvec_cnn::nn::network::estimate_arena_words;
 use longvec_cnn::nn::yolov3_tiny;
 use longvec_cnn::prelude::*;
 
@@ -13,9 +12,7 @@ fn main() {
     let (specs, shape) = yolov3_tiny(160);
     let policy = ConvPolicy::gemm_only(GemmVariant::opt3());
 
-    let mut cfg = MachineConfig::rvv_gem5(4096, 8, 1 << 20);
-    cfg.arena_mib = (estimate_arena_words(&specs, shape, &policy) * 4 / (1 << 20) + 32).max(64);
-    let mut machine = Machine::new(cfg);
+    let mut machine = Machine::new(MachineConfig::rvv_gem5(4096, 8, 1 << 20));
 
     let mut net = Network::build(&mut machine, &specs, shape, policy, 42);
     machine.reset_timing(); // exclude setup, as the paper does

@@ -35,7 +35,10 @@ USAGE:
   lva export-cfg --model M [-o FILE]
 
 DEFAULTS: --model yolov3-tiny --platform rvv --vlen 2048 --lanes 8 --l2 1
-          --gemm opt3 --div 4"
+          --gemm opt3 --div 4 --frames 1; every layer unless --layers N
+
+--div, --layers and --frames take N >= 1. sweep exits 2 on an axis the
+platform fixes (lanes on sve; every axis on a64fx)."
     );
     exit(2)
 }
@@ -138,13 +141,15 @@ fn parse_args(args: &[String]) -> Cli {
                 cli.div = check("--div", &v, v.parse::<NonZeroUsize>()).get();
             }
             "--layers" => {
-                cli.layers = Some(need(&mut it, "--layers").parse().unwrap_or_else(|_| usage()));
+                let v = need(&mut it, "--layers");
+                cli.layers = Some(check("--layers", &v, v.parse::<NonZeroUsize>()).get());
             }
             "--per-layer" => cli.per_layer = true,
             "--energy" => cli.energy = true,
             "--stats" => cli.stats = true,
             "--frames" => {
-                cli.frames = need(&mut it, "--frames").parse().unwrap_or_else(|_| usage());
+                let v = need(&mut it, "--frames");
+                cli.frames = check("--frames", &v, v.parse::<NonZeroUsize>()).get();
             }
             "--axis" => cli.axis = Some(need(&mut it, "--axis")),
             "-o" | "--out" => cli.out = Some(need(&mut it, "-o")),
@@ -300,11 +305,15 @@ fn cmd_sweep(cli: &Cli) {
         "lanes" => [2usize, 4, 8].into_iter().map(|lanes| Cli { lanes, ..cli.clone() }).collect(),
         _ => usage(),
     };
+    let hws: Vec<HwTarget> = points.iter().map(hw_target).collect();
+    if hws.windows(2).all(|w| w[0] == w[1]) {
+        eprintln!("--axis {axis}: the {} platform fixes it", cli.platform);
+        exit(2)
+    }
     println!("sweeping {axis} for {}\n", workload.describe());
     let mut base = None;
-    for point in points {
-        let hw = hw_target(&point);
-        let s = Experiment::new(hw, policy(&point), workload).run();
+    for hw in hws {
+        let s = Experiment::new(hw, policy(cli), workload).run();
         let b = *base.get_or_insert(s.cycles);
         println!(
             "{:<46} {:>14} cycles   {:>6.2}x",
@@ -331,12 +340,8 @@ fn cmd_cfg(cli: &Cli) {
     }
     println!("parsed {} layers, input {}x{}x{}\n", specs.len(), shape.c, shape.h, shape.w);
     // Run it on the requested machine.
-    use longvec_cnn::nn::network::estimate_arena_words;
-    let pol = policy(cli);
-    let mut cfg = hw_target(cli).machine_config();
-    cfg.arena_mib = (estimate_arena_words(&specs, shape, &pol) * 4 / (1 << 20) + 32).max(64);
-    let mut machine = Machine::new(cfg);
-    let mut net = Network::build(&mut machine, &specs, shape, pol, 42);
+    let mut machine = Machine::new(hw_target(cli).machine_config());
+    let mut net = Network::build(&mut machine, &specs, shape, policy(cli), 42);
     machine.reset_timing();
     let image = host_random(shape.len(), 7);
     let report = net.run(&mut machine, &image);

@@ -1,19 +1,17 @@
 //! Cross-crate integration tests: whole-pipeline behaviour that no single
 //! crate can check on its own.
 
-use longvec_cnn::nn::network::estimate_arena_words;
 use longvec_cnn::nn::{vgg16, yolov3, yolov3_tiny};
 use longvec_cnn::prelude::*;
 
 /// Build + run a network on a machine config, returning (report, output).
 fn run_net(
-    mut cfg: MachineConfig,
+    cfg: MachineConfig,
     specs: &[LayerSpec],
     shape: Shape,
     policy: ConvPolicy,
     seed: u64,
 ) -> (NetReport, Vec<f32>) {
-    cfg.arena_mib = (estimate_arena_words(specs, shape, &policy) * 4 / (1 << 20) + 32).max(64);
     let mut machine = Machine::new(cfg);
     let mut net = Network::build(&mut machine, specs, shape, policy, seed);
     machine.reset_timing();
@@ -214,8 +212,10 @@ fn lva_cfg_rejects_malformed_networks_naming_the_layer() {
 /// `lva` answers a hardware or scale flag the simulator cannot be built
 /// with (a zero divisor, a vector length that is not a power of two, below
 /// 128 bits or above the ISA's maximum, lanes outside 1..=64, an L2 whose
-/// set count is zero or not a power of two) with one line naming the flag
-/// and exit 2, not a panic. `lva cfg` takes the flags through the same path.
+/// set count is zero or not a power of two), an empty run (zero layers or
+/// frames) and a sweep over an axis the platform fixes with one line naming
+/// the flag and exit 2, not a panic. `lva cfg` takes the flags through the
+/// same path.
 #[test]
 fn lva_rejects_out_of_range_hardware_flags_naming_the_flag() {
     let dir = std::env::temp_dir().join(format!("lva-flag-errors-{}", std::process::id()));
@@ -234,8 +234,12 @@ fn lva_rejects_out_of_range_hardware_flags_naming_the_flag() {
         ("run --lanes 65", "--lanes"),
         ("run --l2 0", "--l2"),
         ("run --l2 3", "--l2"),
+        ("run --layers 0", "--layers"),
+        ("run --frames 0", "--frames"),
         ("sweep --axis vlen --div 0", "--div"),
         ("sweep --axis l2 --lanes 0", "--lanes"),
+        ("sweep --axis lanes --platform sve", "--axis"),
+        ("sweep --axis l2 --platform a64fx", "--axis"),
         (&format!("cfg {cfg} --vlen 96"), "--vlen"),
         (&format!("cfg {cfg} --l2 3"), "--l2"),
     ] {

@@ -37,10 +37,6 @@ fn params() -> impl Iterator<Item = ConvParams> {
     })
 }
 
-fn machine(cfg: MachineConfig) -> Machine {
-    Machine::new(MachineConfig { arena_mib: 64, ..cfg })
-}
-
 /// RVV at both ends of the 8-lane vector-length axis.
 fn rvv_machines() -> Vec<(&'static str, MachineConfig)> {
     vec![
@@ -79,7 +75,7 @@ fn im2col_gemm_matches_reference_on_edge_shapes() {
     for (name, cfg) in rvv_machines().into_iter().chain(sve_machines()) {
         for p in params() {
             for variant in variants {
-                let mut m = machine(cfg.clone());
+                let mut m = Machine::new(cfg.clone());
                 let (img, w, want) = operands(&mut m, &p);
                 let col = m.mem.alloc(p.workspace_words().max(1));
                 let out = m.mem.alloc(want.len());
@@ -102,7 +98,7 @@ fn im2col_gemm_matches_reference_on_edge_shapes() {
 fn direct_conv_matches_reference_on_edge_shapes() {
     for (name, cfg) in rvv_machines().into_iter().chain(sve_machines()) {
         for p in params() {
-            let mut m = machine(cfg.clone());
+            let mut m = Machine::new(cfg.clone());
             let (img, w, want) = operands(&mut m, &p);
             let out = m.mem.alloc(want.len());
             conv_direct_vec(&mut m, &p, &img, w.buf, out);
@@ -115,7 +111,7 @@ fn direct_conv_matches_reference_on_edge_shapes() {
 fn winograd_matches_reference_on_edge_shapes() {
     for (name, cfg) in sve_machines() {
         for p in params().filter(|p| p.k == 3 && p.stride == 1) {
-            let mut m = machine(cfg.clone());
+            let mut m = Machine::new(cfg.clone());
             let (img, w, want) = operands(&mut m, &p);
             let out = m.mem.alloc(want.len());
             let mut plan = WinogradPlan::new(&mut m, p, w.buf);

@@ -11,18 +11,6 @@ use longvec_cnn::prelude::*;
 use longvec_cnn::winograd::winograd_conv_vla;
 use lva_sim::Rng;
 
-fn rvv_machine(vlen: usize) -> Machine {
-    let mut cfg = MachineConfig::rvv_gem5(vlen, 8, 1 << 20);
-    cfg.arena_mib = 64;
-    Machine::new(cfg)
-}
-
-fn sve_machine(vlen: usize) -> Machine {
-    let mut cfg = MachineConfig::sve_gem5(vlen, 1 << 20);
-    cfg.arena_mib = 64;
-    Machine::new(cfg)
-}
-
 /// Every GEMM variant equals the reference for arbitrary M, N, K and VL.
 #[test]
 fn gemm_variants_match_reference() {
@@ -33,7 +21,7 @@ fn gemm_variants_match_reference() {
         let kk = rng.gen_index(1, 40);
         let vlen = 32usize << rng.gen_range(4, 9); // 512..16384 bits
         let seed = rng.gen_range(0, 1000);
-        let mut m = rvv_machine(vlen);
+        let mut m = Machine::new(MachineConfig::rvv_gem5(vlen, 8, 1 << 20));
         let a = Matrix::random(&mut m, mm, kk, seed);
         let b = Matrix::random(&mut m, kk, nn, seed + 1);
         let c0 = host_random(mm * nn, seed + 2);
@@ -79,7 +67,7 @@ fn im2col_matches_reference() {
             continue;
         }
         cases += 1;
-        let mut m = rvv_machine(1024);
+        let mut m = Machine::new(MachineConfig::rvv_gem5(1024, 8, 1 << 20));
         let img = Tensor::random(&mut m, Shape::new(in_c, in_h, in_w), seed);
         let col = m.mem.alloc(in_c * k * k * oh * ow);
         im2col_vec(&mut m, &p, &img, col);
@@ -106,7 +94,7 @@ fn winograd_matches_direct() {
         }
         cases += 1;
         let vlen = [512, 1024, 2048][rng.gen_index(0, 3)];
-        let mut m = sve_machine(vlen);
+        let mut m = Machine::new(MachineConfig::sve_gem5(vlen, 1 << 20));
         let img = Tensor::random(&mut m, Shape::new(in_c, hw, hw), seed);
         let w = Matrix::random(&mut m, out_c, in_c * 9, seed + 1);
         let out = m.mem.alloc(out_c * oh * ow);
@@ -163,7 +151,7 @@ fn gemm_timing_invariants() {
         let kk = rng.gen_index(1, 32);
         let seed = rng.gen_range(0, 100);
         let run = || {
-            let mut m = rvv_machine(2048);
+            let mut m = Machine::new(MachineConfig::rvv_gem5(2048, 8, 1 << 20));
             let a = Matrix::random(&mut m, mm, kk, seed);
             let b = Matrix::random(&mut m, kk, nn, seed + 1);
             let c = Matrix::alloc(&mut m, mm, nn);
