@@ -520,13 +520,18 @@ impl Machine {
     // Timing primitives
     // ------------------------------------------------------------------
 
-    /// Commit fractional scalar cycles into the front-end clock.
+    /// Commit the whole cycles of `scalar_frac` into the front-end clock,
+    /// keeping the fraction. The whole part truncates through `i64`, one
+    /// instruction each way on x86-64 where `u64` takes several; the two
+    /// give the same integer below 2⁶³ cycles, so the subtraction is the
+    /// same.
     #[inline]
     fn commit_scalar(&mut self) {
-        if self.scalar_frac >= 1.0 {
-            let whole = self.scalar_frac as u64;
-            self.now += whole;
-            self.scalar_frac -= whole as f64;
+        let frac = self.scalar_frac;
+        if frac >= 1.0 {
+            let whole = frac as i64;
+            self.now += whole as u64;
+            self.scalar_frac = frac - whole as f64;
         }
     }
 
@@ -599,7 +604,13 @@ impl Machine {
     ///
     /// `occupancy`: cycles the vector unit stays busy; `result_latency`:
     /// cycles from start until `dst` (if any) is ready.
-    #[inline]
+    ///
+    /// Every timing half runs this once per vector op, so it is inlined
+    /// into each, stall attribution included: the constant source list
+    /// folds away and nothing crosses the stack. What would make it large
+    /// stays out of line and cold — the scoreboard rescan and the pipe
+    /// recorder's stall intervals.
+    #[inline(always)]
     fn issue(
         &mut self,
         srcs: [Option<VReg>; 2],
@@ -633,8 +644,17 @@ impl Machine {
         if t >= self.ready_max {
             self.ready_max = t;
         } else if old == self.ready_max {
-            self.ready_max = self.ready.iter().copied().max().unwrap_or(0);
+            self.rescan_ready_max();
         }
+    }
+
+    /// Recompute `ready_max` from the whole scoreboard. Cold: kernels
+    /// overwrite their latest-ready register with an earlier time rarely,
+    /// and the unrolled 32-entry scan would otherwise bloat every issue.
+    #[cold]
+    #[inline(never)]
+    fn rescan_ready_max(&mut self) {
+        self.ready_max = self.ready.iter().copied().max().unwrap_or(0);
     }
 
     /// Attribute the wait of one issue to stall causes. Pure bookkeeping:
@@ -648,101 +668,75 @@ impl Machine {
     /// `[unit_start, start)` — sources were not ready: up to one pipeline
     /// `startup()` is the vector-startup ramp (VectorStartup), anything
     /// beyond is dependency latency the window could not hide (RawHazard).
-    #[inline]
+    #[inline(always)]
     fn attribute_stall(&mut self, t0: u64, unit_start: u64, start: u64, occupancy: u64) {
-        // The recorder branch is checked once up front; on the hot path
-        // (recording off, the default) the interval bookkeeping below is
-        // skipped entirely instead of re-testing the Option per event.
-        let recording = self.pipe.is_some();
         let unit_busy = unit_start - t0;
-        if unit_busy > 0 {
-            let gap = unit_busy.min(self.eff_gap());
-            self.stalls.add(StallCause::IssueWidth, gap);
-            let occ_wait = unit_busy - gap;
-            if occ_wait > 0 {
-                // `last_occ_mem == 0` (pure-compute predecessor, the common
-                // case) makes the proportional split trivially 0 — skip the
-                // integer division on that path. Same guard for the
-                // contention share, which doubles as the single-core
-                // bit-identity argument: with no shared port it is always
-                // zero and this path computes exactly what it always did.
-                let mem = if self.last_occ_mem == 0 {
-                    0
-                } else {
-                    (occ_wait * self.last_occ_mem).checked_div(self.last_occ_total).unwrap_or(0)
-                };
-                let cont = if self.last_occ_cont == 0 {
-                    0
-                } else {
-                    (occ_wait * self.last_occ_cont).checked_div(self.last_occ_total).unwrap_or(0)
-                };
-                self.stalls.add(StallCause::MemLatency, mem);
-                self.stalls.add(StallCause::Contention, cont);
-                self.stalls.add(StallCause::LaneOccupancy, occ_wait - mem - cont);
-                // Chronologically the occupancy wait fills [t0, unit_start - gap);
-                // the proportional mem/contention/lane split is laid out in
-                // that order.
-                if recording {
-                    if mem > 0 {
-                        self.pipe(|| PipeEvent::Stall {
-                            cause: StallCause::MemLatency,
-                            start: t0,
-                            end: t0 + mem,
-                        });
-                    }
-                    if cont > 0 {
-                        self.pipe(|| PipeEvent::Stall {
-                            cause: StallCause::Contention,
-                            start: t0 + mem,
-                            end: t0 + mem + cont,
-                        });
-                    }
-                    if occ_wait > mem + cont {
-                        self.pipe(|| PipeEvent::Stall {
-                            cause: StallCause::LaneOccupancy,
-                            start: t0 + mem + cont,
-                            end: t0 + occ_wait,
-                        });
-                    }
-                }
-            }
-            if recording && gap > 0 {
-                self.pipe(|| PipeEvent::Stall {
-                    cause: StallCause::IssueWidth,
-                    start: unit_start - gap,
-                    end: unit_start,
-                });
-            }
-        }
+        let gap = unit_busy.min(self.eff_gap());
+        let occ_wait = unit_busy - gap;
+        // `last_occ_mem == 0` (pure-compute predecessor, the common case) or
+        // an empty occupancy wait makes the proportional split trivially 0 —
+        // skip the integer division on that path. Same guard for the
+        // contention share, which doubles as the single-core bit-identity
+        // argument: with no shared port it is always zero and this path
+        // computes exactly what it always did.
+        let mem = if self.last_occ_mem == 0 || occ_wait == 0 {
+            0
+        } else {
+            (occ_wait * self.last_occ_mem).checked_div(self.last_occ_total).unwrap_or(0)
+        };
+        let cont = if self.last_occ_cont == 0 || occ_wait == 0 {
+            0
+        } else {
+            (occ_wait * self.last_occ_cont).checked_div(self.last_occ_total).unwrap_or(0)
+        };
         let raw_wait = start - unit_start;
-        if raw_wait > 0 {
-            let ramp = raw_wait.min(self.eff_startup());
-            self.stalls.add(StallCause::VectorStartup, ramp);
-            self.stalls.add(StallCause::RawHazard, raw_wait - ramp);
-            if recording {
-                if ramp > 0 {
-                    self.pipe(|| PipeEvent::Stall {
-                        cause: StallCause::VectorStartup,
-                        start: unit_start,
-                        end: unit_start + ramp,
-                    });
-                }
-                if raw_wait > ramp {
-                    self.pipe(|| PipeEvent::Stall {
-                        cause: StallCause::RawHazard,
-                        start: unit_start + ramp,
-                        end: start,
-                    });
-                }
-            }
-        }
+        let ramp = raw_wait.min(self.eff_startup());
+        self.stalls.add(StallCause::IssueWidth, gap);
+        self.stalls.add(StallCause::MemLatency, mem);
+        self.stalls.add(StallCause::Contention, cont);
+        self.stalls.add(StallCause::LaneOccupancy, occ_wait - mem - cont);
+        self.stalls.add(StallCause::VectorStartup, ramp);
+        self.stalls.add(StallCause::RawHazard, raw_wait - ramp);
         self.stalls.note_total(start - t0);
+        if self.pipe.is_some() && start > t0 {
+            // Chronologically the occupancy wait fills [t0, unit_start - gap)
+            // with the proportional mem/contention/lane split in that order,
+            // then the gap, then the operand wait.
+            self.pipe_stalls(
+                t0,
+                &[
+                    (StallCause::MemLatency, mem),
+                    (StallCause::Contention, cont),
+                    (StallCause::LaneOccupancy, occ_wait - mem - cont),
+                    (StallCause::IssueWidth, gap),
+                    (StallCause::VectorStartup, ramp),
+                    (StallCause::RawHazard, raw_wait - ramp),
+                ],
+            );
+        }
         self.last_occ_mem = std::mem::take(&mut self.next_occ_mem).min(occupancy);
         // Clamp so `mem + cont ≤ total` and the proportional split above can
         // never over-attribute the occupancy wait.
         self.last_occ_cont =
             std::mem::take(&mut self.next_occ_cont).min(occupancy - self.last_occ_mem);
         self.last_occ_total = occupancy;
+    }
+
+    /// Record one front-end wait as back-to-back stall intervals starting
+    /// at cycle `t0`: each nonzero `(cause, cycles)` part in order, the
+    /// next starting where the last ended. The pipe recorder's only stall
+    /// emitter. Cold: it runs only while a timeline is being recorded, so
+    /// keeping it out of line keeps the issue stage small enough to inline.
+    #[cold]
+    #[inline(never)]
+    fn pipe_stalls(&mut self, t0: u64, parts: &[(StallCause, u64)]) {
+        let mut at = t0;
+        for &(cause, cycles) in parts {
+            if cycles > 0 {
+                self.pipe(|| PipeEvent::Stall { cause, start: at, end: at + cycles });
+                at += cycles;
+            }
+        }
     }
 
     /// Attribute the front-end wait for a scalar result consumed from the
@@ -753,18 +747,12 @@ impl Machine {
         self.stalls.add(StallCause::VectorStartup, ramp);
         self.stalls.add(StallCause::RawHazard, lat - ramp);
         self.stalls.note_total(lat);
-        // Called after `now` advanced past the wait: it covered [now-lat, now).
-        let t0 = self.now - lat;
-        if ramp > 0 {
-            self.pipe(|| PipeEvent::Stall {
-                cause: StallCause::VectorStartup,
-                start: t0,
-                end: t0 + ramp,
-            });
-        }
-        if lat > ramp {
-            let end = self.now;
-            self.pipe(|| PipeEvent::Stall { cause: StallCause::RawHazard, start: t0 + ramp, end });
+        if self.pipe.is_some() {
+            // Called after `now` advanced past the wait: it covered [now-lat, now).
+            self.pipe_stalls(
+                self.now - lat,
+                &[(StallCause::VectorStartup, ramp), (StallCause::RawHazard, lat - ramp)],
+            );
         }
     }
 
@@ -1535,15 +1523,17 @@ impl Machine {
     }
 
     /// Timing half of [`Self::vfmacc_vf_rows`] (shared with the replay
-    /// executor): per row, the timing halves of the separate calls.
+    /// executor): per row, the timing halves of the separate calls. All
+    /// rows share one `vfmacc.vf` cost.
     #[inline]
     fn tl_macc_rows(&mut self, op: &MaccRows, vl: usize) {
+        let cost = self.arith_cost(vl);
         for r in 0..usize::from(op.rows) {
             self.tl_scalar_mem(op.a_of(r), AccessKind::Read);
             if op.scaled {
                 self.scalar_flops_tl(1);
             }
-            self.tl_varith(VArithOp::MaccVf, usize::from(op.acc0) + r, op.vs.into(), 0, vl);
+            self.tl_macc_row(op, r, vl, cost);
         }
     }
 
@@ -1556,8 +1546,19 @@ impl Machine {
         } else if part == 1 && op.scaled {
             self.scalar_flops_tl(1);
         } else {
-            self.tl_varith(VArithOp::MaccVf, usize::from(op.acc0) + r, op.vs.into(), 0, vl);
+            self.tl_macc_row(op, r, vl, self.arith_cost(vl));
         }
+    }
+
+    /// Row `r`'s `vfmacc.vf` of a row update at `cost = arith_cost(vl)`:
+    /// issued as [`Self::tl_varith`] issues a [`VArithOp::MaccVf`]
+    /// (sources `vs` and the accumulator) without its dispatch on the op's
+    /// shape.
+    #[inline(always)]
+    fn tl_macc_row(&mut self, op: &MaccRows, r: usize, vl: usize, (occ, lat): (u64, u64)) {
+        let acc = usize::from(op.acc0) + r;
+        self.issue([Some(op.vs.into()), Some(acc)], Some(acc), occ, lat);
+        self.count_arith(vl, VArithOp::MaccVf.flops_per_elem());
     }
 
     /// `vd[i] -= va[i] * vb[i]` — RVV `vfnmsac.vv` / SVE `FMLS`.
@@ -1783,8 +1784,9 @@ impl Machine {
     }
 
     /// Timing half of [`Self::scalar_read`] / [`Self::scalar_write`]
-    /// (shared with the replay executor).
-    #[inline]
+    /// (shared with the replay executor). Inlined, so the row update's
+    /// per-row read runs straight-line with its `vfmacc.vf`.
+    #[inline(always)]
     fn tl_scalar_mem(&mut self, addr: u64, kind: AccessKind) {
         let lat = self.probe_scalar(addr, kind);
         // Hits expose no latency: their charge is exactly the kernel CPI
@@ -1852,7 +1854,9 @@ impl Machine {
         self.now += cont;
         self.stalls.add(StallCause::Contention, cont);
         self.stalls.note_total(cont);
-        self.pipe(|| PipeEvent::Stall { cause: StallCause::Contention, start: t0, end: t0 + cont });
+        if self.pipe.is_some() {
+            self.pipe_stalls(t0, &[(StallCause::Contention, cont)]);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -2561,6 +2565,73 @@ mod tests {
         assert!(dep_time(96) < dep_time(0));
     }
 
+    /// `commit_scalar` as written when it truncated through `u64`, kept as
+    /// the reference the seeded test below pins it against.
+    fn commit_scalar_reference(now: &mut u64, frac: &mut f64) {
+        if *frac >= 1.0 {
+            let whole = *frac as u64;
+            *now += whole;
+            *frac -= whole as f64;
+        }
+    }
+
+    /// Every scalar charge the machine makes on the three profiles: the bulk
+    /// and kernel CPIs, the per-issue front-end cost, and the miss exposure
+    /// of a scalar access served by L2 or DRAM at several L2 sizes (plus the
+    /// kernel CPI, as `tl_scalar_mem` adds them).
+    fn scalar_charges() -> (Vec<f64>, Vec<f64>) {
+        let mut unit = Vec::new();
+        let mut bulk_cpi = Vec::new();
+        let mut cfgs = vec![MachineConfig::a64fx()];
+        for l2 in [1 << 20, 4 << 20, 64 << 20, 256 << 20] {
+            cfgs.push(MachineConfig::rvv_gem5(2048, 8, l2));
+            cfgs.push(MachineConfig::sve_gem5(512, l2));
+        }
+        for cfg in &cfgs {
+            let c = cfg.core;
+            unit.extend([c.scalar_cpi, c.kernel_scalar_cpi, c.issue_cycles]);
+            let l2 = cfg.mem.l2.hit_latency;
+            for beyond in [l2, l2 + cfg.mem.mem_latency] {
+                let exposed = f64::from(beyond) * c.scalar_miss_exposure;
+                unit.extend([exposed, exposed + c.kernel_scalar_cpi]);
+            }
+            bulk_cpi.push(c.scalar_cpi);
+        }
+        (unit, bulk_cpi)
+    }
+
+    #[test]
+    fn scalar_clock_commits_exactly_like_the_u64_formula() {
+        let (unit, bulk_cpi) = scalar_charges();
+        let mut rng = lva_sim::Rng::new(0x5ca1a);
+        let (mut one, mut more) = (0u64, 0u64);
+        for _ in 0..200 {
+            let mut m = machine();
+            let (mut now, mut frac) = (0u64, 0.0f64);
+            for _ in 0..500 {
+                let charge = if rng.gen_range(0, 16) == 0 {
+                    // A bulk charge of up to 10⁶ scalar ops, log-uniform.
+                    let n = 10f64.powf(6.0 * rng.next_f64()) as u64;
+                    n as f64 * bulk_cpi[rng.gen_range(0, bulk_cpi.len() as u64) as usize]
+                } else {
+                    unit[rng.gen_range(0, unit.len() as u64) as usize]
+                };
+                m.scalar_frac += charge;
+                if m.scalar_frac >= 2.0 {
+                    more += 1;
+                } else if m.scalar_frac >= 1.0 {
+                    one += 1;
+                }
+                m.commit_scalar();
+                frac += charge;
+                commit_scalar_reference(&mut now, &mut frac);
+                assert_eq!(m.now, now, "clock diverged after a charge of {charge}");
+                assert_eq!(m.scalar_frac.to_bits(), frac.to_bits(), "fraction diverged");
+            }
+        }
+        assert!(one > 10_000 && more > 10_000, "commits of one cycle {one}, of two or more {more}");
+    }
+
     /// A small workload with phases, dependent chains (RAW + startup stalls),
     /// and memory traffic (mem/occupancy stalls).
     fn pipe_workload(m: &mut Machine) {
@@ -2589,6 +2660,9 @@ mod tests {
         on.record_pipe_events();
         pipe_workload(&mut on);
         assert_eq!(on.cycles(), off.cycles(), "pipe recording must not perturb timing");
+        assert_eq!(on.stalls, off.stalls, "pipe recording must not perturb stall attribution");
+        assert_eq!(on.stats, off.stats, "pipe recording must not perturb the counters");
+        assert_eq!(on.phases, off.phases, "pipe recording must not perturb the phase timers");
         assert!(!on.take_pipe_events().is_empty());
         assert_eq!(on.pipe_events_dropped(), 0);
         assert!(off.take_pipe_events().is_empty());

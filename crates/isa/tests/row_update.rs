@@ -129,6 +129,31 @@ fn row_update_equals_the_separate_calls() {
     }
 }
 
+/// The GEMM k loop: the next update lands on the same accumulators while
+/// the last one's FMAs may still be in flight, so each row's `vfmacc.vf`
+/// must wait on its accumulator as the separate call does.
+fn separate_twice(m: &mut Machine, buf: Buf, u: &Update) {
+    separate(m, buf, u);
+    separate(m, buf, u);
+}
+
+fn fused_twice(m: &mut Machine, buf: Buf, u: &Update) {
+    fused(m, buf, u);
+    fused(m, buf, u);
+}
+
+#[test]
+fn back_to_back_row_updates_wait_on_their_accumulators() {
+    for cfg in [
+        MachineConfig::rvv_gem5(2048, 8, 1 << 20),
+        MachineConfig::sve_gem5(512, 1 << 20),
+        MachineConfig::a64fx(),
+    ] {
+        let want = run(&cfg, 7, separate_twice);
+        assert_eq!(run(&cfg, 7, fused_twice), want, "{:?}", cfg.vpu.isa);
+    }
+}
+
 #[test]
 #[should_panic(expected = "vfmacc_vf_rows")]
 fn row_update_reading_past_the_arena_names_the_op() {

@@ -289,7 +289,7 @@ fn cmd_sweep(cli: &Cli) {
     };
     let points: Vec<Cli> = match axis.as_str() {
         "vlen" => {
-            let max = if cli.platform == "rvv" { 16384 } else { 2048 };
+            let max = hw_target(cli).machine_config().vpu.isa.max_vlen_bits();
             let mut v = Vec::new();
             let mut vlen = 512;
             while vlen <= max {

@@ -254,3 +254,21 @@ fn lva_rejects_out_of_range_hardware_flags_naming_the_flag() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `--platform riscv` is another spelling of `rvv`, so a vector-length
+/// sweep on it reaches RVV's 16384-bit ceiling, not SVE's 2048.
+#[test]
+fn lva_vlen_sweep_takes_the_ceiling_from_the_platforms_isa() {
+    let sweep = |platform: &str| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_lva"))
+            .args(["sweep", "--axis", "vlen", "--div", "32", "--layers", "1", "--platform"])
+            .arg(platform)
+            .output()
+            .expect("lva runs");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8(out.stdout).expect("utf-8 output")
+    };
+    let rvv = sweep("rvv");
+    assert!(rvv.contains("vlen=16384b"), "{rvv}");
+    assert_eq!(sweep("riscv"), rvv);
+}
