@@ -12,8 +12,9 @@
 //! The nine design points are independent, so `--jobs N` fans them out over
 //! worker threads — the table, `results/` files and `BENCH_headline.json`
 //! are byte-identical for every N. `--wallclock` times the whole sweep
-//! (serial vs `--jobs`, median of 3 each) and writes the simulator's
-//! self-benchmark to `BENCH_sim_wallclock.json`.
+//! (serial, `--jobs` and tape refit, three passes of the three back to
+//! back) and writes the simulator's self-benchmark to
+//! `BENCH_sim_wallclock.json`.
 
 use std::time::Instant;
 
@@ -23,60 +24,26 @@ fn ratio(a: u64, b: u64) -> String {
     fmt_speedup(a as f64 / b as f64)
 }
 
-/// The retime-vs-full section of the wallclock benchmark: capture every
-/// spec once, then re-time the whole suite by tape refit three times
-/// (median). Nothing carries over between passes, so each one costs what
-/// re-timing nine unseen timing points costs. Every capture and every
-/// re-timed summary is asserted equal to the full simulator's, so the
-/// published speedup is over verified-identical work. `recording_mb` is
-/// what the captures hold (traces plus probe tapes), which bounds how many
-/// recordings a sweep can keep; unlike the timings it is deterministic.
-fn retime_bench(specs: &[(String, Experiment)], full: &[SweepRun], serial_ms: f64) -> Json {
-    let check = |what: &str, i: usize, s: &RunSummary| {
-        let (name, want) = (&specs[i].0, &full[i].summary);
-        assert_eq!(s.cycles, want.cycles, "{name}: {what} cycles diverged from the full simulator");
-        assert_eq!(s.report, want.report, "{name}: {what} report diverged from the full simulator");
-    };
-    let t0 = Instant::now();
-    let caps: Vec<_> = specs.iter().map(|(_, e)| e.run_traced()).collect();
-    let capture_ms = t0.elapsed().as_secs_f64() * 1e3;
-    eprintln!(".. wallclock retime capture: {capture_ms:.0} ms");
-    for (i, cap) in caps.iter().enumerate() {
-        check("captured", i, &cap.summary);
-    }
-    let mut retime_ms = Vec::new();
-    for pass in 1..=3 {
-        let t0 = Instant::now();
-        let retimed: Vec<RunSummary> = specs
-            .iter()
-            .zip(&caps)
-            .map(|((_, e), cap)| e.retime_tape(cap).expect("tape matches own geometry"))
-            .collect();
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        eprintln!(".. wallclock retime pass {pass}: {ms:.0} ms");
-        retime_ms.push(ms);
-        for (i, s) in retimed.iter().enumerate() {
-            check("retimed", i, s);
-        }
-    }
-    let retime = median_ms(&mut retime_ms);
-    let bytes: usize = caps.iter().map(|c| c.trace.approx_bytes() + c.tape.approx_bytes()).sum();
-    Json::obj()
-        .field("runs", specs.len() as u64)
-        .field("capture_ms", capture_ms)
-        .field("recording_mb", bytes as f64 / f64::from(1 << 20))
-        .field("retime_ms_median_of_3", retime)
-        .field("speedup_retime_vs_full_serial", if retime > 0.0 { serial_ms / retime } else { 0.0 })
-        .field(
-            "speedup_including_capture",
-            if capture_ms + retime > 0.0 { serial_ms / (capture_ms + retime) } else { 0.0 },
-        )
+/// The median of per-pass ratios `num[i] / den[i]` (0 where `den[i]` is 0).
+fn median_ratio(num: &[f64], den: &[f64]) -> f64 {
+    let mut ratios: Vec<f64> =
+        num.iter().zip(den).map(|(n, d)| if *d > 0.0 { n / d } else { 0.0 }).collect();
+    median_ms(&mut ratios)
 }
 
-/// `--wallclock`: time the full sweep end to end, serially and with
-/// `--jobs`, median of 3 passes each, plus the retime-vs-full section,
-/// and write `BENCH_sim_wallclock.json`. Per-run reports (with host
-/// timing attached) come from the last serial pass.
+/// `--wallclock`: capture every spec once, then time three passes, each
+/// running the full sweep serially, the full sweep with `--jobs`, and a
+/// tape refit of the whole suite back to back, and write
+/// `BENCH_sim_wallclock.json`. The speedups are medians of per-pass
+/// ratios, so host-speed drift between passes (minutes apart on a shared
+/// host) cancels; the times are medians of 3. Nothing carries over
+/// between refit passes, so each costs what re-timing nine unseen timing
+/// points costs. Every capture and every re-timed summary is asserted
+/// equal to the full simulator's, so the published speedup is over
+/// verified-identical work. `recording_mb` is what the captures hold
+/// (traces plus probe tapes), which bounds how many recordings a sweep can
+/// keep; unlike the timings it is deterministic. Per-run reports (with
+/// host timing attached) come from the last serial pass.
 fn wallclock_bench(specs: &[(String, Experiment)], opts: &Opts) {
     let host_cpus = lva_core::default_jobs();
     let jobs = if opts.jobs > 1 { opts.jobs } else { host_cpus.max(2) };
@@ -85,24 +52,68 @@ fn wallclock_bench(specs: &[(String, Experiment)], opts: &Opts) {
     // figure is withheld so readers and bench-diff don't flag a phantom
     // regression.
     let jobs_effective = jobs.min(host_cpus);
+    let t0 = Instant::now();
+    let caps: Vec<_> = specs.iter().map(|(_, e)| e.run_traced()).collect();
+    let capture_ms = t0.elapsed().as_secs_f64() * 1e3;
+    eprintln!(".. wallclock retime capture: {capture_ms:.0} ms");
     let mut serial_ms = Vec::new();
     let mut parallel_ms = Vec::new();
+    let mut retime_ms = Vec::new();
     let mut last_serial: Option<Vec<SweepRun>> = None;
-    for pass in 0..3 {
+    for pass in 1..=3 {
         let t0 = Instant::now();
         let runs = run_sweep(specs, 1, false, true);
         serial_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-        eprintln!(".. wallclock serial pass {}: {:.0} ms", pass + 1, serial_ms[pass]);
-        last_serial = Some(runs);
         let t0 = Instant::now();
         run_sweep(specs, jobs, false, true);
         parallel_ms.push(t0.elapsed().as_secs_f64() * 1e3);
-        eprintln!(".. wallclock --jobs {jobs} pass {}: {:.0} ms", pass + 1, parallel_ms[pass]);
+        let t0 = Instant::now();
+        let retimed: Vec<RunSummary> = specs
+            .iter()
+            .zip(&caps)
+            .map(|((_, e), cap)| e.retime_tape(cap).expect("tape matches own geometry"))
+            .collect();
+        retime_ms.push(t0.elapsed().as_secs_f64() * 1e3);
+        let i = pass - 1;
+        eprintln!(
+            ".. wallclock pass {pass}: serial {:.0} ms, --jobs {jobs} {:.0} ms, retime {:.0} ms",
+            serial_ms[i], parallel_ms[i], retime_ms[i]
+        );
+        for ((name, _), (run, got)) in specs.iter().zip(runs.iter().zip(&retimed)) {
+            let want = &run.summary;
+            assert_eq!(
+                got.cycles, want.cycles,
+                "{name}: retimed cycles diverged from the full run"
+            );
+            assert_eq!(
+                got.report, want.report,
+                "{name}: retimed report diverged from the full run"
+            );
+        }
+        last_serial = Some(runs);
     }
+    let runs = last_serial.expect("three serial passes ran");
+    for ((name, _), (run, cap)) in specs.iter().zip(runs.iter().zip(&caps)) {
+        let want = &run.summary;
+        assert_eq!(cap.summary.cycles, want.cycles, "{name}: captured cycles diverged");
+        assert_eq!(cap.summary.report, want.report, "{name}: captured report diverged");
+    }
+    let retime_speedup = median_ratio(&serial_ms, &retime_ms);
+    let parallel_speedup = median_ratio(&serial_ms, &parallel_ms);
     let serial = median_ms(&mut serial_ms);
     let parallel = median_ms(&mut parallel_ms);
-    let runs = last_serial.expect("three serial passes ran");
-    let retime = retime_bench(specs, &runs, serial);
+    let retime_med = median_ms(&mut retime_ms);
+    let bytes: usize = caps.iter().map(|c| c.trace.approx_bytes() + c.tape.approx_bytes()).sum();
+    let retime = Json::obj()
+        .field("runs", specs.len() as u64)
+        .field("capture_ms", capture_ms)
+        .field("recording_mb", bytes as f64 / f64::from(1 << 20))
+        .field("retime_ms_median_of_3", retime_med)
+        .field("speedup_retime_vs_full_serial", retime_speedup)
+        .field(
+            "speedup_including_capture",
+            if capture_ms + retime_med > 0.0 { serial / (capture_ms + retime_med) } else { 0.0 },
+        );
     let total_cycles: u64 = runs.iter().map(|r| r.summary.cycles).sum();
     let reports: Vec<Json> = specs
         .iter()
@@ -121,7 +132,7 @@ fn wallclock_bench(specs: &[(String, Experiment)], opts: &Opts) {
         .field("serial_ms_median_of_3", serial)
         .field("parallel_ms_median_of_3", parallel);
     if host_cpus > 1 {
-        j = j.field("parallel_speedup", if parallel > 0.0 { serial / parallel } else { 0.0 });
+        j = j.field("parallel_speedup", parallel_speedup);
     } else {
         j = j.field(
             "parallel_speedup_note",
@@ -161,8 +172,8 @@ fn main() {
         .map(|((name, e), r)| {
             let mut report = RunReport::new(name.clone(), e, &r.summary);
             if opts.energy {
-                // --with-energy: one re-run records layer counters for the
-                // per-layer attribution; cycles are bit-identical to the
+                // --with-energy: one re-run charges each layer from the
+                // machine's layer book; cycles are bit-identical to the
                 // table pass.
                 eprintln!(".. energy {} | {}", name, e.hw.describe());
                 let model = lva_core::EnergyModel::default();

@@ -123,7 +123,6 @@ impl Curve {
 
 fn simulate_curves(
     caps: &[(Experiment, lva_core::CapturedRun)],
-    n_nets: usize,
     n_points: usize,
     jobs: usize,
 ) -> Vec<Curve> {
@@ -155,56 +154,23 @@ fn simulate_curves(
         run_soc_captured(e, cap, &cfg)
     });
 
+    // Specs run curve by curve, core count by core count, each real cell
+    // just before its counterfactual twin: one pass moves every result
+    // into its curve.
+    let mut results = results.into_iter();
     let mut curves: Vec<Curve> = Vec::new();
-    for net in 0..n_nets {
-        for point in 0..n_points {
-            let pair = net * n_points + point;
-            for sharding in Sharding::ALL {
-                let mut cells: Vec<(Option<SocResult>, Option<SocResult>)> = Vec::new();
-                for (spec, r) in specs.iter().zip(results.iter()) {
-                    if spec.pair != pair || spec.sharding != sharding {
-                        continue;
-                    }
-                    let idx = SCALING_CORES
-                        .iter()
-                        .position(|&c| c == spec.cores)
-                        .expect("cores from the ladder");
-                    while cells.len() <= idx {
-                        cells.push((None, None));
-                    }
-                    let slot = &mut cells[idx];
-                    let copied = clone_result(r);
-                    if spec.ideal {
-                        slot.1 = Some(copied);
-                    } else {
-                        slot.0 = Some(copied);
-                    }
-                }
-                let cells: Vec<(SocResult, SocResult)> =
-                    cells.into_iter().filter_map(|(r, i)| Some((r?, i?))).collect();
-                curves.push(Curve { net, point, sharding, cells });
+    for spec in specs.iter().filter(|s| !s.ideal) {
+        let mut next = || results.next().expect("one result per spec");
+        let cell = (next(), next());
+        let (net, point) = (spec.pair / n_points, spec.pair % n_points);
+        match curves.last_mut() {
+            Some(c) if (c.net, c.point, c.sharding) == (net, point, spec.sharding) => {
+                c.cells.push(cell);
             }
+            _ => curves.push(Curve { net, point, sharding: spec.sharding, cells: vec![cell] }),
         }
     }
     curves
-}
-
-/// Duplicate a [`SocResult`]'s report-relevant state (the struct is not
-/// `Clone` because it may own a timeline; sweeps never record one).
-fn clone_result(r: &SocResult) -> SocResult {
-    assert!(r.timeline.is_none(), "sweep cells do not record timelines");
-    SocResult {
-        n_cores: r.n_cores,
-        sharding: r.sharding,
-        infinite_shared_bw: r.infinite_shared_bw,
-        cores: r.cores.clone(),
-        port: r.port.clone(),
-        frames: r.frames,
-        makespan: r.makespan,
-        mattson: r.mattson,
-        bw_samples: r.bw_samples.clone(),
-        timeline: None,
-    }
 }
 
 fn cell_json(real: &SocResult, ideal: &SocResult) -> Json {
@@ -270,7 +236,7 @@ pub fn scaling_grid_json(div: usize, layers: Option<usize>, jobs: usize) -> Json
             (e, cap)
         });
 
-    let curves = simulate_curves(&caps, nets.len(), points.len(), jobs);
+    let curves = simulate_curves(&caps, points.len(), jobs);
 
     // Analysis pass: per curve, knee + lever (needs every curve in hand —
     // the levers are cross-curve comparisons).

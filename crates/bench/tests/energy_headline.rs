@@ -1,6 +1,6 @@
 //! The energy contract at experiment granularity, over the real headline
-//! suite: on every §VI design point, (a) recording layer counters leaves
-//! the cycle count bit-identical to a plain run, and (b) the per-layer
+//! suite: on every §VI design point, (a) the attributed run's cycle count
+//! is bit-identical to a plain run's, and (b) the per-layer
 //! attribution reconciles with the aggregate `EnergyModel` estimate within
 //! 1e-6 relative — the sum-to-total invariant, on every headline-suite run.
 

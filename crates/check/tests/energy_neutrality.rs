@@ -1,7 +1,6 @@
-//! The energy-accounting contract at kernel granularity: the machine's
-//! layer-counter recorder must leave cycle counts and every counter
-//! bit-identical, and the attribution of a run that opens no layer must
-//! put the machine's aggregate counts in its `outside` bucket — per
+//! The energy-accounting contract at kernel granularity: the attribution
+//! of a run that opens no layer must put the machine's aggregate counts in
+//! its `outside` bucket and reconcile with the aggregate estimate — per
 //! kernel, per Table II design point.
 
 use lva_check::registered_kernels;
@@ -20,36 +19,25 @@ fn design_points() -> Vec<(&'static str, MachineConfig)> {
 }
 
 #[test]
-fn layer_counter_recorder_is_timing_neutral_for_every_kernel_and_design_point() {
+fn bare_kernel_energy_lands_outside_and_reconciles_for_every_kernel_and_design_point() {
     for (profile, cfg) in design_points() {
         for case in registered_kernels().iter().filter(|c| c.supports(cfg.vpu.isa)) {
-            let mut plain = Machine::new(cfg.clone());
-            (case.run)(&mut plain);
-            let mut recorded = Machine::new(cfg.clone());
-            recorded.record_layer_counters();
-            (case.run)(&mut recorded);
-            let layers = recorded.take_layer_counters();
+            let mut m = Machine::new(cfg.clone());
+            (case.run)(&mut m);
             let what = format!("{} on {profile}", case.name);
-            assert_eq!(plain.cycles(), recorded.cycles(), "recorder changed the cycles of {what}");
-            assert_eq!(plain.stats, recorded.stats, "recorder changed VPU counters of {what}");
-            assert_eq!(
-                plain.sys.stats(),
-                recorded.sys.stats(),
-                "recorder changed memory-system counters of {what}"
-            );
-            assert!(layers.is_empty(), "{what}: kernels open no layer scope");
+            assert!(m.layers().is_empty(), "{what}: kernels open no layer scope");
 
             let report = lva_nn::NetReport {
                 layers: Vec::new(),
-                cycles: recorded.cycles(),
-                phases: recorded.phases.clone(),
-                vpu: recorded.stats,
-                mem: recorded.sys.stats(),
-                stalls: recorded.stalls,
+                cycles: m.cycles(),
+                phases: m.phases.clone(),
+                vpu: m.stats,
+                mem: m.sys.stats(),
+                stalls: m.stalls,
             };
-            let att = EnergyAttribution::new(&report, &layers, &EnergyModel::default(), 1 << 20);
+            let att = EnergyAttribution::new(&report, m.layers(), &EnergyModel::default(), 1 << 20);
             assert!(att.layers.is_empty(), "{what}: no layer scopes in a bare kernel run");
-            let aggregate = EnergyCounts::from_stats(&recorded.stats, &recorded.sys.stats());
+            let aggregate = EnergyCounts::from_stats(&m.stats, &m.sys.stats());
             assert_eq!(att.outside_counts, aggregate, "{what}");
             assert!(
                 att.reconciliation_rel_err() < 1e-6,

@@ -297,25 +297,21 @@ impl Experiment {
         (Self::summarize(&m, report), profile)
     }
 
-    /// Like [`Experiment::run`], with the machine snapshotting its counters
-    /// at every layer boundary: each layer's vector ops, scalar charges,
-    /// cache accesses, DRAM transfers and prefetch fills are charged to it.
+    /// [`Experiment::run`], with each layer's vector ops, scalar charges,
+    /// cache accesses, DRAM transfers and prefetch fills charged to it from
+    /// the machine's layer book.
     ///
     /// Returns the summary plus the per-layer [`lva_energy::EnergyAttribution`],
     /// whose total reconciles with `model.estimate(...)` on the same run.
-    /// Pure observation: cycle counts are identical to a plain run.
     pub fn run_energy(
         &self,
         model: &lva_energy::EnergyModel,
     ) -> (RunSummary, lva_energy::EnergyAttribution) {
         let (mut m, mut net, shape) = self.build(false);
-        m.reset_timing();
-        m.record_layer_counters();
-        let image = host_random(shape.len(), self.seed ^ 0x1533);
-        let report = net.run(&mut m, &image);
-        let layers = m.take_layer_counters();
-        let att = lva_energy::EnergyAttribution::new(&report, &layers, model, self.hw.l2_bytes());
-        (Self::summarize(&m, report), att)
+        let s = self.run_frames(&mut m, &mut net, shape, 1).steady;
+        let att =
+            lva_energy::EnergyAttribution::new(&s.report, m.layers(), model, self.hw.l2_bytes());
+        (s, att)
     }
 
     /// Like [`Experiment::run`], recording pipeline events and returning a
@@ -323,28 +319,18 @@ impl Experiment {
     /// stall intervals as parallel tracks over simulated cycles).
     pub fn run_timeline(&self) -> (RunSummary, lva_trace::ChromeTrace) {
         let (mut m, mut net, shape) = self.build(false);
-        m.reset_timing();
         m.record_pipe_events();
-        let image = host_random(shape.len(), self.seed ^ 0x1533);
-        let report = net.run(&mut m, &image);
+        let s = self.run_frames(&mut m, &mut net, shape, 1).steady;
         let dropped = m.pipe_events_dropped();
         if dropped > 0 {
             eprintln!("run_timeline: recorder cap hit, {dropped} pipeline events dropped (timeline truncated)");
         }
         let events = m.take_pipe_events();
-        // Layers run back-to-back from cycle 0 (the clock was just reset),
-        // so per-layer spans are the cumulative sums of layer cycles.
-        let mut layers: Vec<lva_prof::LayerSpan> = Vec::with_capacity(report.layers.len());
-        let mut t = 0u64;
-        for l in &report.layers {
-            layers.push((format!("L{} {}", l.index, l.desc), t, t + l.cycles));
-            t += l.cycles;
-        }
         // Absorb stall gaps below ~1/100k of the run: invisible at any
         // usable zoom, and it keeps full-network exports Perfetto-sized.
         let resolution = m.cycles() / 100_000;
-        let trace = lva_prof::timeline_coarse(&events, &layers, resolution);
-        (Self::summarize(&m, report), trace)
+        let trace = lva_prof::timeline_coarse(&events, m.layers(), resolution);
+        (s, trace)
     }
 
     /// Run `frames` inferences back-to-back on the same machine (caches
@@ -476,23 +462,11 @@ impl Experiment {
         assert_eq!(seg.layers.len(), stat_layers.len(), "layer count drifted across replay");
         let layers: Vec<LayerReport> = seg
             .layers
-            .into_iter()
+            .iter()
             .zip(stat_layers)
-            .map(|(l, stat)| {
-                debug_assert_eq!(l.index, stat.index);
-                let avg_vlen_bits =
-                    if l.d_instrs == 0 { 0.0 } else { 32.0 * l.d_elems as f64 / l.d_instrs as f64 };
-                LayerReport {
-                    index: l.index,
-                    desc: l.desc,
-                    cycles: l.cycles,
-                    flops: stat.flops,
-                    mnk: stat.mnk,
-                    algo: stat.algo,
-                    out_shape: stat.out_shape,
-                    stalls: l.stalls,
-                    avg_vlen_bits,
-                }
+            .map(|(rec, stat)| {
+                debug_assert_eq!(rec.index, stat.index);
+                LayerReport::from_record(rec, stat.flops, stat.mnk, stat.algo, stat.out_shape)
             })
             .collect();
         let avg_vlen_bits = seg.vpu.avg_vlen_bits();

@@ -72,13 +72,14 @@ fn layer_attribution_reconciles_with_aggregate() {
     assert_eq!(att.outside.total_j(), 0.0, "layers cover every cycle");
 }
 
-/// Recording layer counters must not change timing.
+/// An attributed run is an ordinary run: its cycles and counters are a
+/// plain run's.
 #[test]
 fn energy_accounting_is_timing_neutral() {
     let e = experiment(1 << 20, 2048);
     let plain = e.run();
     let (recorded, _) = e.run_energy(&EnergyModel::default());
-    assert_eq!(plain.cycles, recorded.cycles, "cycles bit-identical recorder on/off");
+    assert_eq!(plain.cycles, recorded.cycles, "an attributed run takes a plain run's cycles");
     assert_eq!(plain.report.vpu, recorded.report.vpu);
     assert_eq!(plain.report.mem, recorded.report.mem);
 }

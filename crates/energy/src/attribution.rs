@@ -1,8 +1,8 @@
 //! Per-layer energy from the simulator's own counters.
 //!
-//! With [`lva_isa::Machine::record_layer_counters`] on, every layer
-//! boundary snapshots the machine's VPU and memory-system counters. A
-//! layer's integer counts are the difference of its two snapshots, and the
+//! The machine's layer book ([`lva_isa::Machine::layers`]) records its
+//! VPU and memory-system counters at every layer boundary. A layer's
+//! integer counts are the difference of its record's two ends, and the
 //! `outside` bucket is the run's aggregate counts minus the layers' sum, so
 //! layers plus `outside` equal the aggregate by construction. Joules appear
 //! only when [`EnergyAttribution::new`] charges each scope through the same
@@ -10,14 +10,11 @@
 //! per-layer joules reconcile with [`EnergyModel::estimate`] to float
 //! rounding (pinned at 1e-6 relative).
 //!
-//! The recorder only reads counters the timing model keeps anyway, so
-//! cycle counts are bit-identical with it on or off (asserted per kernel ×
-//! design point in `lva-check` and per experiment in `lva-bench`).
+//! The book is kept on every run, so an attributed run is an ordinary run.
 
 use crate::model::{EnergyBreakdown, EnergyCounts, EnergyModel, EnergyReport};
-use lva_isa::{LayerCounters, VpuStats};
+use lva_isa::{Counters, LayerRecord};
 use lva_nn::NetReport;
-use lva_sim::MemSystemStats;
 use lva_trace::Json;
 
 /// One layer's attributed energy.
@@ -25,8 +22,8 @@ use lva_trace::Json;
 pub struct LayerEnergy {
     pub index: usize,
     pub desc: String,
-    /// Cycles the layer took (from its [`lva_nn::LayerReport`]); basis of
-    /// its static-energy share.
+    /// Cycles the layer took (from its record); basis of its static-energy
+    /// share.
     pub cycles: u64,
     /// Integer event counts between the layer's two boundaries.
     pub counts: EnergyCounts,
@@ -60,24 +57,23 @@ pub struct EnergyAttribution {
 }
 
 impl EnergyAttribution {
-    /// Charge each layer's counter delta into joules. `layers` are the
-    /// snapshots of [`lva_isa::Machine::take_layer_counters`] for the run
-    /// `report` describes; `report` supplies layer cycles and the
-    /// aggregate reference.
+    /// Charge each layer's counter delta into joules. `layers` is the
+    /// machine's layer book ([`lva_isa::Machine::layers`]) for the run
+    /// `report` describes; `report` supplies the aggregate reference.
     pub fn new(
         report: &NetReport,
-        layers: &[LayerCounters],
+        layers: &[LayerRecord],
         model: &EnergyModel,
         l2_bytes: usize,
     ) -> EnergyAttribution {
-        let at = |(v, m): &(VpuStats, MemSystemStats)| EnergyCounts::from_stats(v, m);
+        let at = |c: &Counters| EnergyCounts::from_stats(&c.vpu, &c.mem);
         let mut attributed = Vec::with_capacity(layers.len());
         let mut in_layers = EnergyCounts::default();
         let mut covered_cycles = 0u64;
         let mut total = EnergyBreakdown::default();
         for l in layers {
             let counts = at(&l.end).since(&at(&l.begin));
-            let cycles = report.layers.iter().find(|r| r.index == l.index).map_or(0, |r| r.cycles);
+            let cycles = l.cycles();
             covered_cycles += cycles;
             in_layers.add(&counts);
             let breakdown = model.charge(&counts, cycles, l2_bytes);

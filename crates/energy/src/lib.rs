@@ -8,14 +8,13 @@
 //! * [`EnergyModel`] — documented event energies (pJ per vector flop,
 //!   scalar op, issue, cache access, DRAM transfer) plus static power, with
 //!   sqrt-capacity scaling of the L2 access energy.
-//! * [`EnergyAttribution`] — per-layer joules from the counter snapshots
-//!   the machine takes at layer boundaries
-//!   (`lva_isa::Machine::record_layer_counters`): each layer's counter
-//!   delta is charged into one [`EnergyBreakdown`], and the layers plus the
-//!   `outside` bucket sum to the run's aggregate counts by construction, so
-//!   the total reconciles with [`EnergyModel::estimate`] to float rounding
-//!   (pinned at 1e-6 relative). Cycle counts are bit-identical with the
-//!   recorder on or off.
+//! * [`EnergyAttribution`] — per-layer joules from the machine's layer
+//!   book (`lva_isa::Machine::layers`), which records its counters at every
+//!   layer boundary on every run: each layer's counter delta is charged
+//!   into one [`EnergyBreakdown`], and the layers plus the `outside` bucket
+//!   sum to the run's aggregate counts by construction, so the total
+//!   reconciles with [`EnergyModel::estimate`] to float rounding (pinned at
+//!   1e-6 relative).
 //!
 //! Consumers: `lva-core` re-exports the model for `RunReport`'s optional
 //! `energy` section, `lva-whatif` derives energy counterfactuals and an

@@ -37,11 +37,11 @@ pub use config::{
     CoreConfig, IsaKind, MachineConfig, Platform, VpuConfig, A64FX_L2_BYTES, DEFAULT_L1_BYTES,
     DEFAULT_L2_BYTES,
 };
-pub use machine::{LayerCounters, Machine, PipeEvent, ReplayCursor, VReg, NUM_VREGS};
+pub use machine::{Counters, LayerRecord, Machine, PipeEvent, ReplayCursor, VReg, NUM_VREGS};
 pub use pred::Pred;
 pub use record::{stream_hash, EventKind, StreamHasher, VecEvent};
 pub use replay::{
-    LayerReplay, MaccRows, ProbeTape, ReplayOp, ReplayTrace, SegmentReplay, TapeSegment, VArithOp,
+    MaccRows, ProbeTape, ReplayOp, ReplayTrace, SegmentReplay, TapeSegment, VArithOp,
 };
 pub use stats::{KernelPhase, PhaseTimer, StallBreakdown, StallCause, VpuStats};
 

@@ -24,8 +24,8 @@
 use crate::config::{IsaKind, MachineConfig};
 use crate::pred::Pred;
 use crate::replay::{
-    indexed_range, r32, ArithShape, IndexedOp, LayerReplay, MaccRows, ProbeTape, ReduceOp,
-    ReplayOp, ReplayTrace, SegmentReplay, TapePlayer, TapeRecorder, VArithOp,
+    indexed_range, r32, ArithShape, IndexedOp, MaccRows, ProbeTape, ReduceOp, ReplayOp,
+    ReplayTrace, SegmentReplay, TapePlayer, TapeRecorder, VArithOp,
 };
 use crate::stats::{KernelPhase, PhaseTimer, StallBreakdown, StallCause, VpuStats};
 use lva_sim::{
@@ -51,17 +51,48 @@ pub enum PipeEvent {
     Stall { cause: StallCause, start: u64, end: u64 },
 }
 
-/// One network layer's counters at its two boundaries, captured by the
-/// opt-in recorder behind [`Machine::record_layer_counters`]. The layer's
-/// own counts are `end` minus `begin`.
+/// The machine's counters at one instant.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Counters {
+    /// [`Machine::cycles`].
+    pub cycles: u64,
+    pub stalls: StallBreakdown,
+    pub vpu: VpuStats,
+    /// The memory system's counters. A tape refit reads every probe's
+    /// outcome from the tape and runs no hierarchy, so under one these do
+    /// not move: they keep their values from the segment's start.
+    pub mem: MemSystemStats,
+}
+
+/// One network layer in the machine's book, opened by
+/// [`Machine::layer_begin`] and closed by [`Machine::layer_end`] — on a
+/// live run, a replay and a SoC core alike. The layer's own counts are
+/// `end` minus `begin`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LayerCounters {
+pub struct LayerRecord {
     pub index: usize,
     pub desc: String,
-    /// VPU and memory-system counters when the layer opened.
-    pub begin: (VpuStats, MemSystemStats),
-    /// The same counters when it closed (`begin` while it is still open).
-    pub end: (VpuStats, MemSystemStats),
+    /// The counters when the layer opened.
+    pub begin: Counters,
+    /// The counters when it closed (`begin` while it is still open).
+    pub end: Counters,
+}
+
+impl LayerRecord {
+    /// Cycles the layer took.
+    pub fn cycles(&self) -> u64 {
+        self.end.cycles - self.begin.cycles
+    }
+
+    /// Stall cycles incurred in the layer, by cause.
+    pub fn stalls(&self) -> StallBreakdown {
+        self.end.stalls.since(&self.begin.stalls)
+    }
+
+    /// VPU counts of the layer.
+    pub fn vpu(&self) -> VpuStats {
+        self.end.vpu.since(&self.begin.vpu)
+    }
 }
 
 /// A vector register name (0..32).
@@ -107,15 +138,15 @@ pub struct Machine {
     /// Per-cause attribution of every front-end stall cycle. Bookkeeping
     /// only: the timing model is identical whether anyone reads this.
     pub stalls: StallBreakdown,
-    /// Opt-in layer-boundary recorder (the `lva-energy` attribution): the
-    /// VPU and memory-system counters at every [`Self::layer_begin`] and
-    /// [`Self::layer_end`]. `None` (the default) records nothing. Pure
-    /// observation — the timing model never reads it, so cycle counts are
-    /// bit-identical with recording on or off.
-    layer_counters: Option<Vec<LayerCounters>>,
+    /// The layer book: one record per layer opened since the last
+    /// [`Self::reset_timing`]. Pure observation — the timing model never
+    /// reads it.
+    layers: Vec<LayerRecord>,
+    /// Open kernel phases, innermost last, with the cycle each opened at.
+    open_phases: Vec<(KernelPhase, u64)>,
     /// Opt-in pipeline-interval recorder for the timeline exporter
     /// (`lva-prof`): kernel-phase boundaries and per-cause stall intervals
-    /// in simulated cycles. Pure observation, exactly like `layer_counters`.
+    /// in simulated cycles. Pure observation, exactly like `layers`.
     pipe: Option<Vec<PipeEvent>>,
     /// Events discarded after [`Self::MAX_PIPE_EVENTS`] was reached
     /// (reported by [`Self::pipe_events_dropped`], never silent).
@@ -129,7 +160,7 @@ pub struct Machine {
     /// appends one [`ReplayOp`] with the arguments its timing depends on.
     /// Replays re-execute it; the kernel linters decode their
     /// [`crate::VecEvent`] streams from it. Pure observation, exactly like
-    /// `layer_counters`.
+    /// `layers`.
     rlog: Option<ReplayTrace>,
     /// Opt-in probe-tape recorder: stores the serving level of every cache
     /// probe so later refits can skip the cache arrays. Pure observation.
@@ -166,7 +197,8 @@ impl Machine {
             stats: VpuStats::default(),
             phases: PhaseTimer::default(),
             stalls: StallBreakdown::default(),
-            layer_counters: None,
+            layers: Vec::new(),
+            open_phases: Vec::new(),
             pipe: None,
             pipe_dropped: 0,
             ref_model: false,
@@ -203,22 +235,6 @@ impl Machine {
     /// The active idealization spec.
     pub fn ideal(&self) -> IdealSpec {
         self.cfg.ideal
-    }
-
-    // ------------------------------------------------------------------
-    // Layer-boundary counters (the `lva-energy` hook)
-    // ------------------------------------------------------------------
-
-    /// Start snapshotting the VPU and memory-system counters at every layer
-    /// boundary (clears any previous recording). Live runs only: the replay
-    /// executor forwards layer scopes to the tap but takes no snapshots.
-    pub fn record_layer_counters(&mut self) {
-        self.layer_counters = Some(Vec::new());
-    }
-
-    /// Stop recording and return one entry per layer opened since.
-    pub fn take_layer_counters(&mut self) -> Vec<LayerCounters> {
-        self.layer_counters.take().unwrap_or_default()
     }
 
     // ------------------------------------------------------------------
@@ -388,8 +404,25 @@ impl Machine {
         self.now.max(self.unit_free).max(self.ready_max)
     }
 
-    /// Reset the clock, scoreboard and statistics (cache contents survive,
-    /// like the paper's exclusion of the network-setup phase).
+    /// The machine's counters now.
+    fn counters(&self) -> Counters {
+        Counters {
+            cycles: self.cycles(),
+            stalls: self.stalls,
+            vpu: self.stats,
+            mem: self.sys.stats(),
+        }
+    }
+
+    /// The layer book: one record per layer opened since the last
+    /// [`Self::reset_timing`], in opening order.
+    pub fn layers(&self) -> &[LayerRecord] {
+        &self.layers
+    }
+
+    /// Reset the clock, scoreboard and statistics, and start a fresh layer
+    /// book (cache contents survive, like the paper's exclusion of the
+    /// network-setup phase).
     pub fn reset_timing(&mut self) {
         self.rlog(|| ReplayOp::ResetTiming);
         if let Some(tr) = self.tape_rec.as_mut() {
@@ -410,63 +443,70 @@ impl Machine {
         self.phases = PhaseTimer::default();
         self.stalls = StallBreakdown::default();
         self.sys.reset_stats();
+        self.layers.clear();
+        self.open_phases.clear();
     }
 
     /// Run `f` attributing its cycles to kernel phase `p` (§II-B breakdown).
     /// When tracing is enabled, the phase is also emitted as a span with its
     /// simulated cycle delta attached.
     pub fn phase<R>(&mut self, p: KernelPhase, f: impl FnOnce(&mut Self) -> R) -> R {
-        let t0 = self.cycles();
         let mut sp = lva_trace::span(p.name());
-        self.rlog(|| ReplayOp::PhaseBegin { phase: p });
-        self.tl_phase_begin(p);
+        self.phase_begin(p);
         let r = f(self);
-        self.rlog(|| ReplayOp::PhaseEnd { phase: p });
-        let t1 = self.tl_phase_end(p);
-        let dt = t1 - t0;
-        self.phases.add(p, dt);
-        sp.set("cycles", dt);
+        sp.set("cycles", self.phase_end(p));
         r
     }
 
-    /// Observer half of a phase opening (pipeline marker, tap scope) —
-    /// shared between [`Self::phase`] and the replay executor.
-    #[inline]
-    fn tl_phase_begin(&mut self, p: KernelPhase) {
+    /// Open kernel phase `p`: forwards the boundary to the replay log, the
+    /// pipeline recorder and the address-stream tap, and pushes it on the
+    /// open-phase stack. Live ops (through [`Self::phase`]) and both replay
+    /// executors call this.
+    fn phase_begin(&mut self, p: KernelPhase) {
+        self.rlog(|| ReplayOp::PhaseBegin { phase: p });
         let t0 = self.cycles();
         self.pipe(|| PipeEvent::PhaseBegin { phase: p, at: t0 });
         self.sys.tap_scope(TapScope::PhaseBegin { name: p.name() });
+        self.open_phases.push((p, t0));
     }
 
-    /// Observer half of a phase closing; returns the closing cycle count.
-    #[inline]
-    fn tl_phase_end(&mut self, p: KernelPhase) -> u64 {
+    /// Close the innermost open kernel phase, `p`, charge its cycles to the
+    /// phase timer and return them.
+    ///
+    /// # Panics
+    /// Panics if no phase is open.
+    fn phase_end(&mut self, p: KernelPhase) -> u64 {
+        self.rlog(|| ReplayOp::PhaseEnd { phase: p });
         let t1 = self.cycles();
         self.pipe(|| PipeEvent::PhaseEnd { phase: p, at: t1 });
         self.sys.tap_scope(TapScope::PhaseEnd);
-        t1
+        let (open, t0) = self.open_phases.pop().expect("phase_end without an open phase");
+        debug_assert_eq!(open, p, "mismatched phase nesting");
+        self.phases.add(p, t1 - t0);
+        t1 - t0
     }
 
-    /// Mark the start of network layer `index` (`lva-nn` calls this around
-    /// each layer's kernels): forwards the boundary to the address-stream
-    /// tap, the replay log and the layer-counter recorder.
+    /// Open network layer `index` (`lva-nn` calls this around each layer's
+    /// kernels; layers do not nest): forwards the boundary to the replay
+    /// log and the address-stream tap, and opens the layer's record in the
+    /// book.
     pub fn layer_begin(&mut self, index: usize, desc: &str) {
         if let Some(log) = self.rlog.as_mut() {
             log.push_layer_begin(index, desc);
         }
-        if let Some(layers) = self.layer_counters.as_mut() {
-            let now = (self.stats, self.sys.stats());
-            layers.push(LayerCounters { index, desc: desc.to_string(), begin: now, end: now });
-        }
+        let now = self.counters();
+        self.layers.push(LayerRecord { index, desc: desc.to_string(), begin: now, end: now });
         self.sys.tap_scope(TapScope::LayerBegin { index, desc });
     }
 
-    /// Mark the end of the innermost open network layer.
+    /// Close the open network layer's record.
+    ///
+    /// # Panics
+    /// Panics if no layer was opened since the last [`Self::reset_timing`].
     pub fn layer_end(&mut self) {
         self.rlog(|| ReplayOp::LayerEnd);
-        if let Some(layer) = self.layer_counters.as_mut().and_then(|v| v.last_mut()) {
-            layer.end = (self.stats, self.sys.stats());
-        }
+        let now = self.counters();
+        self.layers.last_mut().expect("layer_end without an open layer").end = now;
         self.sys.tap_scope(TapScope::LayerEnd);
     }
 
@@ -1879,56 +1919,21 @@ impl Machine {
     /// via [`Self::record_probe_tape`]).
     pub fn replay(&mut self, trace: &ReplayTrace) -> Vec<SegmentReplay> {
         let mut segments = Vec::new();
-        // (phase, cycles at open) — mirrors the call stack of `phase()`.
-        let mut phase_stack: Vec<(KernelPhase, u64)> = Vec::new();
-        // Open layer: (index, desc, cycles/stalls/instr/elem snapshots).
-        let mut layer_open: Option<(usize, u32, u64, StallBreakdown, u64, u64)> = None;
-        let mut layers: Vec<LayerReplay> = Vec::new();
         for &op in &trace.ops {
             if self.replay_op(trace, op) {
                 continue;
             }
-            match op {
-                ReplayOp::PhaseBegin { phase } => self.replay_phase_begin(phase, &mut phase_stack),
-                ReplayOp::PhaseEnd { phase } => self.replay_phase_end(phase, &mut phase_stack),
-                ReplayOp::LayerBegin { index, desc } => {
-                    self.sys.tap_scope(TapScope::LayerBegin {
-                        index: index as usize,
-                        desc: &trace.descs[desc as usize],
-                    });
-                    layer_open = Some((
-                        index as usize,
-                        desc,
-                        self.cycles(),
-                        self.stalls,
-                        self.stats.vec_instrs,
-                        self.stats.active_elems,
-                    ));
+            if op == ReplayOp::ResetTiming {
+                segments.push(self.segment_snapshot());
+                if let Some(tp) = self.tape_play.as_mut() {
+                    tp.next_segment();
                 }
-                ReplayOp::LayerEnd => {
-                    self.sys.tap_scope(TapScope::LayerEnd);
-                    let (index, desc, t0, stalls0, instrs0, elems0) =
-                        layer_open.take().expect("replay: LayerEnd without open layer");
-                    layers.push(LayerReplay {
-                        index,
-                        desc: trace.descs[desc as usize].clone(),
-                        cycles: self.cycles() - t0,
-                        stalls: self.stalls.since(&stalls0),
-                        d_instrs: self.stats.vec_instrs - instrs0,
-                        d_elems: self.stats.active_elems - elems0,
-                    });
-                }
-                ReplayOp::ResetTiming => {
-                    segments.push(self.segment_snapshot(std::mem::take(&mut layers)));
-                    if let Some(tp) = self.tape_play.as_mut() {
-                        tp.next_segment();
-                    }
-                    self.reset_timing();
-                }
-                _ => unreachable!("replay: timing op {op:?} reached the boundary arms"),
+                self.reset_timing();
+            } else {
+                self.replay_scope(trace, op);
             }
         }
-        segments.push(self.segment_snapshot(layers));
+        segments.push(self.segment_snapshot());
         segments
     }
 
@@ -1963,20 +1968,12 @@ impl Machine {
             return true;
         }
         cur.i += 1;
-        if self.replay_op(trace, op) {
-            return true;
-        }
-        match op {
-            ReplayOp::PhaseBegin { phase } => self.replay_phase_begin(phase, &mut cur.phase_stack),
-            ReplayOp::PhaseEnd { phase } => self.replay_phase_end(phase, &mut cur.phase_stack),
-            ReplayOp::LayerBegin { index, desc } => {
-                self.sys.tap_scope(TapScope::LayerBegin {
-                    index: index as usize,
-                    desc: &trace.descs[desc as usize],
-                });
-            }
-            ReplayOp::LayerEnd => self.sys.tap_scope(TapScope::LayerEnd),
-            _ => panic!("replay_step: ResetTiming inside a cursor range — slice at boundaries"),
+        if !self.replay_op(trace, op) {
+            assert!(
+                op != ReplayOp::ResetTiming,
+                "replay_step: ResetTiming inside a cursor range — slice at boundaries"
+            );
+            self.replay_scope(trace, op);
         }
         true
     }
@@ -2036,23 +2033,20 @@ impl Machine {
         true
     }
 
-    /// Replay a `PhaseBegin`: the observer half plus an open-phase entry
-    /// (phase, cycles at open) on `stack`, which mirrors `phase()` calls.
-    #[inline]
-    fn replay_phase_begin(&mut self, phase: KernelPhase, stack: &mut Vec<(KernelPhase, u64)>) {
-        let t0 = self.cycles();
-        self.tl_phase_begin(phase);
-        stack.push((phase, t0));
-    }
-
-    /// Replay a `PhaseEnd`: close the innermost open phase and charge its
-    /// cycles to the phase timer.
-    #[inline]
-    fn replay_phase_end(&mut self, phase: KernelPhase, stack: &mut Vec<(KernelPhase, u64)>) {
-        let t1 = self.tl_phase_end(phase);
-        let (p, t0) = stack.pop().expect("replay: PhaseEnd without open phase");
-        debug_assert_eq!(p, phase, "replay: mismatched phase nesting");
-        self.phases.add(phase, t1 - t0);
+    /// Replay a phase or layer boundary through the same methods the live
+    /// ops call, so a replay keeps the same books a live run keeps.
+    fn replay_scope(&mut self, trace: &ReplayTrace, op: ReplayOp) {
+        match op {
+            ReplayOp::PhaseBegin { phase } => self.phase_begin(phase),
+            ReplayOp::PhaseEnd { phase } => {
+                self.phase_end(phase);
+            }
+            ReplayOp::LayerBegin { index, desc } => {
+                self.layer_begin(index as usize, &trace.descs[desc as usize]);
+            }
+            ReplayOp::LayerEnd => self.layer_end(),
+            _ => unreachable!("replay: timing op {op:?} reached the boundary arms"),
+        }
     }
 
     /// Advance the front-end clock to at least `t` without doing work: an
@@ -2067,8 +2061,9 @@ impl Machine {
     }
 
     /// The current segment's complete timing results (cache statistics from
-    /// the tape under refit playback, from the live counters otherwise).
-    fn segment_snapshot(&mut self, layers: Vec<LayerReplay>) -> SegmentReplay {
+    /// the tape under refit playback, from the live counters otherwise),
+    /// taking the segment's layer book.
+    fn segment_snapshot(&mut self) -> SegmentReplay {
         let mem = match self.tape_play.as_ref() {
             Some(tp) => tp.segment_stats(),
             None => self.sys.stats(),
@@ -2079,34 +2074,26 @@ impl Machine {
             phases: self.phases.clone(),
             vpu: self.stats,
             mem,
-            layers,
+            layers: std::mem::take(&mut self.layers),
         }
     }
 }
 
 /// Position state of a steppable replay (see [`Machine::replay_step`]): the
 /// next op index, the next sub-op inside it (nonzero only part-way through a
-/// [`ReplayOp::VMaccRows`]), the exclusive range end, and the open-phase
-/// stack that mirrors `phase()` nesting across steps.
+/// [`ReplayOp::VMaccRows`]) and the exclusive range end.
 #[derive(Debug, Clone)]
 pub struct ReplayCursor {
     i: usize,
     sub: usize,
     end: usize,
-    phase_stack: Vec<(KernelPhase, u64)>,
 }
 
 impl ReplayCursor {
     /// Cursor over `ops[start..end)` of a [`ReplayTrace`].
     pub fn new(start: usize, end: usize) -> Self {
         assert!(start <= end, "cursor range reversed: {start}..{end}");
-        ReplayCursor { i: start, sub: 0, end, phase_stack: Vec::new() }
-    }
-
-    /// Index of the op the next step executes (a sub-op of it, when part-way
-    /// through a row update).
-    pub fn pos(&self) -> usize {
-        self.i
+        ReplayCursor { i: start, sub: 0, end }
     }
 
     /// Whether the range is exhausted.

@@ -477,25 +477,6 @@ impl ProbeTape {
     }
 }
 
-/// Per-layer dynamic results of one replayed segment; combined with the
-/// capture run's static layer metadata (desc, flops, mnk, algo, shape) this
-/// reconstructs a full `LayerReport`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LayerReplay {
-    /// Layer index as recorded by `lva-nn`.
-    pub index: usize,
-    /// Layer description (from the trace's desc pool).
-    pub desc: String,
-    /// Cycles spent in the layer.
-    pub cycles: u64,
-    /// Stall attribution delta over the layer.
-    pub stalls: StallBreakdown,
-    /// Vector instructions issued in the layer.
-    pub d_instrs: u64,
-    /// Active vector elements processed in the layer.
-    pub d_elems: u64,
-}
-
 /// Complete timing results of one `reset_timing()`-delimited segment of a
 /// replay — everything the full simulator would have reported for it.
 #[derive(Debug, Clone, PartialEq)]
@@ -511,8 +492,11 @@ pub struct SegmentReplay {
     /// Memory-system statistics (live counters, or the tape snapshot when
     /// refitting).
     pub mem: MemSystemStats,
-    /// Per-layer dynamic deltas, in traversal order.
-    pub layers: Vec<LayerReplay>,
+    /// The segment's layer book, kept by the same
+    /// [`crate::Machine::layer_begin`]/[`crate::Machine::layer_end`] a live
+    /// run calls. Under a tape refit the records' memory counters do not
+    /// move (see [`crate::Counters::mem`]); `mem` above is the tape's.
+    pub layers: Vec<crate::LayerRecord>,
 }
 
 /// Tape recorder state (installed on a capturing or live-replaying machine).

@@ -46,6 +46,21 @@ impl VpuStats {
         self.sw_prefetches += o.sw_prefetches;
         self.spills += o.spills;
     }
+
+    /// Difference of two snapshots (`self` later, `earlier` first): the
+    /// counts incurred in between.
+    pub fn since(&self, earlier: &VpuStats) -> VpuStats {
+        VpuStats {
+            vec_instrs: self.vec_instrs - earlier.vec_instrs,
+            vec_mem_instrs: self.vec_mem_instrs - earlier.vec_mem_instrs,
+            active_elems: self.active_elems - earlier.active_elems,
+            vec_flops: self.vec_flops - earlier.vec_flops,
+            scalar_flops: self.scalar_flops - earlier.scalar_flops,
+            scalar_ops: self.scalar_ops - earlier.scalar_ops,
+            sw_prefetches: self.sw_prefetches - earlier.sw_prefetches,
+            spills: self.spills - earlier.spills,
+        }
+    }
 }
 
 /// Why the scalar front-end could not issue the next vector instruction

@@ -1,7 +1,7 @@
 //! Network construction and the inference runner.
 
 use crate::layer::{ConvAlgo, ConvPolicy, LayerSpec};
-use lva_isa::{Machine, StallBreakdown, VpuStats};
+use lva_isa::{LayerRecord, Machine, StallBreakdown, VpuStats};
 use lva_kernels::aux::{
     activate_vec, add_bias_vec, add_inplace_vec, copy_vec, fill_vec, normalize_vec, scale_bias_vec,
     Activation,
@@ -97,6 +97,30 @@ pub struct LayerReport {
 }
 
 impl LayerReport {
+    /// A layer's report: its cycles, stalls and average vector length read
+    /// from the machine's record of it, and its static description (`flops`,
+    /// `mnk`, `algo`, `out_shape`) as the network built it. Live runs and
+    /// replays both report through here.
+    pub fn from_record(
+        rec: &LayerRecord,
+        flops: u64,
+        mnk: Option<(usize, usize, usize)>,
+        algo: Option<ConvAlgo>,
+        out_shape: Shape,
+    ) -> Self {
+        LayerReport {
+            index: rec.index,
+            desc: rec.desc.clone(),
+            cycles: rec.cycles(),
+            flops,
+            mnk,
+            algo,
+            out_shape,
+            stalls: rec.stalls(),
+            avg_vlen_bits: rec.vpu().avg_vlen_bits(),
+        }
+    }
+
     /// Achieved floating-point throughput: mathematical flops of the layer
     /// per simulated cycle it took.
     pub fn flops_per_cycle(&self) -> f64 {
@@ -448,13 +472,9 @@ impl Network {
         // Split borrows: the loop needs `self.layers[i]` mutably plus reads
         // of earlier layers' outputs, so work with raw indices.
         for i in 0..self.layers.len() {
-            let t0 = m.cycles();
-            let stalls0 = m.stalls;
-            let vpu0 = m.stats;
             // Opened before the layer body so kernel-phase spans nest inside.
             let mut layer_span = lva_trace::span("layer");
-            let desc = self.layers[i].spec.describe();
-            m.layer_begin(i, &desc);
+            m.layer_begin(i, &self.layers[i].spec.describe());
             let prev_out: Tensor = if i == 0 { self.input } else { self.layers[i - 1].out };
             let (mnk, algo, flops);
             // Take what we need out of the layer to satisfy the borrow
@@ -572,31 +592,16 @@ impl Network {
                 }
             }
             m.layer_end();
-            let cycles = m.cycles() - t0;
-            let stalls = m.stalls.since(&stalls0);
-            let d_instrs = m.stats.vec_instrs - vpu0.vec_instrs;
-            let d_elems = m.stats.active_elems - vpu0.active_elems;
-            let avg_vlen_bits =
-                if d_instrs == 0 { 0.0 } else { 32.0 * d_elems as f64 / d_instrs as f64 };
-            let report = LayerReport {
-                index: i,
-                desc,
-                cycles,
-                flops,
-                mnk,
-                algo,
-                out_shape: self.layers[i].out.shape,
-                stalls,
-                avg_vlen_bits,
-            };
+            let rec = m.layers().last().expect("layer_end closed this layer's record");
+            let report = LayerReport::from_record(rec, flops, mnk, algo, out.shape);
             if lva_trace::enabled() {
                 layer_span.set("index", i as u64);
                 layer_span.set("desc", report.desc.as_str());
-                layer_span.set("cycles", cycles);
+                layer_span.set("cycles", report.cycles);
                 layer_span.set("flops", flops);
                 layer_span.set("flops_per_cycle", report.flops_per_cycle());
-                layer_span.set("avg_vlen_bits", avg_vlen_bits);
-                layer_span.set("stall_cycles", stalls.total());
+                layer_span.set("avg_vlen_bits", report.avg_vlen_bits);
+                layer_span.set("stall_cycles", report.stalls.total());
             }
             drop(layer_span);
             reports.push(report);

@@ -12,7 +12,7 @@
 //!   miss as compulsory / capacity / conflict (the 3C taxonomy), and
 //!   validates predictions against the simulated set-associative caches.
 //! * [`timeline`] — converts recorded [`lva_isa::PipeEvent`]s (phases and
-//!   stall intervals) plus layer boundaries into a Chrome trace-event
+//!   stall intervals) plus the machine's layer book into a Chrome trace-event
 //!   timeline ([`lva_trace::ChromeTrace`]) loadable in Perfetto.
 //!
 //! Everything here is pure observation: attaching a profiler or recording
@@ -25,4 +25,4 @@ pub mod timeline;
 
 pub use mattson::{DistanceHistogram, StackDistance};
 pub use profiler::{attach, LevelProfile, MemProfile, MemProfiler, ProfilerHandle, ScopeProfile};
-pub use timeline::{timeline, timeline_coarse, LayerSpan};
+pub use timeline::{timeline, timeline_coarse};

@@ -3,7 +3,8 @@
 //!
 //! Track layout, one swim lane per pipeline resource:
 //!
-//! * `layer`  — `B`/`E` pairs, one per network layer (caller-provided);
+//! * `layer`  — `B`/`E` pairs, one per record of the machine's layer book
+//!   ([`lva_isa::Machine::layers`]), named `L<index> <desc>`;
 //! * `phase`  — `B`/`E` pairs from [`PipeEvent::PhaseBegin`]/`PhaseEnd`;
 //! * `stall:<cause>` — one `X` (complete) event per attributed stall
 //!   interval, a separate track per [`StallCause`] so the §IV stall
@@ -27,16 +28,14 @@
 //!   ([`lva_isa::Machine::MAX_PIPE_EVENTS`]) is closed at the last
 //!   recorded timestamp, so truncated streams still validate.
 
-use lva_isa::PipeEvent;
+use lva_isa::{LayerRecord, PipeEvent};
 use lva_trace::ChromeTrace;
 
-/// A closed layer interval: `(name, start_cycle, end_cycle)`.
-pub type LayerSpan = (String, u64, u64);
-
-/// Build a validated timeline from recorded pipeline events.
+/// Build a validated timeline from recorded pipeline events and the
+/// machine's layer book.
 ///
 /// `layers` may be empty (kernel-level runs have no layer structure).
-pub fn timeline(events: &[PipeEvent], layers: &[LayerSpan]) -> ChromeTrace {
+pub fn timeline(events: &[PipeEvent], layers: &[LayerRecord]) -> ChromeTrace {
     timeline_coarse(events, layers, 0)
 }
 
@@ -49,12 +48,16 @@ pub fn timeline(events: &[PipeEvent], layers: &[LayerSpan]) -> ChromeTrace {
 /// coalescing across them bounds the export to roughly
 /// `total_cycles / resolution` events per track while leaving every stall
 /// cycle inside some rendered interval. `resolution == 0` is exact.
-pub fn timeline_coarse(events: &[PipeEvent], layers: &[LayerSpan], resolution: u64) -> ChromeTrace {
+pub fn timeline_coarse(
+    events: &[PipeEvent],
+    layers: &[LayerRecord],
+    resolution: u64,
+) -> ChromeTrace {
     let mut t = ChromeTrace::new();
 
-    for (name, start, end) in layers {
-        t.begin("layer", name, *start);
-        t.end("layer", (*end).max(*start));
+    for l in layers {
+        t.begin("layer", &format!("L{} {}", l.index, l.desc), l.begin.cycles);
+        t.end("layer", l.end.cycles.max(l.begin.cycles));
     }
 
     // Phases nest and are recorded in order, so B/E pass through directly.
@@ -126,6 +129,7 @@ mod tests {
         let mut m = Machine::new(MachineConfig::rvv_gem5(2048, 8, 1 << 20));
         m.record_pipe_events();
         let a = m.mem.alloc(4096);
+        m.layer_begin(0, "conv");
         let vl = m.setvl(64);
         m.phase(KernelPhase::Pack, |m| {
             for i in 0..16 {
@@ -139,9 +143,9 @@ mod tests {
                 m.vfmacc_vf(1, 1.5, 0, vl);
             }
         });
+        m.layer_end();
         let events = m.take_pipe_events();
-        let layers = vec![("L0 conv".to_string(), 0, m.cycles())];
-        let t = timeline(&events, &layers);
+        let t = timeline(&events, m.layers());
         assert_eq!(t.validate(), Ok(()), "timeline must be well-formed");
         assert!(!t.is_empty());
         // Phase track is present with both phases; at least one stall track.

@@ -66,9 +66,10 @@ use std::rc::Rc;
 
 use lva_core::{CapturedRun, Experiment};
 use lva_isa::{
-    Machine, ReplayCursor, ReplayOp, ReplayTrace, StallBreakdown, StallCause, StreamHasher,
+    LayerRecord, Machine, ReplayCursor, ReplayOp, ReplayTrace, StallBreakdown, StallCause,
+    StreamHasher,
 };
-use lva_prof::{timeline_coarse, LayerSpan};
+use lva_prof::timeline_coarse;
 use lva_sim::{MemSystemStats, SharedPort, SharedPortConfig, SharedPortHandle, SharedPortStats};
 use lva_trace::ChromeTrace;
 
@@ -177,6 +178,10 @@ pub struct CoreResult {
     /// Layer range `[first, last)` of this core's pipeline stage (`None`
     /// under batch sharding).
     pub stage_layers: Option<(usize, usize)>,
+    /// The core's layer book over the measured phase: one record per layer
+    /// instance it ran, in order (contention included in each record's
+    /// stalls).
+    pub layers: Vec<LayerRecord>,
 }
 
 impl CoreResult {
@@ -302,30 +307,13 @@ struct CoreState {
     started: bool,
     idle: u64,
     frames_done: usize,
-    /// Closed layer spans (timeline capture).
-    spans: Vec<LayerSpan>,
-    open_layers: Vec<(String, u64)>,
 }
 
 impl CoreState {
     /// Replay the next op, then refresh the cached clock.
-    fn step(&mut self, trace: &ReplayTrace, capture_spans: bool) {
-        let peek = capture_spans.then(|| trace.ops.get(self.cur.pos()).copied()).flatten();
-        let before = self.clock;
+    fn step(&mut self, trace: &ReplayTrace) {
         self.m.replay_step(trace, &mut self.cur);
         self.sync_clock();
-        match peek {
-            Some(ReplayOp::LayerBegin { index, desc }) => {
-                let name = format!("L{index} {}", trace.descs[desc as usize]);
-                self.open_layers.push((name, before));
-            }
-            Some(ReplayOp::LayerEnd) => {
-                if let Some((name, t0)) = self.open_layers.pop() {
-                    self.spans.push((name, t0, self.clock));
-                }
-            }
-            _ => {}
-        }
     }
 
     /// Refresh the cached clock after the machine's clock moved outside
@@ -364,12 +352,7 @@ fn still_first(clock: u64, i: usize, runner_up: Option<(u64, usize)>) -> bool {
 }
 
 /// Replay `range` to completion on every core (setup, and batch frames).
-fn run_uniform(
-    cores: &mut [CoreState],
-    trace: &ReplayTrace,
-    range: (usize, usize),
-    capture_spans: bool,
-) {
+fn run_uniform(cores: &mut [CoreState], trace: &ReplayTrace, range: (usize, usize)) {
     for c in cores.iter_mut() {
         c.cur = ReplayCursor::new(range.0, range.1);
     }
@@ -377,7 +360,7 @@ fn run_uniform(
         let c = &mut cores[i];
         loop {
             c.m.sys.set_port_now(c.clock);
-            c.step(trace, capture_spans);
+            c.step(trace);
             if c.cur.done() {
                 c.frames_done += 1;
                 break;
@@ -397,7 +380,6 @@ fn run_pipeline(
     trace: &ReplayTrace,
     stages: &[(usize, usize)],
     frames: usize,
-    capture_spans: bool,
 ) {
     let n = cores.len();
     let mut done_at: Vec<Vec<u64>> = vec![Vec::with_capacity(frames); n];
@@ -429,7 +411,7 @@ fn run_pipeline(
         }
         loop {
             c.m.sys.set_port_now(c.clock);
-            c.step(trace, capture_spans);
+            c.step(trace);
             if c.cur.done() {
                 // A completed stage instance can make core `i+1` runnable:
                 // end the batch and re-pick.
@@ -455,23 +437,9 @@ fn setup_boundary(trace: &ReplayTrace) -> usize {
     rt
 }
 
-/// Positions of top-level `LayerBegin` ops inside `range`.
+/// Positions of the `LayerBegin` ops inside `range` (layers do not nest).
 fn layer_begins(trace: &ReplayTrace, range: (usize, usize)) -> Vec<usize> {
-    let mut begins = Vec::new();
-    let mut depth = 0usize;
-    for (i, op) in trace.ops[range.0..range.1].iter().enumerate() {
-        match op {
-            ReplayOp::LayerBegin { .. } => {
-                if depth == 0 {
-                    begins.push(range.0 + i);
-                }
-                depth += 1;
-            }
-            ReplayOp::LayerEnd => depth = depth.saturating_sub(1),
-            _ => {}
-        }
-    }
-    begins
+    (range.0..range.1).filter(|&i| matches!(trace.ops[i], ReplayOp::LayerBegin { .. })).collect()
 }
 
 /// Greedy contiguous partition of `layer_cycles` into `n` non-empty stages,
@@ -520,9 +488,9 @@ pub fn run_soc_captured(exp: &Experiment, cap: &CapturedRun, cfg: &SocConfig) ->
 }
 
 /// Signature of [`run_uniform`].
-type UniformLoop = fn(&mut [CoreState], &ReplayTrace, (usize, usize), bool);
+type UniformLoop = fn(&mut [CoreState], &ReplayTrace, (usize, usize));
 /// Signature of [`run_pipeline`].
-type PipelineLoop = fn(&mut [CoreState], &ReplayTrace, &[(usize, usize)], usize, bool);
+type PipelineLoop = fn(&mut [CoreState], &ReplayTrace, &[(usize, usize)], usize);
 
 /// The event loops one SoC run drives: setup and batch frames, and the
 /// layer pipeline. Tests substitute a reference scheduler here.
@@ -560,15 +528,13 @@ fn run_soc_with(exp: &Experiment, cap: &CapturedRun, cfg: &SocConfig, loops: &Lo
                 started: false,
                 idle: 0,
                 frames_done: 0,
-                spans: Vec::new(),
-                open_layers: Vec::new(),
             }
         })
         .collect();
 
     // Phase A: every core replays setup through the shared port (warms the
     // shared L2 exactly as N cores loading weights would).
-    (loops.uniform)(&mut cores, trace, (0, rt), false);
+    (loops.uniform)(&mut cores, trace, (0, rt));
 
     // Global barrier: drop setup timing everywhere, keep cache contents.
     for c in &mut cores {
@@ -588,7 +554,7 @@ fn run_soc_with(exp: &Experiment, cap: &CapturedRun, cfg: &SocConfig, loops: &Lo
     // Phase B: measured frames.
     let (frames, stages) = match cfg.sharding {
         Sharding::Batch => {
-            (loops.uniform)(&mut cores, trace, frame, cfg.record_timeline);
+            (loops.uniform)(&mut cores, trace, frame);
             (cfg.n_cores, None)
         }
         Sharding::Pipeline => {
@@ -613,7 +579,7 @@ fn run_soc_with(exp: &Experiment, cap: &CapturedRun, cfg: &SocConfig, loops: &Lo
                 })
                 .collect();
             let frames = 2 * cfg.n_cores;
-            (loops.pipeline)(&mut cores, trace, &op_ranges, frames, cfg.record_timeline);
+            (loops.pipeline)(&mut cores, trace, &op_ranges, frames);
             (frames, Some(stages))
         }
     };
@@ -643,10 +609,10 @@ fn run_soc_with(exp: &Experiment, cap: &CapturedRun, cfg: &SocConfig, loops: &Lo
             root.counter("shared port queue", "queue depth", s.t, f64::from(s.queue_depth));
         }
         for (i, c) in cores.iter_mut().enumerate() {
-            // A frame cut mid-layer (pipeline stage boundaries) leaves no
-            // dangling span: stages are sliced at layer boundaries.
+            // Pipeline stages are sliced at layer boundaries, so every
+            // record in a core's book is closed.
             let events = c.m.take_pipe_events();
-            let sub = timeline_coarse(&events, &c.spans, resolution);
+            let sub = timeline_coarse(&events, c.m.layers(), resolution);
             root.merge_process(i as u64 + 2, &format!("core{i}"), sub);
         }
         root
@@ -662,6 +628,7 @@ fn run_soc_with(exp: &Experiment, cap: &CapturedRun, cfg: &SocConfig, loops: &Lo
             pipeline_idle: c.idle,
             frames: c.frames_done,
             stage_layers: stages.as_ref().map(|s| s[i]),
+            layers: c.m.layers().to_vec(),
         })
         .collect();
 

@@ -2,7 +2,7 @@ use super::*;
 use lva_core::{scaled_input, HwTarget, Workload};
 use lva_isa::StallCause;
 use lva_kernels::GemmVariant;
-use lva_nn::{ConvPolicy, ModelId};
+use lva_nn::{ConvPolicy, LayerReport, ModelId};
 use lva_prof::StackDistance;
 use lva_sim::{AccessKind, PortEvent, PortObserver, Rng};
 
@@ -47,19 +47,14 @@ mod reference {
     }
 
     /// Replay `range` to completion on every core (setup, and batch frames).
-    pub(super) fn run_uniform(
-        cores: &mut [CoreState],
-        trace: &ReplayTrace,
-        range: (usize, usize),
-        capture_spans: bool,
-    ) {
+    pub(super) fn run_uniform(cores: &mut [CoreState], trace: &ReplayTrace, range: (usize, usize)) {
         for c in cores.iter_mut() {
             c.cur = ReplayCursor::new(range.0, range.1);
         }
         while let Some(i) = next_core(cores, |_, c| !c.cur.done()) {
             let c = &mut cores[i];
             c.m.sys.set_port_now(c.m.cycles());
-            c.step(trace, capture_spans);
+            c.step(trace);
             if c.cur.done() {
                 c.frames_done += 1;
             }
@@ -74,7 +69,6 @@ mod reference {
         trace: &ReplayTrace,
         stages: &[(usize, usize)],
         frames: usize,
-        capture_spans: bool,
     ) {
         let n = cores.len();
         let mut done_at: Vec<Vec<u64>> = vec![Vec::with_capacity(frames); n];
@@ -105,7 +99,7 @@ mod reference {
                 c.started = true;
             }
             c.m.sys.set_port_now(c.m.cycles());
-            c.step(trace, capture_spans);
+            c.step(trace);
             if c.cur.done() {
                 done_at[i].push(c.m.cycles());
                 c.frame += 1;
@@ -267,9 +261,9 @@ fn recency_window_matches_per_set_stack_distance() {
 
 /// The N=1 identity contract: a one-core SoC run is bit-identical to the
 /// single-core simulator — same cycles, same stall breakdown, same private
-/// cache counters, and the shared L2 carries exactly the stats the private
-/// L2 would have carried over the measured segment. Contention is
-/// identically zero.
+/// cache counters, the same layer book, and the shared L2 carries exactly
+/// the stats the private L2 would have carried over the measured segment.
+/// Contention is identically zero.
 #[test]
 fn one_core_batch_is_bit_identical_to_the_single_core_simulator() {
     let exp = base();
@@ -302,6 +296,29 @@ fn one_core_batch_is_bit_identical_to_the_single_core_simulator() {
     assert_eq!(soc.port.l2.hits, full.l2.hits);
     assert_eq!(soc.port.l2.misses, full.l2.misses);
     assert_eq!(soc.port.l2.writebacks, full.l2.writebacks);
+
+    // The core's layer book is the single-core replay's, record by record,
+    // except the private L2 row the shared port bypasses...
+    assert_eq!(core.layers.len(), seg.layers.len());
+    for (got, want) in core.layers.iter().zip(&seg.layers) {
+        let what = format!("layer {}", want.index);
+        assert_eq!((got.index, &got.desc), (want.index, &want.desc), "{what}");
+        for (g, w) in [(&got.begin, &want.begin), (&got.end, &want.end)] {
+            assert_eq!((g.cycles, g.stalls, g.vpu), (w.cycles, w.stalls, w.vpu), "{what}");
+            let private = |m: &lva_sim::MemSystemStats| {
+                (m.l1, m.vcache, m.dram_reads, m.dram_writes, m.hwpf_issued)
+            };
+            assert_eq!(private(&g.mem), private(&w.mem), "{what}");
+        }
+    }
+    // ...and it reports every layer exactly as the single-core run did.
+    let reports: Vec<LayerReport> = core
+        .layers
+        .iter()
+        .zip(&cap.summary.report.layers)
+        .map(|(rec, l)| LayerReport::from_record(rec, l.flops, l.mnk, l.algo, l.out_shape))
+        .collect();
+    assert_eq!(reports, cap.summary.report.layers);
 }
 
 /// The contention attribution contract: per core the stall breakdown still

@@ -9,7 +9,7 @@
 //! ```
 //!
 //! Common options:
-//! `--model yolov3|yolov3-tiny|vgg16`, `--platform rvv|sve|a64fx`,
+//! `--model yolov3|yolov3-tiny|vgg16|resnet50|mobilenet`, `--platform rvv|sve|a64fx`,
 //! `--vlen BITS`, `--lanes N`, `--l2 MB`, `--gemm naive|opt3|opt6`,
 //! `--winograd`, `--div N`, `--layers N`.
 
@@ -86,17 +86,14 @@ impl Default for Cli {
     }
 }
 
-fn parse_model(s: &str) -> ModelId {
+fn parse_model(s: &str) -> Result<ModelId, &'static str> {
     match s {
-        "yolov3" => ModelId::Yolov3,
-        "yolov3-tiny" | "tiny" => ModelId::Yolov3Tiny,
-        "vgg16" | "vgg" => ModelId::Vgg16,
-        "resnet50" | "resnet" => ModelId::Resnet50,
-        "mobilenet" | "mobilenet-v1" => ModelId::MobilenetV1,
-        other => {
-            eprintln!("unknown model `{other}` (yolov3 | yolov3-tiny | vgg16 | resnet50)");
-            exit(2)
-        }
+        "yolov3" => Ok(ModelId::Yolov3),
+        "yolov3-tiny" | "tiny" => Ok(ModelId::Yolov3Tiny),
+        "vgg16" | "vgg" => Ok(ModelId::Vgg16),
+        "resnet50" | "resnet" => Ok(ModelId::Resnet50),
+        "mobilenet" | "mobilenet-v1" => Ok(ModelId::MobilenetV1),
+        _ => Err("unknown model (yolov3 | yolov3-tiny | vgg16 | resnet50 | mobilenet)"),
     }
 }
 
@@ -120,20 +117,30 @@ fn parse_args(args: &[String]) -> Cli {
             })
             .clone()
     };
+    // The value after `flag`, parsed as a number, or exit 2 naming `flag`.
+    let number = |it: &mut std::slice::Iter<String>, flag: &str| -> usize {
+        let v = need(it, flag);
+        check(flag, &v, v.parse::<usize>())
+    };
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--model" => cli.model = parse_model(&need(&mut it, "--model")),
+            "--model" => {
+                let v = need(&mut it, "--model");
+                cli.model = check("--model", &v, parse_model(&v));
+            }
             "--platform" => cli.platform = need(&mut it, "--platform"),
-            "--vlen" => cli.vlen = need(&mut it, "--vlen").parse().unwrap_or_else(|_| usage()),
-            "--lanes" => cli.lanes = need(&mut it, "--lanes").parse().unwrap_or_else(|_| usage()),
-            "--l2" => cli.l2_mb = need(&mut it, "--l2").parse().unwrap_or_else(|_| usage()),
+            "--vlen" => cli.vlen = number(&mut it, "--vlen"),
+            "--lanes" => cli.lanes = number(&mut it, "--lanes"),
+            "--l2" => cli.l2_mb = number(&mut it, "--l2"),
             "--gemm" => {
-                cli.gemm = match need(&mut it, "--gemm").as_str() {
-                    "naive" => GemmVariant::Naive,
-                    "opt3" => GemmVariant::opt3(),
-                    "opt6" => GemmVariant::opt6(),
-                    _ => usage(),
-                }
+                let v = need(&mut it, "--gemm");
+                let variant = match v.as_str() {
+                    "naive" => Ok(GemmVariant::Naive),
+                    "opt3" => Ok(GemmVariant::opt3()),
+                    "opt6" => Ok(GemmVariant::opt6()),
+                    _ => Err("unknown variant (naive | opt3 | opt6)"),
+                };
+                cli.gemm = check("--gemm", &v, variant);
             }
             "--winograd" => cli.winograd = true,
             "--div" => {
@@ -177,9 +184,8 @@ fn hw_target(cli: &Cli) -> HwTarget {
             HwTarget::RvvGem5 { vlen_bits: cli.vlen, lanes: cli.lanes, l2_bytes: l2 }
         }
         "sve" | "arm" => {
-            let vlen_bits = cli.vlen.min(IsaKind::Sve.max_vlen_bits());
-            check("--vlen", cli.vlen, IsaKind::Sve.check_vlen(vlen_bits));
-            HwTarget::SveGem5 { vlen_bits, l2_bytes: l2 }
+            check("--vlen", cli.vlen, IsaKind::Sve.check_vlen(cli.vlen));
+            HwTarget::SveGem5 { vlen_bits: cli.vlen, l2_bytes: l2 }
         }
         "a64fx" => return HwTarget::A64fx,
         other => {
@@ -303,7 +309,7 @@ fn cmd_sweep(cli: &Cli) {
             .map(|mb| Cli { l2_mb: mb, ..cli.clone() })
             .collect(),
         "lanes" => [2usize, 4, 8].into_iter().map(|lanes| Cli { lanes, ..cli.clone() }).collect(),
-        _ => usage(),
+        _ => check("--axis", &axis, Err("unknown axis (vlen | l2 | lanes)")),
     };
     let hws: Vec<HwTarget> = points.iter().map(hw_target).collect();
     if hws.windows(2).all(|w| w[0] == w[1]) {

@@ -212,10 +212,11 @@ fn lva_cfg_rejects_malformed_networks_naming_the_layer() {
 /// `lva` answers a hardware or scale flag the simulator cannot be built
 /// with (a zero divisor, a vector length that is not a power of two, below
 /// 128 bits or above the ISA's maximum, lanes outside 1..=64, an L2 whose
-/// set count is zero or not a power of two), an empty run (zero layers or
-/// frames) and a sweep over an axis the platform fixes with one line naming
-/// the flag and exit 2, not a panic. `lva cfg` takes the flags through the
-/// same path.
+/// set count is zero or not a power of two), a value that is not a number,
+/// an unknown model, GEMM variant or sweep axis, an empty run (zero layers
+/// or frames) and a sweep over an axis the platform fixes with one line
+/// naming the flag and exit 2, not a panic or the usage text. `lva cfg` takes the flags through the same
+/// path.
 #[test]
 fn lva_rejects_out_of_range_hardware_flags_naming_the_flag() {
     let dir = std::env::temp_dir().join(format!("lva-flag-errors-{}", std::process::id()));
@@ -230,10 +231,17 @@ fn lva_rejects_out_of_range_hardware_flags_naming_the_flag() {
         ("run --vlen 96", "--vlen"),
         ("run --vlen 32768", "--vlen"),
         ("run --platform sve --vlen 64", "--vlen"),
+        ("run --platform sve --vlen 4096", "--vlen"),
+        ("run --vlen x", "--vlen"),
         ("run --lanes 0", "--lanes"),
         ("run --lanes 65", "--lanes"),
+        ("run --lanes x", "--lanes"),
         ("run --l2 0", "--l2"),
         ("run --l2 3", "--l2"),
+        ("run --l2 1.5", "--l2"),
+        ("run --model mobilenet-v3", "--model"),
+        ("run --gemm opt4", "--gemm"),
+        ("sweep --axis depth", "--axis"),
         ("run --layers 0", "--layers"),
         ("run --frames 0", "--frames"),
         ("sweep --axis vlen --div 0", "--div"),
@@ -251,6 +259,9 @@ fn lva_rejects_out_of_range_hardware_flags_naming_the_flag() {
         assert_eq!(out.status.code(), Some(2), "`lva {line}`: {err}");
         assert_eq!(err.lines().count(), 1, "`lva {line}`: {err}");
         assert!(err.starts_with(&format!("{flag} ")), "`lva {line}`: {err}");
+        if flag == "--model" {
+            assert!(err.contains("mobilenet"), "`lva {line}` omits a model: {err}");
+        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
