@@ -69,7 +69,8 @@ fn fft_cycles(p: &ConvParams) -> u64 {
 }
 
 fn main() {
-    let opts = Opts::parse(4, "§II-C: per-algorithm comparison by layer shape");
+    let opts =
+        Opts::parse(Dialect::Experiment, 4, "§II-C: per-algorithm comparison by layer shape");
     let base = (160 / opts.div).max(8);
     let layers = [
         (

@@ -22,7 +22,11 @@
 use lva_bench::*;
 
 fn main() {
-    let opts = Opts::parse(4, "Energy/EDP observatory across the RVV vector-length x L2 grid");
+    let opts = Opts::parse(
+        Dialect::Experiment,
+        4,
+        "Energy/EDP observatory across the RVV vector-length x L2 grid",
+    );
     let j = energy_grid_json(opts.div, opts.layers, opts.jobs);
 
     let mut table = Table::new(

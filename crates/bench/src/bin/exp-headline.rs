@@ -12,8 +12,8 @@
 //! The nine design points are independent, so `--jobs N` fans them out over
 //! worker threads — the table, `results/` files and `BENCH_headline.json`
 //! are byte-identical for every N. `--wallclock` times the whole sweep
-//! (serial, `--jobs` and tape refit, three passes of the three back to
-//! back) and writes the simulator's self-benchmark to
+//! (capture, serial, `--jobs` and tape refit, three passes of the four back
+//! to back) and writes the simulator's self-benchmark to
 //! `BENCH_sim_wallclock.json`.
 
 use std::time::Instant;
@@ -31,19 +31,21 @@ fn median_ratio(num: &[f64], den: &[f64]) -> f64 {
     median_ms(&mut ratios)
 }
 
-/// `--wallclock`: capture every spec once, then time three passes, each
+/// `--wallclock`: time three passes, each capturing every spec, then
 /// running the full sweep serially, the full sweep with `--jobs`, and a
-/// tape refit of the whole suite back to back, and write
-/// `BENCH_sim_wallclock.json`. The speedups are medians of per-pass
-/// ratios, so host-speed drift between passes (minutes apart on a shared
-/// host) cancels; the times are medians of 3. Nothing carries over
-/// between refit passes, so each costs what re-timing nine unseen timing
+/// tape refit of the whole suite from the pass's captures, back to back,
+/// and write `BENCH_sim_wallclock.json`. The capture cost and the speedups
+/// are medians of per-pass ratios, so host-speed drift between passes
+/// (minutes apart on a shared host) cancels; the times are medians of 3.
+/// Each pass drops the previous pass's captures before it records its
+/// own, so one set is resident at a time, and nothing else carries over
+/// between passes: each refit costs what re-timing nine unseen timing
 /// points costs. Every capture and every re-timed summary is asserted
-/// equal to the full simulator's, so the published speedup is over
-/// verified-identical work. `recording_mb` is what the captures hold
-/// (traces plus probe tapes), which bounds how many recordings a sweep can
-/// keep; unlike the timings it is deterministic. Per-run reports (with
-/// host timing attached) come from the last serial pass.
+/// equal to its pass's full run, so the published ratios are over
+/// verified-identical work. `recording_mb` is what one set of captures
+/// holds (traces plus probe tapes), which bounds how many recordings a
+/// sweep can keep; unlike the timings it is deterministic. Per-run reports
+/// (with host timing attached) come from the last serial pass.
 fn wallclock_bench(specs: &[(String, Experiment)], opts: &Opts) {
     let host_cpus = lva_core::default_jobs();
     let jobs = if opts.jobs > 1 { opts.jobs } else { host_cpus.max(2) };
@@ -52,15 +54,17 @@ fn wallclock_bench(specs: &[(String, Experiment)], opts: &Opts) {
     // figure is withheld so readers and bench-diff don't flag a phantom
     // regression.
     let jobs_effective = jobs.min(host_cpus);
-    let t0 = Instant::now();
-    let caps: Vec<_> = specs.iter().map(|(_, e)| e.run_traced()).collect();
-    let capture_ms = t0.elapsed().as_secs_f64() * 1e3;
-    eprintln!(".. wallclock retime capture: {capture_ms:.0} ms");
+    let mut capture_ms = Vec::new();
     let mut serial_ms = Vec::new();
     let mut parallel_ms = Vec::new();
     let mut retime_ms = Vec::new();
+    let mut caps = Vec::new();
     let mut last_serial: Option<Vec<SweepRun>> = None;
     for pass in 1..=3 {
+        caps.clear();
+        let t0 = Instant::now();
+        caps.extend(specs.iter().map(|(_, e)| e.run_traced()));
+        capture_ms.push(t0.elapsed().as_secs_f64() * 1e3);
         let t0 = Instant::now();
         let runs = run_sweep(specs, 1, false, true);
         serial_ms.push(t0.elapsed().as_secs_f64() * 1e3);
@@ -76,11 +80,16 @@ fn wallclock_bench(specs: &[(String, Experiment)], opts: &Opts) {
         retime_ms.push(t0.elapsed().as_secs_f64() * 1e3);
         let i = pass - 1;
         eprintln!(
-            ".. wallclock pass {pass}: serial {:.0} ms, --jobs {jobs} {:.0} ms, retime {:.0} ms",
-            serial_ms[i], parallel_ms[i], retime_ms[i]
+            ".. wallclock pass {pass}: capture {:.0} ms, serial {:.0} ms, --jobs {jobs} {:.0} ms, \
+             retime {:.0} ms",
+            capture_ms[i], serial_ms[i], parallel_ms[i], retime_ms[i]
         );
-        for ((name, _), (run, got)) in specs.iter().zip(runs.iter().zip(&retimed)) {
+        for ((name, _), (run, (cap, got))) in
+            specs.iter().zip(runs.iter().zip(caps.iter().zip(&retimed)))
+        {
             let want = &run.summary;
+            assert_eq!(cap.summary.cycles, want.cycles, "{name}: captured cycles diverged");
+            assert_eq!(cap.summary.report, want.report, "{name}: captured report diverged");
             assert_eq!(
                 got.cycles, want.cycles,
                 "{name}: retimed cycles diverged from the full run"
@@ -93,26 +102,24 @@ fn wallclock_bench(specs: &[(String, Experiment)], opts: &Opts) {
         last_serial = Some(runs);
     }
     let runs = last_serial.expect("three serial passes ran");
-    for ((name, _), (run, cap)) in specs.iter().zip(runs.iter().zip(&caps)) {
-        let want = &run.summary;
-        assert_eq!(cap.summary.cycles, want.cycles, "{name}: captured cycles diverged");
-        assert_eq!(cap.summary.report, want.report, "{name}: captured report diverged");
-    }
+    let capture_x_serial = median_ratio(&capture_ms, &serial_ms);
     let retime_speedup = median_ratio(&serial_ms, &retime_ms);
     let parallel_speedup = median_ratio(&serial_ms, &parallel_ms);
+    let capture_med = median_ms(&mut capture_ms);
     let serial = median_ms(&mut serial_ms);
     let parallel = median_ms(&mut parallel_ms);
     let retime_med = median_ms(&mut retime_ms);
     let bytes: usize = caps.iter().map(|c| c.trace.approx_bytes() + c.tape.approx_bytes()).sum();
     let retime = Json::obj()
         .field("runs", specs.len() as u64)
-        .field("capture_ms", capture_ms)
+        .field("capture_ms", capture_med)
+        .field("capture_x_serial", capture_x_serial)
         .field("recording_mb", bytes as f64 / f64::from(1 << 20))
         .field("retime_ms_median_of_3", retime_med)
         .field("speedup_retime_vs_full_serial", retime_speedup)
         .field(
             "speedup_including_capture",
-            if capture_ms + retime_med > 0.0 { serial / (capture_ms + retime_med) } else { 0.0 },
+            if capture_med + retime_med > 0.0 { serial / (capture_med + retime_med) } else { 0.0 },
         );
     let total_cycles: u64 = runs.iter().map(|r| r.summary.cycles).sum();
     let reports: Vec<Json> = specs
@@ -158,7 +165,7 @@ fn wallclock_bench(specs: &[(String, Experiment)], opts: &Opts) {
 }
 
 fn main() {
-    let opts = Opts::parse(4, "Headline optimization speedups (§VI-A/§VI-C)");
+    let opts = Opts::parse(Dialect::Headline, 4, "Headline optimization speedups (§VI-A/§VI-C)");
     let specs = headline_specs(opts.div, opts.layers);
 
     // The table pass. With --profile the memory profiler rides along
@@ -264,8 +271,4 @@ fn main() {
     if opts.wallclock {
         wallclock_bench(&specs, &opts);
     }
-
-    // The --json path above writes after emit()'s flush; make sure a
-    // `--trace` sink sees everything before the process exits.
-    lva_trace::flush();
 }

@@ -33,7 +33,11 @@ fn run_with_latency(
 }
 
 fn main() {
-    let opts = Opts::parse(4, "L2 latency ablation: constant (paper) vs CACTI-scaled");
+    let opts = Opts::parse(
+        Dialect::Experiment,
+        4,
+        "L2 latency ablation: constant (paper) vs CACTI-scaled",
+    );
     let workload = Workload {
         model: ModelId::Yolov3,
         input_hw: scaled_input(ModelId::Yolov3, opts.div),

@@ -26,6 +26,7 @@ use lva_bench::*;
 
 fn main() {
     let opts = Opts::parse(
+        Dialect::Timeline,
         8,
         "Scale-out observatory: throughput-vs-cores curves over the shared-port SoC simulator",
     );

@@ -26,6 +26,7 @@ use lva_bench::*;
 
 fn main() {
     let opts = Opts::parse(
+        Dialect::Timeline,
         8,
         "Serving observatory: latency/queue/SLO report over the batching inference tier",
     );

@@ -10,7 +10,8 @@
 use lva_bench::*;
 
 fn main() {
-    let opts = Opts::parse(4, "Streaming inference: cold vs steady-state frames");
+    let opts =
+        Opts::parse(Dialect::Experiment, 4, "Streaming inference: cold vs steady-state frames");
     let workload = Workload {
         model: ModelId::Yolov3Tiny,
         input_hw: scaled_input(ModelId::Yolov3Tiny, opts.div),

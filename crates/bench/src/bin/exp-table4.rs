@@ -40,7 +40,8 @@ const LAYERS: [LayerRow; 14] = [
 ];
 
 fn main() {
-    let opts = Opts::parse(1, "Table IV: per-layer AI and sustained %peak on A64FX");
+    let opts =
+        Opts::parse(Dialect::Experiment, 1, "Table IV: per-layer AI and sustained %peak on A64FX");
     let mut table = Table::new(
         "Table IV — arithmetic intensity and sustained performance (A64FX)",
         &["layer", "M", "N", "K", "AI", "paper_AI", "pct_peak", "paper_pct"],

@@ -49,7 +49,8 @@ fn worst_rel_error(t: &WinogradTransform, trials: usize) -> f64 {
 }
 
 fn main() {
-    let opts = Opts::parse(1, "Winograd tile-size vs numerical accuracy ablation");
+    let opts =
+        Opts::parse(Dialect::Experiment, 1, "Winograd tile-size vs numerical accuracy ablation");
     // Interpolation points in the order good generators add them.
     let pts = [
         Rat::int(0),

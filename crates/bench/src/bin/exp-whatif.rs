@@ -18,7 +18,7 @@
 use lva_bench::*;
 
 fn main() {
-    let opts = Opts::parse(8, "Counterfactual co-design advisor (lva-whatif)");
+    let opts = Opts::parse(Dialect::Experiment, 8, "Counterfactual co-design advisor (lva-whatif)");
     let specs = headline_specs(opts.div, opts.layers);
 
     let headline = std::fs::read_to_string("BENCH_headline.json")
@@ -30,6 +30,4 @@ fn main() {
 
     let j = whatif_json(&specs, opts.div, opts.jobs, headline.as_ref());
     observatory::publish(&j);
-
-    lva_trace::flush();
 }

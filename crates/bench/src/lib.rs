@@ -1,6 +1,6 @@
 //! Shared plumbing for the `exp-*` experiment binaries: command-line
-//! parsing (`--div`, `--layers`, `--csv`, `--json`, `--trace`) and common
-//! sweep axes.
+//! parsing (`--div`, `--layers`, `--csv`, `--json`, …) and common sweep
+//! axes.
 //!
 //! Every binary regenerates one table or figure of the paper, except
 //! `exp-paper`, which prints the eleven figures of [`paper`] from one grid;
@@ -41,10 +41,9 @@ pub const SVE_VLENS: [usize; 3] = [512, 1024, 2048];
 pub const L2_SIZES: [usize; 6] = [1 << 20, 4 << 20, 16 << 20, 64 << 20, 128 << 20, 256 << 20];
 
 /// Common options for experiment binaries — the single shared parser in
-/// `lva_core::cli`, re-exported here so every `exp-*` bin keeps saying
-/// `lva_bench::Opts`; the `lint-*` tools use [`Opts::parse_tool`] for the
-/// flag subset they accept.
-pub use lva_core::cli::Opts;
+/// `lva_core::cli`, re-exported here so every `exp-*` bin says
+/// `lva_bench::Opts` and names the [`Dialect`] of flags it reads.
+pub use lva_core::cli::{Dialect, Opts};
 
 /// The nine named headline design points of §VI (exp-headline's sweep), in
 /// report order. Shared with `exp-whatif` and the co-design advisor so every
@@ -93,8 +92,8 @@ pub fn save_json(j: &Json, name: &str) -> std::io::Result<std::path::PathBuf> {
     Ok(path)
 }
 
-/// Finish an experiment binary: print the table, save CSV and/or JSON as
-/// requested, and flush any active trace sink.
+/// Finish an experiment binary: print the table and save CSV and/or JSON
+/// as requested.
 pub fn emit(table: &Table, name: &str, opts: &Opts) {
     table.print();
     if opts.csv {
@@ -109,5 +108,4 @@ pub fn emit(table: &Table, name: &str, opts: &Opts) {
             Err(e) => eprintln!("could not save JSON: {e}"),
         }
     }
-    lva_trace::flush();
 }

@@ -11,9 +11,9 @@ use lva_core::experiment::fmt_bytes;
 use lva_nn::{ConvAlgo, LayerReport};
 
 use crate::{
-    emit, fmt_cycles, fmt_speedup, run_sweep, scaled_input, BlockSizes, ConvPolicy, Experiment,
-    GemmVariant, HwTarget, ModelId, Opts, RunSummary, Table, Workload, L2_SIZES, RVV_VLENS,
-    SVE_VLENS,
+    emit, fmt_cycles, fmt_speedup, run_sweep, scaled_input, BlockSizes, ConvPolicy, Dialect,
+    Experiment, GemmVariant, HwTarget, ModelId, Opts, RunSummary, Table, Workload, L2_SIZES,
+    RVV_VLENS, SVE_VLENS,
 };
 
 /// One table or figure of the paper.
@@ -72,7 +72,7 @@ impl Grid {
 /// once through [`run_sweep`], then print each figure in turn.
 pub fn main(figures: &[Figure]) {
     let what: Vec<&str> = figures.iter().map(|f| f.what).collect();
-    let opts = Opts::parse(4, &what.join("\n"));
+    let opts = Opts::parse(Dialect::Experiment, 4, &what.join("\n"));
     let grid = Grid::new(figures, &opts);
     let runs = run_sweep(&grid.points, opts.jobs, false, false);
     for (f, slots) in figures.iter().zip(&grid.slots) {
@@ -189,8 +189,6 @@ pub const BREAKDOWN: Figure = Figure {
             println!();
         }
         println!("paper: GEMM = 93.4% of computation time in the profiled build");
-        // No emit() on this path; flush any --trace sink explicitly.
-        lva_trace::flush();
     },
 };
 
@@ -581,7 +579,8 @@ mod tests {
     use super::*;
 
     fn opts(line: &str) -> Opts {
-        Opts::try_parse(4, line.split_whitespace().map(String::from)).expect("valid flags")
+        Opts::try_parse(Dialect::Experiment, 4, line.split_whitespace().map(String::from))
+            .expect("valid flags")
     }
 
     fn figure(bin: &str) -> usize {

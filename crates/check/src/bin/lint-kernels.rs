@@ -14,7 +14,7 @@ use lva_check::{
     capacity_checks, check_kernel, lint_capacity, panic_message, registered_kernels,
     save_results_json, sweep_configs, Finding,
 };
-use lva_core::cli::Opts;
+use lva_core::cli::{Dialect, Opts};
 use lva_core::Json;
 use lva_isa::IsaKind;
 use lva_kernels::{BlockSizes, DEFAULT_UNROLL};
@@ -27,7 +27,7 @@ fn main() {
     // `--jobs N` fans the per-design-point checks out over worker threads
     // (0 = all cores). Findings are collected in design-point order, so the
     // report is identical for every N.
-    let opts = Opts::parse_tool("lint-kernels: kernel sanitizer + capacity linter");
+    let opts = Opts::parse(Dialect::Tool, 1, "lint-kernels: kernel sanitizer + capacity linter");
 
     let configs = sweep_configs();
     let kernels = registered_kernels();
@@ -92,7 +92,6 @@ fn main() {
     if opts.json {
         save_results_json(&report, "lint-kernels");
     }
-    lva_trace::flush();
 
     if !findings.is_empty() {
         eprintln!("lint-kernels: {} finding(s)", findings.len());

@@ -1,17 +1,13 @@
 //! Shared command-line parsing for every workspace binary.
 //!
 //! The `exp-*` experiment drivers and the `lint-*` static-analysis tools
-//! all speak the same flag dialect (`--jobs`, `--json`, `--trace`, …).
-//! Each bin used to re-implement the loop by hand and PR 5/6 had to patch
-//! them one at a time for flag parity; [`Opts`] is now the single
-//! implementation. Experiment bins call [`Opts::parse`] (the experiment
-//! dialect, re-exported as `lva_bench::Opts`); lint tools call
-//! [`Opts::parse_tool`] (the `--jobs/--json/--trace` subset). All print
-//! `--help` and exit 0, and answer a malformed command line — including a
-//! flag the binary does not take — with one line naming the flag and exit
-//! 2 (the lint tools' "internal/usage error" code). The parsing itself is
-//! [`Opts::try_parse`] / [`Opts::try_parse_tool`], which take the
-//! arguments as an iterator and return a [`CliError`].
+//! share one parser, [`Opts::parse`]. Each binary names its [`Dialect`],
+//! the flags it reads (`--jobs`, `--json`, `--div`, …). All print `--help`
+//! (listing only those flags) and exit 0, and answer a malformed command
+//! line — including a flag the binary does not read — with one line naming
+//! the flag and exit 2 (the lint tools' "internal/usage error" code). The
+//! parsing itself is [`Opts::try_parse`], which takes the arguments as an
+//! iterator and returns a [`CliError`]; it has no side effects.
 
 use std::env;
 
@@ -35,9 +31,9 @@ pub struct Opts {
     /// Worker threads for independent design-point runs (`--jobs N`;
     /// `--jobs 0` means all host cores). 1 = the serial loop.
     pub jobs: usize,
-    /// Self-benchmark the simulator's wall-clock (`--wallclock`): run the
-    /// sweep serially and with `--jobs`, median-of-3 each, and write a
-    /// `BENCH_sim_wallclock.json` report.
+    /// Self-benchmark the simulator's wall-clock (`--wallclock`): capture,
+    /// run the sweep serially and with `--jobs`, and tape-refit it, three
+    /// passes, and write a `BENCH_sim_wallclock.json` report.
     pub wallclock: bool,
     /// Attach the `lva-energy` per-layer attribution to every run's JSON
     /// report (`--with-energy`): one re-run per design point with layer
@@ -45,16 +41,23 @@ pub struct Opts {
     pub energy: bool,
 }
 
-/// Which flags a binary takes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Dialect {
-    /// The lint tools' subset: `--jobs`, `--json`, `--trace`.
+/// Which flags a binary reads. Each dialect takes every flag of the ones
+/// before it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Dialect {
+    /// The lint tools: `--jobs`, `--json`.
     Tool,
-    /// Every experiment flag.
+    /// Every experiment binary: adds `--div`, `--layers`, `--csv`,
+    /// `--no-csv` and `--no-json`.
     Experiment,
+    /// Binaries that write a Chrome timeline (`exp-scale`, `exp-serve`):
+    /// adds `--chrome FILE`.
+    Timeline,
+    /// `exp-headline`: adds `--profile`, `--wallclock` and `--with-energy`.
+    Headline,
 }
 
-/// Why an `Opts::try_parse*` call returned no options.
+/// Why an `Opts::try_parse` call returned no options.
 #[derive(Debug, PartialEq, Eq)]
 pub enum CliError {
     /// `--help` or `-h`: print the usage text and exit 0.
@@ -94,79 +97,65 @@ impl Opts {
         }
     }
 
-    /// Parse the experiment dialect from `std::env`; print the usage text
-    /// and exit 0 on `--help`, or print the error and exit 2 on a malformed
-    /// command line. `default_div` is the experiment's default scale.
-    /// `--trace` installs a JSONL telemetry sink for the whole run.
-    pub fn parse(default_div: usize, what: &str) -> Opts {
-        Self::try_parse(default_div, env::args().skip(1))
-            .unwrap_or_else(|e| e.exit(&usage(default_div, what)))
-    }
-
-    /// Parse the lint-tool subset (`--jobs N`, `--json`, `--trace FILE`,
-    /// `--help`) from `std::env`, exiting like [`Opts::parse`]. Used by
-    /// `lint-kernels` and `lint-dataflow`, whose exit codes distinguish
-    /// findings (1) from internal/usage errors (2).
-    pub fn parse_tool(what: &str) -> Opts {
-        Self::try_parse_tool(env::args().skip(1)).unwrap_or_else(|e| {
-            e.exit(&format!(
-                "{what}\n\nOptions:\n  --jobs N     check design points on N threads (0 = all cores;\n               the report is identical for every N)\n  --json       also save the report under results/\n  --trace FILE stream JSONL telemetry spans to FILE\n\nExit codes: 0 clean, 1 findings, 2 internal/usage error"
-            ))
-        })
+    /// Parse `dialect` from `std::env`; print the usage text and exit 0 on
+    /// `--help`, or print the error and exit 2 on a malformed command line.
+    /// `default_div` is the experiment's default scale (a lint tool takes
+    /// no `--div`). `what` heads the usage text.
+    pub fn parse(dialect: Dialect, default_div: usize, what: &str) -> Opts {
+        Self::try_parse(dialect, default_div, env::args().skip(1))
+            .unwrap_or_else(|e| e.exit(&usage(dialect, default_div, what)))
     }
 
     /// [`Opts::parse`] over explicit arguments (without the program name).
     pub fn try_parse(
-        default_div: usize,
-        args: impl IntoIterator<Item = String>,
-    ) -> Result<Opts, CliError> {
-        Self::parse_args(default_div, Dialect::Experiment, args)
-    }
-
-    /// [`Opts::parse_tool`] over explicit arguments (without the program
-    /// name).
-    pub fn try_parse_tool(args: impl IntoIterator<Item = String>) -> Result<Opts, CliError> {
-        Self::parse_args(1, Dialect::Tool, args)
-    }
-
-    /// The one parser: the lint tools' subset first, then the experiment
-    /// flags.
-    fn parse_args(
-        default_div: usize,
         dialect: Dialect,
+        default_div: usize,
         args: impl IntoIterator<Item = String>,
     ) -> Result<Opts, CliError> {
-        let tool = dialect == Dialect::Tool;
+        let unknown = |flag: &str| Err(CliError::Usage(format!("unknown option {flag}")));
         let mut opts = Opts::defaults(default_div);
         let mut args = args.into_iter();
         while let Some(a) = args.next() {
             match a.as_str() {
                 "--jobs" => opts.jobs = parse_jobs(&mut args)?,
                 "--json" => opts.json = true,
-                "--trace" => install_trace(&mut args)?,
                 "--help" | "-h" => return Err(CliError::Help),
-                other if tool => return Err(CliError::Usage(format!("unknown option {other}"))),
+                other if dialect < Dialect::Experiment => return unknown(other),
                 "--div" => opts.div = integer(&mut args, "--div", 1)?,
                 "--layers" => opts.layers = Some(integer(&mut args, "--layers", 1)?),
                 "--no-csv" => opts.csv = false,
                 "--csv" => opts.csv = true,
                 "--no-json" => opts.json = false,
+                other if dialect < Dialect::Timeline => return unknown(other),
+                "--chrome" => opts.chrome = Some(value(&mut args, "--chrome", "a file path")?),
+                other if dialect < Dialect::Headline => return unknown(other),
                 "--profile" => opts.profile = true,
                 "--wallclock" => opts.wallclock = true,
                 "--with-energy" => opts.energy = true,
-                "--chrome" => opts.chrome = Some(value(&mut args, "--chrome", "a file path")?),
-                other => return Err(CliError::Usage(format!("unknown option {other}"))),
+                other => return unknown(other),
             }
         }
         Ok(opts)
     }
 }
 
-/// The `--help` text of an experiment binary.
-fn usage(default_div: usize, what: &str) -> String {
-    format!(
-        "{what}\n\nOptions:\n  --div N      input down-scale divisor (default {default_div}; 1 = paper size)\n  --layers N   layer prefix override (at least 1)\n  --csv/--no-csv  write results/<exp>.csv (default on)\n  --json       also write results/<exp>.json (machine-readable)\n  --profile    tap the cache hierarchy: reuse-distance histograms, 3C\n               miss classes, capacity curves (in the JSON output)\n  --chrome FILE  write a Chrome trace-event timeline (Perfetto) to FILE\n  --trace FILE stream JSONL telemetry spans to FILE\n  --jobs N     run independent design points on N threads (0 = all cores;\n               results and reports are identical to --jobs 1)\n  --wallclock  self-benchmark: time the sweep serial vs --jobs (median of\n               3 each) and write BENCH_sim_wallclock.json\n  --with-energy  attach the lva-energy attribution (per-layer\n               joules, EDP, energy roofline) to the JSON reports"
-    )
+/// The `--help` text of a binary speaking `dialect`: its flags only.
+fn usage(dialect: Dialect, default_div: usize, what: &str) -> String {
+    if dialect == Dialect::Tool {
+        return format!(
+            "{what}\n\nOptions:\n  --jobs N     check design points on N threads (0 = all cores;\n               the report is identical for every N)\n  --json       also save the report under results/\n\nExit codes: 0 clean, 1 findings, 2 internal/usage error"
+        );
+    }
+    let mut text = format!(
+        "{what}\n\nOptions:\n  --div N      input down-scale divisor (default {default_div}; 1 = paper size)\n  --layers N   layer prefix override (at least 1)\n  --csv/--no-csv  write results/<exp>.csv (default on)\n  --json       also write results/<exp>.json (machine-readable)\n  --jobs N     run independent design points on N threads (0 = all cores;\n               results and reports are identical to --jobs 1)"
+    );
+    if dialect >= Dialect::Timeline {
+        text.push_str("\n  --chrome FILE  write a Chrome trace-event timeline (Perfetto) to FILE");
+    }
+    if dialect >= Dialect::Headline {
+        text.push_str("\n  --profile    tap the cache hierarchy: reuse-distance histograms, 3C\n               miss classes, capacity curves (in the JSON output)\n  --wallclock  self-benchmark: time capture, the sweep serial and with\n               --jobs, and tape refit (3 passes); write BENCH_sim_wallclock.json\n  --with-energy  attach the lva-energy attribution (per-layer\n               joules, EDP, energy roofline) to the JSON reports");
+    }
+    text
 }
 
 /// The value after `flag`, or a usage error saying what it `needs`.
@@ -198,16 +187,9 @@ fn parse_jobs(args: &mut impl Iterator<Item = String>) -> Result<usize, CliError
     Ok(if n == 0 { crate::par::default_jobs() } else { n })
 }
 
-fn install_trace(args: &mut impl Iterator<Item = String>) -> Result<(), CliError> {
-    let path = value(args, "--trace", "a file path")?;
-    lva_trace::enable_to_file(&path)
-        .map_err(|e| CliError::Usage(format!("--trace cannot open {path}: {e}")))?;
-    eprintln!("[tracing to {path}]");
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
+    use super::Dialect::{Experiment, Headline, Timeline, Tool};
     use super::*;
 
     fn args(line: &str) -> Vec<String> {
@@ -216,51 +198,71 @@ mod tests {
 
     #[test]
     fn well_formed_flags_parse() {
-        let o = Opts::try_parse(4, args("--div 8 --layers 1 --no-csv --jobs 3"))
+        let o = Opts::try_parse(Experiment, 4, args("--div 8 --layers 1 --no-csv --jobs 3"))
             .expect("valid command line");
         assert_eq!((o.div, o.layers, o.csv, o.jobs), (8, Some(1), false, 3));
-        assert_eq!(Opts::try_parse(4, args("")).expect("defaults").div, 4);
-        assert_eq!(Opts::try_parse_tool(args("--jobs 2 --json")).expect("tool subset").jobs, 2);
-        assert_eq!(Opts::try_parse(4, args("-h")).unwrap_err(), CliError::Help);
-        assert_eq!(Opts::try_parse_tool(args("--help")).unwrap_err(), CliError::Help);
+        assert_eq!(Opts::try_parse(Experiment, 4, args("")).expect("defaults").div, 4);
+        assert_eq!(Opts::try_parse(Tool, 1, args("--jobs 2 --json")).expect("tool subset").jobs, 2);
+        let o = Opts::try_parse(Timeline, 4, args("--chrome t.json")).expect("timeline flags");
+        assert_eq!(o.chrome.as_deref(), Some("t.json"));
+        let o =
+            Opts::try_parse(Headline, 4, args("--profile --chrome t --wallclock --with-energy"))
+                .expect("headline flags");
+        assert!(o.profile && o.wallclock && o.energy && o.chrome.is_some());
+        assert_eq!(Opts::try_parse(Experiment, 4, args("-h")).unwrap_err(), CliError::Help);
+        assert_eq!(Opts::try_parse(Tool, 1, args("--help")).unwrap_err(), CliError::Help);
     }
 
     #[test]
     fn malformed_flags_are_one_line_usage_errors_naming_the_flag() {
-        let trace = "--trace /nonexistent/dir/t.jsonl";
-        for (line, flag) in [
-            ("--div 0", "--div"),
-            ("--div x", "--div"),
-            ("--jobs", "--jobs"),
-            ("--layers -1", "--layers"),
-            ("--layers 0", "--layers"),
-            ("--chrome", "--chrome"),
-            (trace, "--trace"),
-            ("--bogus", "--bogus"),
-        ] {
-            let Err(CliError::Usage(msg)) = Opts::try_parse(4, args(line)) else {
-                panic!("`{line}` must be a usage error");
+        let usage_error = |dialect: Dialect, line: &str, flag: &str| {
+            let Err(CliError::Usage(msg)) = Opts::try_parse(dialect, 4, args(line)) else {
+                panic!("`{line}` must be a {dialect:?} usage error");
             };
             assert!(msg.contains(flag) && !msg.contains('\n'), "`{line}`: {msg}");
+        };
+        for dialect in [Experiment, Timeline, Headline] {
+            for (line, flag) in [
+                ("--div 0", "--div"),
+                ("--div x", "--div"),
+                ("--jobs", "--jobs"),
+                ("--layers -1", "--layers"),
+                ("--layers 0", "--layers"),
+                ("--chrome", "--chrome"),
+                ("--bogus", "--bogus"),
+            ] {
+                usage_error(dialect, line, flag);
+            }
         }
         for (line, flag) in [("--jobs x", "--jobs"), ("--div 8", "--div")] {
-            let Err(CliError::Usage(msg)) = Opts::try_parse_tool(args(line)) else {
-                panic!("`{line}` must be a lint-tool usage error");
-            };
-            assert!(msg.contains(flag) && !msg.contains('\n'), "`{line}`: {msg}");
+            usage_error(Tool, line, flag);
+        }
+        // A flag the binary never reads is refused, and its help omits it.
+        let headline_only = ["--profile", "--wallclock", "--with-energy"];
+        for (dialect, unread) in [
+            (Tool, &["--div", "--layers", "--no-csv", "--chrome", "--profile"][..]),
+            (Experiment, &["--chrome", "--profile", "--wallclock", "--with-energy"]),
+            (Timeline, &headline_only),
+        ] {
+            for flag in unread {
+                usage_error(dialect, &format!("{flag} x.json"), flag);
+                assert!(!usage(dialect, 4, "x").contains(flag), "{dialect:?} help lists {flag}");
+            }
         }
     }
 
     #[test]
-    fn retime_is_an_unknown_option() {
-        for flag in ["--retime", "--retime=verify", "--retime=off"] {
-            for parsed in [Opts::try_parse(8, args(flag)), Opts::try_parse_tool(args(flag))] {
-                let Err(CliError::Usage(msg)) = parsed else {
-                    panic!("`{flag}` must be an unknown option");
+    fn retime_and_trace_are_unknown_options() {
+        for line in ["--retime", "--retime=verify", "--retime=off", "--trace", "--trace t.jsonl"] {
+            let flag = line.split(' ').next().expect("a flag");
+            for dialect in [Tool, Experiment, Timeline, Headline] {
+                let Err(CliError::Usage(msg)) = Opts::try_parse(dialect, 8, args(line)) else {
+                    panic!("`{line}` must be an unknown option");
                 };
                 assert_eq!(msg, format!("unknown option {flag}"));
+                let help = usage(dialect, 8, "x");
+                assert!(!help.contains("--retime") && !help.contains("--trace"), "{help}");
             }
         }
-        assert!(!usage(8, "x").contains("--retime"));
     }
 }

@@ -3,22 +3,19 @@
 //! The paper's methodology is a design-space sweep of independent runs
 //! (Tables II–III), and each run is a pure function of its `Experiment` —
 //! simulated machines share no state. That makes the sweep embarrassingly
-//! parallel on the host, as long as two process-global facilities are kept
-//! deterministic:
-//!
-//! * **Results** are collected into submission-order slots, so callers see
-//!   the same `Vec` regardless of which worker finished first.
-//! * **`lva-trace` output** is captured per worker thread
-//!   ([`lva_trace::capture_thread`]) and replayed in submission order at
-//!   join, so a `--trace` JSONL stream is byte-stable under `--jobs N`
-//!   (span *ids* are process-unique, not stable, but ordering and parent
-//!   links are).
+//! parallel on the host: results are collected into submission-order
+//! slots, so callers see the same `Vec` regardless of which worker
+//! finished first, and every report is identical under `--jobs N`.
 //!
 //! Built on [`std::thread::scope`] + one [`AtomicUsize`] work index — no
 //! external crates, matching the repo's zero-dependency rule.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+/// A slot is locked only to store a finished result, so no panic can
+/// poison it.
+const POISONED: &str = "a slot's lock is never held across a panic";
 
 /// The host's available parallelism (≥ 1); the default for `--jobs 0`.
 pub fn default_jobs() -> usize {
@@ -29,10 +26,9 @@ pub fn default_jobs() -> usize {
 /// in submission order.
 ///
 /// `f` is called as `f(index, &item)`. With `jobs <= 1` (or a single item)
-/// the map runs inline on the caller's thread — no threads, no capture, so
-/// serial behaviour is exactly the pre-existing loop. With more jobs, each
-/// worker pulls the next unclaimed index; per-thread trace output is
-/// captured and replayed in submission order after all workers join.
+/// the map runs inline on the caller's thread — no threads, so serial
+/// behaviour is exactly the pre-existing loop. With more jobs, each worker
+/// pulls the next unclaimed index and fills that index's slot.
 ///
 /// A panic in `f` propagates to the caller once the scope joins.
 pub fn parallel_map<I, O, F>(items: &[I], jobs: usize, f: F) -> Vec<O>
@@ -45,28 +41,21 @@ where
     if jobs <= 1 {
         return items.iter().enumerate().map(|(i, item)| f(i, item)).collect();
     }
-    // One slot per item: the result plus that worker's captured trace lines.
-    type Slot<O> = Mutex<Option<(O, Vec<String>)>>;
     let next = AtomicUsize::new(0);
-    let slots: Vec<Slot<O>> = items.iter().map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<O>>> = items.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|s| {
         for _ in 0..jobs {
             s.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(item) = items.get(i) else { break };
-                let (out, trace) = lva_trace::capture_thread(|| f(i, item));
-                *slots[i].lock().unwrap() = Some((out, trace));
+                let out = f(i, item);
+                *slots[i].lock().expect(POISONED) = Some(out);
             });
         }
     });
     slots
         .into_iter()
-        .map(|slot| {
-            let (out, trace) =
-                slot.into_inner().unwrap().expect("scope joined with an unfilled slot");
-            lva_trace::emit_captured(trace);
-            out
-        })
+        .map(|slot| slot.into_inner().expect(POISONED).expect("scope joined with an unfilled slot"))
         .collect()
 }
 
@@ -107,29 +96,5 @@ mod tests {
         });
         assert_eq!(count.load(Ordering::Relaxed), 100);
         assert_eq!(out.iter().sum::<u64>(), 99 * 100 / 2);
-    }
-
-    #[test]
-    fn worker_traces_merge_in_submission_order() {
-        // The trace sink is process-global; capture on this thread too so
-        // concurrently running tests can't interleave with the assertion.
-        lva_trace::enable_to_memory();
-        let items: Vec<u64> = (0..16).collect();
-        let ((), lines) = lva_trace::capture_thread(|| {
-            let _ = parallel_map(&items, 4, |i, _| {
-                lva_trace::counter("par_item", i as u64);
-            });
-        });
-        lva_trace::disable();
-        let _ = lva_trace::take_memory();
-        let got: Vec<String> = lines
-            .iter()
-            .filter(|l| l.contains("par_item"))
-            .map(|l| {
-                l.split("\"value\":").nth(1).unwrap().split([',', '}']).next().unwrap().to_string()
-            })
-            .collect();
-        let want: Vec<String> = (0..16).map(|i| i.to_string()).collect();
-        assert_eq!(got, want, "trace replay must follow submission order");
     }
 }

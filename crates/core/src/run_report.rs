@@ -3,11 +3,10 @@
 //! A [`RunReport`] bundles everything one experiment run measured — total
 //! cycles and flops, the stall-cycle attribution, per-level cache behaviour,
 //! and the per-layer breakdown — and serializes it to JSON (hand-rolled via
-//! [`lva_trace::Json`]; the repo has no serde). The `exp-*` binaries write
-//! these under `results/<name>.json` when invoked with `--json`.
-
-use std::fs;
-use std::path::{Path, PathBuf};
+//! [`lva_trace::Json`]; the repo has no serde). The `exp-*` binaries embed
+//! these in the records they write through `lva_bench::observatory::publish`
+//! (`exp-headline --json` writes one per run to `BENCH_headline.json`);
+//! `lva_bench::save_json` writes only their tables, under `results/`.
 
 use crate::experiment::{Experiment, RunSummary};
 use lva_isa::{StallBreakdown, StallCause};
@@ -254,23 +253,6 @@ impl RunReport {
             }
         }
         j
-    }
-
-    /// Write pretty-printed JSON under `results/<name>.json` (creating the
-    /// directory), returning the path.
-    pub fn save(&self) -> std::io::Result<PathBuf> {
-        let dir = Path::new("results");
-        fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{}.json", self.name));
-        self.save_to(&path)?;
-        Ok(path)
-    }
-
-    /// Write pretty-printed JSON to an explicit path.
-    pub fn save_to(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        let mut body = self.to_json().to_string_pretty();
-        body.push('\n');
-        fs::write(path, body)
     }
 }
 

@@ -16,7 +16,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use lva_check::{panic_message, registered_kernels, save_results_json, sweep_configs, Finding};
-use lva_core::cli::Opts;
+use lva_core::cli::{Dialect, Opts};
 use lva_core::Json;
 use lva_depgraph::{allowlisted, certify_kernel, lint_dataflow};
 
@@ -24,7 +24,8 @@ fn main() {
     // `--jobs N` fans the per-kernel certification out over worker threads
     // (0 = all cores); submission-order collection keeps the report
     // byte-identical for every N.
-    let opts = Opts::parse_tool("lint-dataflow: dependence-graph certifier + dataflow lints");
+    let opts =
+        Opts::parse(Dialect::Tool, 1, "lint-dataflow: dependence-graph certifier + dataflow lints");
 
     let configs = sweep_configs();
     let kernels = registered_kernels();
@@ -92,7 +93,6 @@ fn main() {
     if opts.json {
         save_results_json(&report, "lint-dataflow");
     }
-    lva_trace::flush();
 
     if !gating.is_empty() {
         eprintln!("lint-dataflow: {} gating finding(s)", gating.len());

@@ -448,13 +448,10 @@ impl Machine {
     }
 
     /// Run `f` attributing its cycles to kernel phase `p` (§II-B breakdown).
-    /// When tracing is enabled, the phase is also emitted as a span with its
-    /// simulated cycle delta attached.
     pub fn phase<R>(&mut self, p: KernelPhase, f: impl FnOnce(&mut Self) -> R) -> R {
-        let mut sp = lva_trace::span(p.name());
         self.phase_begin(p);
         let r = f(self);
-        sp.set("cycles", self.phase_end(p));
+        self.phase_end(p);
         r
     }
 
@@ -470,12 +467,12 @@ impl Machine {
         self.open_phases.push((p, t0));
     }
 
-    /// Close the innermost open kernel phase, `p`, charge its cycles to the
-    /// phase timer and return them.
+    /// Close the innermost open kernel phase, `p`, and charge its cycles to
+    /// the phase timer.
     ///
     /// # Panics
     /// Panics if no phase is open.
-    fn phase_end(&mut self, p: KernelPhase) -> u64 {
+    fn phase_end(&mut self, p: KernelPhase) {
         self.rlog(|| ReplayOp::PhaseEnd { phase: p });
         let t1 = self.cycles();
         self.pipe(|| PipeEvent::PhaseEnd { phase: p, at: t1 });
@@ -483,7 +480,6 @@ impl Machine {
         let (open, t0) = self.open_phases.pop().expect("phase_end without an open phase");
         debug_assert_eq!(open, p, "mismatched phase nesting");
         self.phases.add(p, t1 - t0);
-        t1 - t0
     }
 
     /// Open network layer `index` (`lva-nn` calls this around each layer's

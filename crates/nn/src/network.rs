@@ -465,15 +465,11 @@ impl Network {
     pub fn run(&mut self, m: &mut Machine, image: &[f32]) -> NetReport {
         assert_eq!(image.len(), self.input.shape.len(), "input size mismatch");
         m.mem.slice_mut(self.input.buf).copy_from_slice(image);
-        let run_t0 = m.cycles();
         let run_stalls0 = m.stalls;
-        let mut net_span = lva_trace::span("network");
         let mut reports: Vec<LayerReport> = Vec::with_capacity(self.layers.len());
         // Split borrows: the loop needs `self.layers[i]` mutably plus reads
         // of earlier layers' outputs, so work with raw indices.
         for i in 0..self.layers.len() {
-            // Opened before the layer body so kernel-phase spans nest inside.
-            let mut layer_span = lva_trace::span("layer");
             m.layer_begin(i, &self.layers[i].spec.describe());
             let prev_out: Tensor = if i == 0 { self.input } else { self.layers[i - 1].out };
             let (mnk, algo, flops);
@@ -593,34 +589,16 @@ impl Network {
             }
             m.layer_end();
             let rec = m.layers().last().expect("layer_end closed this layer's record");
-            let report = LayerReport::from_record(rec, flops, mnk, algo, out.shape);
-            if lva_trace::enabled() {
-                layer_span.set("index", i as u64);
-                layer_span.set("desc", report.desc.as_str());
-                layer_span.set("cycles", report.cycles);
-                layer_span.set("flops", flops);
-                layer_span.set("flops_per_cycle", report.flops_per_cycle());
-                layer_span.set("avg_vlen_bits", report.avg_vlen_bits);
-                layer_span.set("stall_cycles", report.stalls.total());
-            }
-            drop(layer_span);
-            reports.push(report);
+            reports.push(LayerReport::from_record(rec, flops, mnk, algo, out.shape));
         }
-        let report = NetReport {
+        NetReport {
             layers: reports,
             cycles: m.cycles(),
             phases: m.phases.clone(),
             vpu: m.stats,
             mem: m.sys.stats(),
             stalls: m.stalls.since(&run_stalls0),
-        };
-        if lva_trace::enabled() {
-            net_span.set("layers", report.layers.len() as u64);
-            net_span.set("cycles", report.cycles - run_t0);
-            net_span.set("flops", report.flops());
-            net_span.set("avg_vlen_bits", report.vpu.avg_vlen_bits());
         }
-        report
     }
 
     /// The final output tensor.
@@ -785,6 +763,10 @@ mod tests {
         assert!(approx_eq(&got, &want, 2e-2, 2e-2), "output mismatch");
         assert_eq!(rep.layers.len(), specs.len());
         assert!(rep.cycles > 0);
+        // Per-layer stall deltas cover the whole run exactly.
+        assert_eq!(rep.stalls.attributed(), rep.stalls.total());
+        let per_layer: u64 = rep.layers.iter().map(|l| l.stalls.total()).sum();
+        assert_eq!(per_layer, rep.stalls.total());
     }
 
     #[test]
@@ -875,35 +857,6 @@ mod tests {
         // Bottleneck 3x3 cores run Winograd; the 1x1s run GEMM.
         let wino = rep.layers.iter().filter(|l| l.algo == Some(ConvAlgo::Winograd)).count();
         assert!(wino >= 10, "expected the 3x3 cores on Winograd: {wino}");
-    }
-
-    #[test]
-    fn run_emits_layer_spans_when_traced() {
-        let (specs, shape) = yolov3_tiny(32);
-        let policy = ConvPolicy::gemm_only(GemmVariant::opt3());
-        lva_trace::enable_to_memory();
-        let (rep, _) = build_and_run(&specs, shape, policy, 1024, false);
-        let lines = lva_trace::take_memory();
-        lva_trace::disable();
-        // Tracing is process-global, so sibling tests may add lines; only
-        // assert lower bounds and per-line shape.
-        let layer_lines: Vec<&String> =
-            lines.iter().filter(|l| l.contains(r#""name":"layer""#)).collect();
-        assert!(
-            layer_lines.len() >= specs.len(),
-            "one span per layer: {} < {}",
-            layer_lines.len(),
-            specs.len()
-        );
-        assert!(lines.iter().any(|l| l.contains(r#""name":"network""#)));
-        assert!(lines.iter().any(|l| l.contains(r#""name":"gemm""#)), "phase spans nest inside");
-        for l in &layer_lines {
-            assert!(l.contains(r#""cycles""#) && l.contains(r#""avg_vlen_bits""#), "{l}");
-        }
-        // Per-layer stall deltas cover the whole run exactly.
-        assert_eq!(rep.stalls.attributed(), rep.stalls.total());
-        let per_layer: u64 = rep.layers.iter().map(|l| l.stalls.total()).sum();
-        assert_eq!(per_layer, rep.stalls.total());
     }
 
     #[test]

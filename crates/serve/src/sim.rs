@@ -23,9 +23,9 @@
 //! Everything is clocked in simulated cycles; the simulator never reads a
 //! wall clock, so results are byte-reproducible. Observability is the
 //! point: per-request lifecycle records (arrive → batch → execute →
-//! complete, emitted through `lva-trace` when a sink is installed),
-//! per-tenant latency histograms and deadline accounting, queue-depth
-//! telemetry, and a Chrome-trace export with counter tracks.
+//! complete, and every shed request, in [`SimResult`]), per-tenant latency
+//! histograms and deadline accounting, queue-depth telemetry, and a
+//! Chrome-trace export with counter tracks.
 
 use std::collections::VecDeque;
 
@@ -179,7 +179,6 @@ pub struct SimResult {
 pub fn simulate(profiles: &[TenantProfile], arrivals: &[Request], cfg: &ServeConfig) -> SimResult {
     assert!(cfg.max_batch >= 1, "need at least single-request batches");
     assert!(arrivals.iter().all(|r| r.tenant < profiles.len()), "request names an unknown tenant");
-    let _span = lva_trace::span("serve.simulate");
     let nt = profiles.len();
     let mut queues: Vec<VecDeque<Request>> = (0..nt).map(|_| VecDeque::new()).collect();
     let mut tenants: Vec<TenantStats> = (0..nt).map(|_| TenantStats::new()).collect();
@@ -217,18 +216,9 @@ pub fn simulate(profiles: &[TenantProfile], arrivals: &[Request], cfg: &ServeCon
                 if head.deadline > now {
                     break;
                 }
-                let r = *head;
+                shed.push((now, t, head.arrive));
                 q.pop_front();
                 tenants[t].shed += 1;
-                shed.push((now, t, r.arrive));
-                lva_trace::event(
-                    "serve.shed",
-                    Json::obj()
-                        .field("tenant", t as u64)
-                        .field("arrive", r.arrive)
-                        .field("deadline", r.deadline)
-                        .field("shed_at", now),
-                );
             }
         }
         if queues.iter().all(VecDeque::is_empty) {
@@ -267,16 +257,6 @@ pub fn simulate(profiles: &[TenantProfile], arrivals: &[Request], cfg: &ServeCon
             }
             st.latency.record(rec.latency());
             completed.push(rec);
-            lva_trace::event(
-                "serve.request",
-                Json::obj()
-                    .field("tenant", pick as u64)
-                    .field("arrive", rec.arrive)
-                    .field("start", rec.start)
-                    .field("complete", rec.complete)
-                    .field("latency", rec.latency())
-                    .field("missed", rec.missed_deadline()),
-            );
         }
         batches.push(BatchRecord { tenant: pick, size: b, start, end, switched });
         busy += cost;
@@ -546,17 +526,5 @@ mod tests {
         for track in ["machine", "queue_depth", "batch_size", "req:tiny", "req:vgg16"] {
             assert!(names.contains(&track), "missing track {track}");
         }
-    }
-
-    #[test]
-    fn lifecycle_events_flow_through_lva_trace() {
-        lva_trace::enable_to_memory();
-        let arr = trace_arrivals(0, &[0, 5], 10);
-        let _ = simulate(&[profile(100, 100)], &arr, &ServeConfig { max_batch: 1 });
-        let lines = lva_trace::take_memory();
-        let text = lines.join("\n");
-        assert!(text.contains("serve.request"), "completed-request event emitted");
-        assert!(text.contains("serve.shed"), "shed event emitted");
-        assert!(text.contains("serve.simulate"), "simulation span emitted");
     }
 }

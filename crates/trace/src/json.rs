@@ -1,8 +1,8 @@
 //! A tiny hand-rolled JSON value type and serializer.
 //!
 //! The workspace is intentionally dependency-free, so instead of serde this
-//! module provides the minimal subset the telemetry layer and the run
-//! reports need: an order-preserving object, arrays, strings with correct
+//! module provides the minimal subset the run reports, records and Chrome
+//! timelines need: an order-preserving object, arrays, strings with correct
 //! escaping, and integer/float formatting that round-trips through any
 //! standards-compliant parser.
 
